@@ -32,7 +32,7 @@ constexpr const char* kSiteNames[kSiteCount] = {
     "skip/insert_cas",   "skip/flag_cas",    "skip/mark_cas",
     "skip/unlink_cas",   "skip/backlink_step", "skip/help_flagged",
     "skip/help_marked",  "skip/tower_build", "skip/finger_validate",
-    "skip/finger_fallback", "skip/finger_publish", "skip/finger_replace",
+    "skip/finger_fallback", "skip/finger_replace",
     "base/insert_cas",
     "base/mark_cas",     "base/unlink_cas",  "epoch/pin",
     "epoch/retire",      "epoch/advance",    "epoch/eject",

@@ -77,9 +77,9 @@ enum class Site : int {
   kSkipHelpFlagged,
   kSkipHelpMarked,
   kSkipTowerBuild,  // insert: before linking the next tower level
+  // FRSkipListRC's finger (core/fr_skiplist_rc.h); FRSkipList has none
   kSkipFingerValidate,  // finger_start: cached descent entry qualified
   kSkipFingerFallback,  // finger_start: no usable entry, head descent
-  kSkipFingerPublish,   // publish_fingers: about to publish the way sets
   kSkipFingerReplace,   // save_finger: LFU-aging replacement picking a
                         // victim way (no in-place refresh matched)
   // Baselines (harris_list.h / restart_skiplist.h) — E12 fault injection

@@ -609,7 +609,7 @@ class FRList {
         }
       }
       reclaimer_.finger_publish(nodes, kWays, &finger_chain_walker,
-                                finger_id_, kWays);
+                                finger_id_);
     }
   }
 

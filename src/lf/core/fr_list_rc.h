@@ -508,16 +508,20 @@ class FRListRC {
         Node* n = free_head_;
         free_head_ = n->free_next;
         --free_count_;
-        // Creator reference; fetch_add (not store) so in-flight ghost
-        // pairs on the recycled node stay balanced.
-        n->refct.fetch_add(1, std::memory_order_acq_rel);
-        n->refct.fetch_and(~kFreeBit, std::memory_order_acq_rel);
         n->kind = kind;
         n->key = std::move(k);
         n->value = std::move(v);
         n->succ.store_unsynchronized(View{nullptr, false, false});
         n->backlink.store(nullptr, std::memory_order_relaxed);
         n->free_next = nullptr;
+        // Creator reference; fetch_add (not store) so in-flight ghost
+        // pairs on the recycled node stay balanced. The free bit is cleared
+        // only after the fields are written: a stale finger_try_hold whose
+        // RMW sees it clear synchronizes with the fetch_and, so release()'s
+        // read of `kind` cannot race the writes above. While the bit is set
+        // nothing reads them.
+        n->refct.fetch_add(1, std::memory_order_acq_rel);
+        n->refct.fetch_and(~kFreeBit, std::memory_order_acq_rel);
         return n;
       }
     }

@@ -71,25 +71,17 @@
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/reclaimer.h"
 #include "lf/sync/backoff.h"
-#include "lf/sync/finger.h"
 #include "lf/sync/succ_field.h"
 #include "lf/util/prefetch.h"
 #include "lf/util/random.h"
 
 namespace lf {
 
-// The extra template parameters beyond the paper's algorithm:
+// The extra template parameter beyond the paper's algorithm:
 //   Layout      memory layout policy (mem/tower.h), see below.
-//   Finger      sync::FingerOn (default) caches each thread's last descent
-//               (the lowest kFingerLevels (pred, succ) pairs) per structure
-//               instance and enters the next search at the lowest cached
-//               level whose window still brackets the key, when the
-//               reclaimer policy can re-validate the cached nodes
-//               (sync/finger.h, DESIGN.md §10). sync::FingerOff compiles
-//               the layer out entirely.
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
           typename Reclaimer = reclaim::EpochReclaimer, int MaxLevel = 24,
-          typename Layout = mem::FlatTowers, typename Finger = sync::FingerOn>
+          typename Layout = mem::FlatTowers>
 class FRSkipList {
   static_assert(MaxLevel >= 2, "need at least two levels (erase cleanup)");
 
@@ -188,12 +180,6 @@ class FRSkipList {
   // node is a tower root owning one block for its whole tower; under the
   // chained layout every linked node is freed individually per level.
   ~FRSkipList() {
-    if constexpr (kFingerActive && FingerPol::kPublishes) {
-      // Null every retained hazard slot still pointing into this instance
-      // before freeing nodes directly, so no concurrent scan can chain-walk
-      // into freed memory (see core/fr_list.h destructor).
-      reclaimer_.finger_invalidate(finger_id_);
-    }
     if constexpr (Layout::kFlat) {
       Node* n = head_[1]->succ.load().right;
       while (n->kind != Node::Kind::kTail) {
@@ -253,16 +239,8 @@ class FRSkipList {
       erased = delete_node(prev, del);
       if (erased) {
         // Delete_SL: re-search down to level 2 to physically delete the
-        // rest of the now-superfluous tower, top-down. The sweep must
-        // ENTER at or above the tower's top — a finger entry below it
-        // would leave the levels above the entry linked — so pass the
-        // tower's height as the minimum finger entry level. tower_top is
-        // pre-published before every level link, so it covers every node
-        // a concurrent builder managed to link (any node linked after
-        // this read is removed by the builder itself when it sees the
-        // marked root).
-        Node* top = del->tower_root->tower_top.load(std::memory_order_acquire);
-        search_to_level<true>(k, 2, top != nullptr ? top->level : MaxLevel);
+        // rest of the now-superfluous tower, top-down.
+        search_to_level<true>(k, 2);
       }
     }
     stats::tls().op_erase.inc();
@@ -566,352 +544,24 @@ class FRSkipList {
     }
   }
 
-  // ---- Finger (search hint) layer — sync/finger.h, DESIGN.md §10 ---------
+  // ---- SearchToLevel_SL --------------------------------------------------
   //
-  // Each thread remembers, per skip-list instance, the lowest kFingerLevels
-  // levels of recent descents — and, per level, a set of kWays cache ways,
-  // each holding the (pred, succ) pair a SearchRight returned plus the
-  // reclaimer token under which that pair was observed. The next search
-  // enters at the LOWEST cached level l >= v holding a way whose token
-  // still validates and whose window brackets the key (pred.key < k <=
-  // succ.key-at-save-time), skipping the whole descent above l. Multiple
-  // ways per level are what serve a skewed-but-scattered (zipf) hot set: a
-  // single way thrashes between far-apart hot keys, while k ways hold k
-  // disjoint hot windows at once. Replacement is clock (second-chance); a
-  // way already caching the same pred is refreshed in place. Ways carry
-  // individual tokens because a finger-entered search only refreshes the
-  // ways it traverses, so surviving ways may be older than fresh ones.
-  //
-  // A pred that was marked since it was saved is recovered through its
-  // backlink chain — the same recovery a failed C&S performs — and any
-  // validation failure falls back to the ordinary head descent, so the
-  // paper's amortized bound is untouched (the fallback IS the status quo;
-  // probing is deref-free and validation attempts are O(kFingerLevels)).
-
-  using FingerPol = sync::FingerPolicy<Reclaimer>;
-  static constexpr bool kFingerActive =
-      Finger::kEnabled && FingerPol::kSupported;
-  static constexpr int kWays = sync::kFingerCacheWays;
-  // Publishing policies (hazard pointers) pair every cached pred with a
-  // retained slot, and a slot only protects what it holds if that address
-  // is a RETIRED OBJECT address. Under the FLAT layout the whole tower is
-  // one retired block whose address is the level-1 root, and every node
-  // carries an immutable tower_root — so each fingered level retains its
-  // ways' preds' ROOTS in its own GROUP of slots (level l, way w lives in
-  // entry (l-1) * kWays + w of FingerPol::kPublishedEntries), and a slot
-  // match keeps the whole block, interior pred included, dereferenceable.
-  // A CHAINED layout retires towers per node; only the level-1 node's
-  // address is both cacheable and retireable, so the finger degrades to
-  // level 1 there (the same restriction the RC variant's level-1 cache
-  // lives with) — still with its full way set.
-  static constexpr int kMaxFingerLevels =
-      4 < kMaxTowerHeight ? 4 : kMaxTowerHeight;
-  static constexpr int kFingerLevels =
-      FingerPol::kPublishes
-          ? (Layout::kFlat
-                 ? (kMaxFingerLevels < FingerPol::kPublishedGroups
-                        ? kMaxFingerLevels
-                        : FingerPol::kPublishedGroups)
-                 : 1)
-          : kMaxFingerLevels;
-  static_assert(!FingerPol::kPublishes ||
-                    (kFingerLevels * kWays <= FingerPol::kPublishedEntries &&
-                     kWays <= FingerPol::kPublishedWays),
-                "each fingered (level, way) needs its own retained slot");
-
-  // Retained-slot index of (lvl, way) under a publishing policy. Level 1
-  // occupies entries [0, kWays) — the group the domain's scan chain-walks.
-  static constexpr int finger_entry_index(int lvl, int way) noexcept {
-    return (lvl - 1) * kWays + way;
-  }
-
-  // Ways cache the bracket KEYS (and sentinel kinds) alongside the pred
-  // pointer: while the token validates, the node is unreclaimed and its
-  // key/kind are immutable, so checking the cached copies is equivalent to
-  // dereferencing — and a failed probe (the common case on a locality
-  // break) then costs no cache misses on cold nodes at all. Only the way
-  // that wins a level's probe dereferences its pred, for the mark check.
-  struct FingerSlot {
-    std::uint64_t instance = 0;
-    struct Entry {
-      Node* pred = nullptr;
-      Node* root = nullptr;  // pred->tower_root at save (publishing only)
-      std::uint64_t token = 0;
-      Key pred_key{};  // meaningful unless pred_head
-      Key succ_key{};  // meaningful unless succ_tail
-      bool pred_head = false;
-      bool succ_tail = false;
-      std::uint8_t freq = 0;  // hit counter (aged by finger_victim_pick)
-    };
-    struct Level {
-      Entry way[kWays] = {};
-      unsigned hand = 0;   // tie rotation for victim selection
-      unsigned ticks = 0;  // replacements since the last aging pass
-      // Way refreshed by the search in progress; only meaningful for the
-      // levels the current search traversed (publish_fingers' [lo, hi]).
-      int fresh = -1;
-    };
-    Level level[kFingerLevels + 1];  // [1..kFingerLevels]; [0] unused
-  };
-
-  // Type-erased backlink-chain step for HazardDomain's chain-protecting
-  // scan (see core/fr_list.h::finger_chain_walker — identical contract).
-  // Paired with finger entry 0 only, which always holds a level-1 root: a
-  // level-1 backlink targets the level-1 predecessor, so the chain stays
-  // within retired-address territory (tower roots). Upper finger entries
-  // are never walked — a marked upper pred falls through to the next level
-  // instead of recovering, because a level-l backlink (l > 1) targets
-  // another tower's INTERIOR node, whose address no slot could protect.
-  static void* finger_chain_walker(void* p) {
-    Node* n = static_cast<Node*>(p);
-    if (!n->succ.load().mark) return nullptr;
-    return n->backlink.load(std::memory_order_acquire);
-  }
-
-  // Level the plain head descent would enter at.
-  int head_entry_level(int v) const noexcept {
+  // Descends from just above the tallest live tower to level v, traversing
+  // each level with SearchRight; returns consecutive (n1, n2) on level v
+  // with n1.key <= k < n2.key (Closed) or n1.key < k <= n2.key (!Closed).
+  template <bool Closed>
+  std::pair<Node*, Node*> search_to_level(const Key& k, int v) const {
     int curr_v = top_hint_.load(std::memory_order_relaxed) + 1;
     if (curr_v > MaxLevel) curr_v = MaxLevel;
     if (curr_v < v) curr_v = v;
-    return curr_v;
-  }
-
-  void save_finger(FingerSlot& slot, int lvl, Node* pred, Node* succ,
-                   std::uint64_t token) const {
-    if (lvl > kFingerLevels) return;
-    if (slot.instance != finger_id_) {
-      // First touch, or the direct-mapped TLS slot was evicted by another
-      // instance: ways at OTHER levels hold that instance's pointers, and
-      // once `instance` below claims the slot they would masquerade as
-      // ours (publishing policies use a constant token, so nothing else
-      // would catch them). Kill them before claiming.
-      for (int l = 1; l <= kFingerLevels; ++l)
-        slot.level[l] = typename FingerSlot::Level();
-      slot.instance = finger_id_;
-    }
-    auto& lv = slot.level[lvl];
-    // A way already caching this pred is refreshed in place (its bracket
-    // just moved or tightened); otherwise clock replacement picks a victim.
-    int w = -1;
-    for (int i = 0; i < kWays; ++i)
-      if (lv.way[i].pred == pred) { w = i; break; }
-    const bool refresh = w >= 0;
-    if (!refresh) {
-      LF_CHAOS_POINT(kSkipFingerReplace);
-      w = sync::finger_victim_pick(
-          lv.way, kWays, lv.hand, lv.ticks,
-          [](const typename FingerSlot::Entry& e) {
-            return e.pred == nullptr;
-          });
-    }
-    auto& e = lv.way[w];
-    e.pred = pred;
-    e.token = token;
-    // pred/succ were just traversed, so these reads are cache-warm.
-    e.pred_head = pred->kind == Node::Kind::kHead;
-    if (!e.pred_head) e.pred_key = pred->key;
-    e.succ_tail = succ->kind == Node::Kind::kTail;
-    if (!e.succ_tail) e.succ_key = succ->key;
-    // A brand-new way enters at frequency zero — the next replacement's
-    // prime victim unless it earns a probe hit first — while refreshes
-    // bump the counter. One-shot cold keys then recycle through a
-    // de-facto probation way; the accumulated counters of the hot ways
-    // are untouched by miss traffic, which is what lets the cache retain
-    // a zipf hot set (recency-only clock is lapped by the tail's miss
-    // flow before even the hottest key recurs).
-    if (refresh) sync::finger_freq_bump(e.freq);
-    else e.freq = 0;
-    lv.fresh = w;
-    if constexpr (FingerPol::kPublishes) {
-      // Cache the address the retained slot will hold: the pred's tower
-      // root — the address retire_tower hands the reclaimer (the
-      // whole-block pointer under the flat layout; pred itself at level 1).
-      // pred was just found unmarked (hence linked, hence unreclaimed)
-      // under the still-held guard, so the deref is safe. The publication
-      // itself happens once per search, in publish_fingers().
-      e.root = pred->tower_root;
-    }
-  }
-
-  // Publishing policies only: rewrite the retained hazard slots after a
-  // search refreshed one way on each of levels [lo, hi]. A refreshed way
-  // publishes the root cached at save time — publish-while-alive holds
-  // because its pred was found linked under the STILL-HELD guard, and a
-  // concurrent retirement parks in the epoch stage until this pin ends
-  // (the epoch bridge, reclaim/hazard.h). Any other way is kept only if
-  // its slot still holds its root: protection was then continuous since
-  // its own publish-while-alive moment, so republishing the same address
-  // into the same slot extends it soundly. Anything else is dead — its
-  // slot is published null and the way cleared so it is never
-  // dereferenced.
-  void publish_fingers(FingerSlot& slot, int lo, int hi) const {
-    if (slot.instance != finger_id_ || lo > kFingerLevels) return;
-    void* roots[kFingerLevels * kWays];
-    for (int l = 1; l <= kFingerLevels; ++l) {
-      auto& lv = slot.level[l];
-      for (int w = 0; w < kWays; ++w) {
-        auto& e = lv.way[w];
-        const int idx = finger_entry_index(l, w);
-        if (e.pred == nullptr) {
-          roots[idx] = nullptr;
-        } else if (l >= lo && l <= hi && w == lv.fresh) {
-          roots[idx] = e.root;  // refreshed this search
-        } else if (reclaimer_.finger_reacquire(e.root, finger_id_, idx)) {
-          roots[idx] = e.root;  // stale but continuously protected
-        } else {
-          roots[idx] = nullptr;  // evicted since its publish: dead way
-          e.pred = nullptr;
-        }
-      }
-    }
-    LF_CHAOS_POINT(kSkipFingerPublish);
-    reclaimer_.finger_publish(roots, kFingerLevels * kWays,
-                              &finger_chain_walker, finger_id_, kWays);
-  }
-
-  // Picks a validated entry point: (start node, level), or (nullptr, 0) for
-  // a head descent. Scans cached levels from max(v, min_level) upward and
-  // takes the lowest usable one — lower entry, shorter walk; within a
-  // level, the way with the tightest bracket (largest pred key) wins the
-  // deref-free probe and is the only one validated. min_level lets erase's
-  // tower-cleanup sweep refuse entries below the tower it must clear (an
-  // entry below the tower top would skip the levels above it).
-  //
-  // Hit/miss accounting covers exactly the finger-ELIGIBLE searches (lo <=
-  // kFingerLevels): a search that could never use a finger — a tower build
-  // or cleanup sweep above the fingered levels — counts neither, so
-  // bench_finger hit rates measure cache effectiveness, not the workload's
-  // tower-height mix.
-  template <bool Closed>
-  std::pair<Node*, int> finger_start(const Key& k, int v, int min_level,
-                                     FingerSlot& slot,
-                                     std::uint64_t token) const {
-    auto& c = stats::tls();
-    const int lo = min_level > v ? min_level : v;
-    if (lo > kFingerLevels) return {nullptr, 0};  // never eligible
-    if (slot.instance == finger_id_) {
-      for (int lvl = lo; lvl <= kFingerLevels; ++lvl) {
-        auto& lv = slot.level[lvl];
-        // Equality (pred.key == k) is admitted only for a Closed search
-        // entering at its own target when that target is level 1: there the
-        // cached pred is a tower ROOT, so "unmarked" below directly implies
-        // it is not superfluous. At upper levels an equal-key start could
-        // sit ON a superfluous node and SearchRight — which only examines
-        // successors — would never physically delete it, leaving erase's
-        // cleanup pass a no-op.
-        const bool allow_eq = Closed && lvl == v && v == 1;
-        // Deref-free probe: the way whose window [pred_key, succ_key]
-        // brackets k, tightest (largest pred key) first on overlap.
-        int w = -1;
-        for (int i = 0; i < kWays; ++i) {
-          const auto& e = lv.way[i];
-          if (e.pred == nullptr || e.token != token) continue;
-          if (!e.pred_head &&
-              (allow_eq ? comp_(k, e.pred_key) : !comp_(e.pred_key, k)))
-            continue;
-          // Window check: at save time succ was the next node at this
-          // level, so k beyond succ's key means an unbounded rightward
-          // walk — worse than descending from above. (Tail = +infinity
-          // always qualifies.)
-          if (!e.succ_tail && comp_(e.succ_key, k)) continue;
-          if (w < 0 || (!e.pred_head && (lv.way[w].pred_head ||
-                                         comp_(lv.way[w].pred_key, e.pred_key))))
-            w = i;
-        }
-        if (w < 0) continue;
-        auto& e = lv.way[w];
-        // Publishing policies: re-acquire this way's retained hazard
-        // slot — which holds the pred's tower ROOT — before the first
-        // dereference (see core/fr_list.h::finger_start — a mismatch means
-        // protection was not continuous and the cached pointer may be
-        // freed memory; fail closed to the next level / head descent). A
-        // match keeps the whole tower block alive, so dereferencing the
-        // interior pred below is sound.
-        if constexpr (FingerPol::kPublishes) {
-          if (!reclaimer_.finger_reacquire(e.root, finger_id_,
-                                           finger_entry_index(lvl, w))) {
-            e.pred = nullptr;  // dead way; stop probing it
-            continue;
-          }
-        }
-        LF_CHAOS_POINT(kSkipFingerValidate);
-        Node* start = e.pred;
-        std::uint64_t chain = 0;
-        // Backlink recovery is level-1-only under a publishing policy: a
-        // level-l backlink (l > 1) targets another tower's interior node,
-        // which no slot publication could protect (its address is never a
-        // retired-object address). A marked upper pred falls through to
-        // the next cached level instead.
-        if (!FingerPol::kPublishes || lvl == 1) {
-          while (start->succ.load().mark) {
-            Node* back = start->backlink.load(std::memory_order_acquire);
-            if (back == nullptr) break;  // defensive; marked => backlink set
-            if constexpr (FingerPol::kPublishes) {
-              // Publish the hop before dereferencing it (liveness is
-              // already guaranteed by the chain-protecting scan while the
-              // finger slot is held; see reclaim/hazard.h).
-              LF_CHAOS_POINT(kHazardFingerHop);
-              reclaimer_.finger_protect_hop(back);
-            }
-            c.backlink_traversal.inc();
-            ++chain;
-            start = back;
-          }
-        }
-        if (chain > 0) stats::chain_hist_tls().record(chain);
-        if (start->succ.load().mark) continue;  // try the next level up
-        sync::finger_freq_bump(e.freq);
-        c.finger_hit.inc();
-        const int head_v = head_entry_level(v);
-        if (head_v > lvl)
-          c.finger_skip.inc(static_cast<std::uint64_t>(head_v - lvl));
-        return {start, lvl};
-      }
-    }
-    LF_CHAOS_POINT(kSkipFingerFallback);
-    c.finger_miss.inc();
-    return {nullptr, 0};
-  }
-
-  // ---- SearchToLevel_SL --------------------------------------------------
-  //
-  // Descends from just above the tallest live tower — or from a validated
-  // per-thread finger (see above) — to level v, traversing each level with
-  // SearchRight; returns consecutive (n1, n2) on level v with
-  // n1.key <= k < n2.key (Closed) or n1.key < k <= n2.key (!Closed).
-  template <bool Closed>
-  std::pair<Node*, Node*> search_to_level(const Key& k, int v,
-                                          int min_finger_level = 0) const {
-    Node* curr = nullptr;
-    int curr_v = 0;
-    [[maybe_unused]] FingerSlot* slot = nullptr;
-    [[maybe_unused]] std::uint64_t token = 0;
-    if constexpr (kFingerActive) {
-      slot = &sync::tls_finger_slot<FingerSlot>(finger_id_);
-      token = FingerPol::token(reclaimer_);
-      std::tie(curr, curr_v) =
-          finger_start<Closed>(k, v, min_finger_level, *slot, token);
-    }
-    if (curr == nullptr) {
-      curr_v = head_entry_level(v);
-      curr = head_[curr_v];
-    }
-    [[maybe_unused]] const int entry_v = curr_v;
+    Node* curr = head_[curr_v];
     Node* next = nullptr;
     while (curr_v > v) {
       std::tie(curr, next) = search_right<false>(k, curr);
-      if constexpr (kFingerActive)
-        save_finger(*slot, curr_v, curr, next, token);
       curr = curr->down;
       --curr_v;
     }
-    auto out = search_right<Closed>(k, curr);
-    if constexpr (kFingerActive) {
-      save_finger(*slot, v, out.first, out.second, token);
-      if constexpr (FingerPol::kPublishes)
-        publish_fingers(*slot, v, entry_v);
-    }
-    return out;
+    return search_right<Closed>(k, curr);
   }
 
   // ---- SearchRight --------------------------------------------------------
@@ -1118,8 +768,6 @@ class FRSkipList {
   std::array<Node*, MaxLevel + 1> head_{};  // head_[1..MaxLevel]; [0] unused
   Node* tail_;
   std::atomic<int> top_hint_;
-  // Never-reused id keying this instance's thread-local finger slots.
-  const std::uint64_t finger_id_ = sync::next_finger_instance();
 
   static_assert(reclaim::reclaimer_for<Reclaimer, Node>);
   // Tower retirement goes through the layout's type-erased deleter, so the

@@ -335,13 +335,8 @@ class FRSkipListRC {
         --free_count_;
       }
     }
-    if (n != nullptr) {
-      n->refct.fetch_add(1, std::memory_order_acq_rel);
-      n->refct.fetch_and(~kFreeBit, std::memory_order_acq_rel);
-      n->succ.store_unsynchronized(View{nullptr, false, false});
-      n->backlink.store(nullptr, std::memory_order_relaxed);
-      n->free_next = nullptr;
-    } else {
+    const bool recycled = n != nullptr;
+    if (!recycled) {
       n = new Node;
       n->refct.store(1, std::memory_order_relaxed);
       std::lock_guard lock(free_mu_);
@@ -355,6 +350,17 @@ class FRSkipListRC {
     n->value = std::move(v);
     n->down = down;
     n->tower_root = root == nullptr ? n : root;
+    if (recycled) {
+      n->succ.store_unsynchronized(View{nullptr, false, false});
+      n->backlink.store(nullptr, std::memory_order_relaxed);
+      n->free_next = nullptr;
+      // Clear the free bit only after the fields are written: a stale
+      // finger_try_hold whose RMW sees the bit clear synchronizes with the
+      // fetch_and below, so release()'s read of `kind` cannot race these
+      // writes. While the bit is set nothing reads them.
+      n->refct.fetch_add(1, std::memory_order_acq_rel);
+      n->refct.fetch_and(~kFreeBit, std::memory_order_acq_rel);
+    }
     // Immutable outgoing links are counted at creation and released when
     // the node is freed.
     if (down != nullptr) down->refct.fetch_add(1, std::memory_order_acq_rel);

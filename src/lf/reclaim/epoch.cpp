@@ -49,8 +49,9 @@ AbandonedSlots& abandoned() {
 // registry-lock-protected during acquire/release/adopt).
 struct EpochDomain::ThreadState {
   CacheAligned<std::atomic<std::uint64_t>> state;
-  // Bumped on every outermost pin (and on ejection settlement): the blame
-  // detector only ejects a slot whose (state, heartbeat) pair froze.
+  // Bumped on every outermost pin of an armed slot (and on ejection
+  // settlement): the blame detector only ejects a slot whose (state,
+  // heartbeat) pair froze.
   std::atomic<std::uint64_t> heartbeat{0};
   // Mirror of the domain's sticky arming flag: when set, unpin/publish use
   // RMWs that cannot erase a concurrently-set ejected bit. Per-slot (not
@@ -147,15 +148,24 @@ EpochDomain::Guard::Guard(EpochDomain& domain)
   if (!outermost_) return;
   LF_CHAOS_POINT(kEpochPin);  // before publishing: no lock held here
   // A fresh beat: the blame detector treats a frozen (word, heartbeat) pair
-  // as a stalled pin, so every sign of life must move one of the two.
-  ts_->heartbeat.fetch_add(1, std::memory_order_relaxed);
+  // as a stalled pin, so every sign of life must move one of the two. Only
+  // an armed slot beats, which keeps the locked RMW off the disarmed pin.
+  // Skipping it there is sound for two reasons. First, set_resilience()
+  // sets every slot's mirror under registry_mu_, and blame rounds also run
+  // under that lock, so every round happens after the mirrors are set.
+  // Second, an ejection needs the (word, beat) pair frozen across
+  // blame_threshold advances, all of them after arming. A pin that starts
+  // after arming reads the set mirror and beats.
+  bool armed = ts_->resilient.load(std::memory_order_relaxed);
+  if (armed) ts_->heartbeat.fetch_add(1, std::memory_order_relaxed);
   // Publish (epoch, active) and verify the global did not move past us; this
-  // loop is what makes the advertised epoch trustworthy to advancers.
-  for (;;) {
+  // loop is what makes the advertised epoch trustworthy to advancers. A
+  // retry re-reads the mirror, so arming mid-loop is seen before the store.
+  for (;; armed = ts_->resilient.load(std::memory_order_relaxed)) {
     const std::uint64_t e =
         domain_.global_epoch_->load(std::memory_order_seq_cst);
     const std::uint64_t word = (e << kEpochShift) | kActiveBit;
-    if (ts_->resilient.load(std::memory_order_relaxed)) {
+    if (armed) {
       // An armed advancer may eject us between loop iterations (a thread
       // parked inside this loop is indistinguishable from a stalled one).
       // The exchange claims any ejected bit atomically so the ejection is

@@ -113,7 +113,6 @@ void HazardDomain::release_record(ThreadSlots* rec) {
   // itself is already null, which is what scanners gate on).
   rec->finger_walker_.store(nullptr, std::memory_order_release);
   rec->finger_tag_.store(0, std::memory_order_release);
-  rec->finger_walk_n_.store(0, std::memory_order_release);
   std::lock_guard lock(registry_mu_);
   if (rec->retired_ != nullptr) {
     RetiredNode* tail = rec->retired_;
@@ -146,7 +145,6 @@ bool HazardDomain::adopt_stalled(std::thread::id tid) {
     rec->hp_[kFingerHopSlot].value.store(nullptr, std::memory_order_seq_cst);
     rec->finger_walker_.store(nullptr, std::memory_order_release);
     rec->finger_tag_.store(0, std::memory_order_release);
-    rec->finger_walk_n_.store(0, std::memory_order_release);
     rec->finger_seq_.fetch_add(1, std::memory_order_release);
     // The Michael-list slots [0, kMichaelListSlots) stay published: a
     // resumable victim may still dereference them (bounded retention).
@@ -168,21 +166,17 @@ bool HazardDomain::adopt_stalled(std::thread::id tid) {
 // ---- Retained-finger slot protocol ----------------------------------------
 
 void HazardDomain::publish_finger(void* const* nodes, int n,
-                                  ChainWalker walker, std::uint64_t tag,
-                                  int walk_n) {
+                                  ChainWalker walker, std::uint64_t tag) {
   ThreadSlots& rec = slots();
-  // Seqlock write side: odd seq marks the (slots, walker, tag, walk count)
-  // tuple as mid-rewrite so a concurrent scanner never pairs a pointer from
-  // one publish with the walker (or walk count) of another (type confusion
-  // on the walk).
+  // Seqlock write side: odd seq marks the (slots, walker, tag) tuple as
+  // mid-rewrite so a concurrent scanner never pairs a pointer from one
+  // publish with the walker of another (type confusion on the walk).
   rec.finger_seq_.fetch_add(1, std::memory_order_relaxed);
   for (int i = 0; i < kFingerEntries; ++i)
     rec.hp_[kFingerSlot + i].value.store(i < n ? nodes[i] : nullptr,
                                          std::memory_order_seq_cst);
   rec.finger_walker_.store(walker, std::memory_order_release);
   rec.finger_tag_.store(tag, std::memory_order_release);
-  rec.finger_walk_n_.store(std::min(walk_n, kFingerEntries),
-                           std::memory_order_release);
   // A finished recovery walk's hop publication is dead once the new fingers
   // are in place; dropping it here keeps the hop slot's lifetime one
   // operation, so structure destructors only need to invalidate the finger
@@ -275,14 +269,9 @@ void HazardDomain::scan_record(ThreadSlots& rec) {
 
   // Stage 2: snapshot every published hazard pointer, and for each record
   // with a published retained finger, walk the backlink chain of every
-  // LEVEL-1 finger entry — entries [0, walk count) as declared by the
-  // publish, the owner's level-1 cache ways — and protect every node on
-  // them; upper finger entries never recover through backlinks (their
-  // owners fall through to another level on a marked pred —
-  // core/fr_skiplist.h), so the plain snapshot alone protects them. The
-  // chain walks cover exactly the nodes
-  // the owning thread's next finger_start may dereference during a
-  // recovery walk. The walk
+  // finger entry (one per cache way) and protect every node on them. The
+  // chain walks cover exactly the nodes the owning thread's next
+  // finger_start may dereference during a recovery walk. The walk
   // dereferences retired-but-unfreed nodes, which is safe here because
   // (a) stage 2 runs under the registry lock, so chain walks are mutually
   // exclusive with each other and with invalidate_fingers, and (b) any node
@@ -313,14 +302,13 @@ void HazardDomain::scan_record(ThreadSlots& rec) {
         fingers[i] =
             r->hp_[kFingerSlot + i].value.load(std::memory_order_seq_cst);
       ChainWalker walker = r->finger_walker_.load(std::memory_order_acquire);
-      const int walk_n = r->finger_walk_n_.load(std::memory_order_acquire);
       if (r->finger_seq_.load(std::memory_order_acquire) != seq) continue;
       if (walker == nullptr) continue;
       // The fingers themselves are already in the snapshot; protect the
-      // rest of each level-1 way's backlink chain (walker returns null at
-      // the first unmarked node, and backlink chains are acyclic —
-      // strictly leftward).
-      for (int i = 0; i < walk_n; ++i) {
+      // rest of each way's backlink chain (walker returns null at the first
+      // unmarked node, and backlink chains are acyclic — strictly
+      // leftward).
+      for (int i = 0; i < kFingerEntries; ++i) {
         if (fingers[i] == nullptr) continue;
         for (void* p = walker(fingers[i]); p != nullptr; p = walker(p))
           protected_ptrs.push_back(p);

@@ -81,27 +81,17 @@ class HazardDomain {
   // of them and the third is protected transitively, but the budget follows
   // the paper's bound.
   static constexpr int kMichaelListSlots = 3;
-  // The FR finger path retains up to kFingerEntries cached finger pointers
-  // between operations, organised as kFingerGroups groups of kFingerWays
-  // set-associative cache ways: the list uses group 0 only (its level-1
-  // way set); the skip list uses one group per fingered level, each entry
-  // holding that level's pred's tower ROOT (the retired-block address under
-  // the flat layout; see core/fr_skiplist.h) — plus one transient hop slot
-  // that a level-1 backlink-recovery walk republishes per hop
-  // (core/fr_list.h). Entry index for (group g, way w) is
-  // g * kFingerWays + w.
-  static constexpr int kFingerWays = 4;
-  static constexpr int kFingerGroups = 4;
-  static constexpr int kFingerEntries = kFingerWays * kFingerGroups;
+  // The FR list's finger path (core/fr_list.h) retains up to
+  // kFingerEntries cached finger pointers between operations, one per
+  // set-associative cache way, plus one transient hop slot that a
+  // backlink-recovery walk republishes per hop.
+  static constexpr int kFingerEntries = 4;
   static constexpr int kFingerSlots = kFingerEntries + 1;  // + hop slot
   static constexpr int kSlotsPerThread = kMichaelListSlots + kFingerSlots;
 
   // Fixed indices of the finger slots (the Michael-list slots are
-  // [0, kMichaelListSlots)). Entry i lives at kFingerSlot + i; only the
-  // entries of group 0 — the level-1 ways, [0, walk-count) as declared by
-  // the publish — are paired with the chain walker (upper skip-list entries
-  // never recover through backlinks, so they need no chain protection —
-  // see scan_record).
+  // [0, kMichaelListSlots)). Entry i lives at kFingerSlot + i, and every
+  // entry is paired with the chain walker (see scan_record).
   static constexpr int kFingerSlot = kMichaelListSlots;
   static constexpr int kFingerHopSlot = kMichaelListSlots + kFingerEntries;
   static_assert(kFingerHopSlot < kSlotsPerThread,
@@ -165,9 +155,6 @@ class HazardDomain {
     std::atomic<std::uint64_t> finger_seq_{0};
     std::atomic<ChainWalker> finger_walker_{nullptr};
     std::atomic<std::uint64_t> finger_tag_{0};
-    // How many leading entries ([0, walk_n)) the walker applies to — the
-    // owner's level-1 way count. Written under the same seqlock.
-    std::atomic<int> finger_walk_n_{0};
 
     RetiredNode* retired_ = nullptr;
     std::uint64_t retired_count_ = 0;
@@ -194,18 +181,17 @@ class HazardDomain {
 
   // Publish `nodes[0..n)` as the calling thread's retained fingers: store
   // nodes[i] in slot kFingerSlot + i (entries beyond n are nulled) together
-  // with the structure's chain walker — paired with entries [0, walk_n),
-  // the owner's level-1 cache ways, the only entries whose backlink chains
-  // the owner may recover through — and its never-reused instance tag, and
+  // with the structure's chain walker — the owner may recover through the
+  // backlink chain of any entry — and its never-reused instance tag, and
   // clear any leftover hop publication. Every non-null nodes[i] must be
   // provably alive at the call (found unreclaimed under a still-held epoch
   // pin, or continuously protected by the very slot it republishes into) —
   // the publish-while-alive invariant every scan-side argument rests on.
   void publish_finger(void* const* nodes, int n, ChainWalker walker,
-                      std::uint64_t tag, int walk_n = 1);
+                      std::uint64_t tag);
   // Single-entry convenience (the unit tests' shape).
   void publish_finger(void* node, ChainWalker walker, std::uint64_t tag) {
-    publish_finger(&node, 1, walker, tag, 1);
+    publish_finger(&node, 1, walker, tag);
   }
 
   // Re-acquire a finger cached by an earlier operation: true iff the
@@ -320,18 +306,12 @@ class HazardReclaimer {
   // ---- Finger-layer hooks (called by the structures under
   // `if constexpr (FingerPolicy::kPublishes)`; see sync/finger.h) ----------
 
-  // How many finger entries a structure may retain per thread, and their
-  // group/way geometry: the skip list fingers min(kFingerGroups, its level
-  // budget) levels with kFingerWays cache ways each; the list uses group 0
-  // (kFingerWays level-1 ways).
+  // How many finger entries (cache ways) a structure may retain per thread.
   static constexpr int kFingerEntries = HazardDomain::kFingerEntries;
-  static constexpr int kFingerGroups = HazardDomain::kFingerGroups;
-  static constexpr int kFingerWays = HazardDomain::kFingerWays;
 
   void finger_publish(void* const* nodes, int n,
-                      HazardDomain::ChainWalker walker, std::uint64_t tag,
-                      int walk_n = 1) {
-    hazard_->publish_finger(nodes, n, walker, tag, walk_n);
+                      HazardDomain::ChainWalker walker, std::uint64_t tag) {
+    hazard_->publish_finger(nodes, n, walker, tag);
   }
   void finger_publish(void* node, HazardDomain::ChainWalker walker,
                       std::uint64_t tag) {

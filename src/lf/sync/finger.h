@@ -58,11 +58,9 @@
 //                    was continuous since a moment the node was provably
 //                    alive, so it is still dereferenceable; any mismatch
 //                    fails closed to a head start without dereferencing.
-//                    (The structures retain one slot per cache way — the
-//                    skip list one GROUP of kPublishedWays ways per
-//                    fingered level, kPublishedEntries in total — each
-//                    holding that way's pred's tower root.)
-//                    A marked primary finger recovers through its backlink chain
+//                    (The list retains one slot per cache way; only FRList
+//                    supports this policy — FRSkipList has no finger.)
+//                    A marked finger recovers through its backlink chain
 //                    with each hop published into the hop slot, and the
 //                    domain's scan protects the whole published chain
 //                    (reclaim/hazard.cpp::scan_record, DESIGN.md §10).
@@ -95,7 +93,8 @@
 
 namespace lf::sync {
 
-// Structure-level on/off switch (template parameter of FRList/FRSkipList).
+// Structure-level on/off switch (template parameter of FRList, FRListRC and
+// FRSkipListRC).
 struct FingerOn {
   static constexpr bool kEnabled = true;
 };
@@ -118,8 +117,6 @@ template <typename Reclaimer>
 struct FingerPolicy {
   static constexpr bool kSupported = false;
   static constexpr bool kPublishes = false;
-  static constexpr int kPublishedEntries = 0;
-  static constexpr int kPublishedGroups = 0;
   static constexpr int kPublishedWays = 0;
   static std::uint64_t token(Reclaimer&) noexcept { return 0; }
 };
@@ -128,8 +125,6 @@ template <>
 struct FingerPolicy<reclaim::LeakyReclaimer> {
   static constexpr bool kSupported = true;
   static constexpr bool kPublishes = false;
-  static constexpr int kPublishedEntries = 0;
-  static constexpr int kPublishedGroups = 0;
   static constexpr int kPublishedWays = 0;
   static std::uint64_t token(reclaim::LeakyReclaimer&) noexcept {
     return 1;  // nodes are immortal: every saved finger stays valid
@@ -140,8 +135,6 @@ template <>
 struct FingerPolicy<reclaim::EpochReclaimer> {
   static constexpr bool kSupported = true;
   static constexpr bool kPublishes = false;
-  static constexpr int kPublishedEntries = 0;
-  static constexpr int kPublishedGroups = 0;
   static constexpr int kPublishedWays = 0;
   static std::uint64_t token(reclaim::EpochReclaimer& r) {
     // +1 keeps 0 free as the "empty entry" value even if a domain ever
@@ -154,14 +147,8 @@ template <>
 struct FingerPolicy<reclaim::HazardReclaimer> {
   static constexpr bool kSupported = true;
   static constexpr bool kPublishes = true;
-  // Retained slots available per thread, as kPublishedGroups groups of
-  // kPublishedWays cache ways (entry index = group * ways + way): the list
-  // publishes group 0 (its level-1 way set); the skip list fingers up to
-  // kPublishedGroups levels, one group per level, each entry holding that
-  // way's pred's tower ROOT (see core/fr_skiplist.h::kFingerLevels).
-  static constexpr int kPublishedEntries = reclaim::HazardReclaimer::kFingerEntries;
-  static constexpr int kPublishedGroups = reclaim::HazardReclaimer::kFingerGroups;
-  static constexpr int kPublishedWays = reclaim::HazardReclaimer::kFingerWays;
+  // Retained slots available per thread, one per cache way.
+  static constexpr int kPublishedWays = reclaim::HazardReclaimer::kFingerEntries;
   static std::uint64_t token(reclaim::HazardReclaimer&) noexcept {
     // Constant: the epoch pin expires between operations and per-pointer
     // validation proves nothing for a cross-operation pointer, so no token
@@ -180,9 +167,9 @@ inline std::uint64_t next_finger_instance() noexcept {
 }
 
 // Set associativity of the per-(thread, instance) finger cache: how many
-// bracket-keyed entries each structure keeps per level. Matches the hazard
-// domain's per-group way budget so a publishing policy can retain every way
-// in its own slot (static_asserted at the use sites).
+// bracket-keyed entries each structure keeps. Matches the hazard domain's
+// retained-entry budget so a publishing policy can retain every way in its
+// own slot (static_asserted at the use site in core/fr_list.h).
 inline constexpr int kFingerCacheWays = 4;
 
 // Replacement halves all frequency counters every kFingerAgePeriod

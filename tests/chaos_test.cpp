@@ -298,8 +298,7 @@ TEST_F(ChaosTest, CrashMatrixFRSkipList) {
                     Site::kSkipFlagCas, Site::kSkipMarkCas,
                     Site::kSkipUnlinkCas, Site::kSkipBacklinkStep,
                     Site::kSkipHelpFlagged, Site::kSkipHelpMarked,
-                    Site::kSkipTowerBuild, Site::kSkipFingerValidate,
-                    Site::kSkipFingerFallback, Site::kSkipFingerReplace}) {
+                    Site::kSkipTowerBuild}) {
     run_crash_site<lf::FRSkipList<long, long>>(site);
   }
 }
@@ -323,15 +322,6 @@ TEST_F(ChaosTest, CrashMatrixFRListHazardFinger) {
                     Site::kListFingerPublish, Site::kListFingerReplace,
                     Site::kHazardFingerReacquire, Site::kHazardFingerHop}) {
     run_crash_site<List>(site);
-  }
-}
-
-TEST_F(ChaosTest, CrashMatrixFRSkipListHazardFinger) {
-  using Skip = lf::FRSkipList<long, long, std::less<long>,
-                              lf::reclaim::HazardReclaimer>;
-  for (Site site : {Site::kSkipFingerValidate, Site::kSkipFingerFallback,
-                    Site::kSkipFingerPublish, Site::kSkipFingerReplace}) {
-    run_crash_site<Skip>(site);
   }
 }
 

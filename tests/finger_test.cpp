@@ -1,5 +1,7 @@
 // Finger (search-hint) layer tests — the per-thread "start where the last
-// search ended" optimization of DESIGN.md §10.
+// search ended" optimization of DESIGN.md §10, as it remains in FRList,
+// FRListRC and FRSkipListRC. FRSkipList has no finger (DESIGN.md §10.0);
+// the zero-counter rows below pin that down too.
 //
 // Four properties are pinned down here:
 //
@@ -43,8 +45,6 @@ using lf::reclaim::HazardDomain;
 using lf::reclaim::HazardReclaimer;
 
 using HPList = lf::FRList<long, long, std::less<long>, HazardReclaimer>;
-using HPSkipList =
-    lf::FRSkipList<long, long, std::less<long>, HazardReclaimer>;
 
 // ---- Fast path: repeated searches take zero traversal steps ---------------
 
@@ -70,11 +70,6 @@ TEST(Finger, RepeatedFindIsFreeFRList) {
   expect_repeat_find_is_free(list);
 }
 
-TEST(Finger, RepeatedFindIsFreeFRSkipList) {
-  lf::FRSkipList<long, long> s;
-  expect_repeat_find_is_free(s);
-}
-
 TEST(Finger, RepeatedFindIsFreeFRListRC) {
   lf::FRListRC<long, long> list;
   expect_repeat_find_is_free(list);
@@ -92,15 +87,10 @@ TEST(Finger, RepeatedFindIsFreeFRListHazard) {
   expect_repeat_find_is_free(list);
 }
 
-TEST(Finger, RepeatedFindIsFreeFRSkipListHazard) {
-  HPSkipList s;
-  expect_repeat_find_is_free(s);
-}
-
 // ---- Multi-way hot set: k fingers serve k hot keys at once ----------------
 
-// The set-associative upgrade's core promise: a working set of kFingerWays
-// distinct hot keys round-robins through the cache with every search a
+// The set-associative upgrade's core promise: a working set of
+// kFingerCacheWays distinct hot keys round-robins through the cache with every search a
 // zero-step hit — the single-finger layer could only ever serve the LAST
 // key. Two priming rounds let the way set converge (installs start at
 // frequency zero and may briefly evict each other); after that the state is
@@ -122,25 +112,6 @@ TEST(Finger, MultiWayHotSetAllFourKeysStayFree) {
   // Each find starts at ITS OWN cached bracket, not a neighbor's: zero
   // traversal steps, exactly like the single-key repeat tests above.
   EXPECT_EQ(delta.curr_update, 0u);
-}
-
-// Skip-list shape: four hot keys spread across the key space, each served
-// by its own level-1 bracket way (upper-level ways churn, but the level-1
-// cache converges to exactly the hot set and then never replaces).
-TEST(Finger, SkipListMultiWayHotSetAllFourKeysHit) {
-  lf::FRSkipList<long, long> s;
-  for (long k = 0; k < 256; ++k) ASSERT_TRUE(s.insert(k, k));
-  constexpr long kHot[] = {40, 100, 170, 230};
-  for (int round = 0; round < 2; ++round)
-    for (long k : kHot) ASSERT_TRUE(s.find(k).has_value());
-  const auto before = aggregate();
-  constexpr int kRounds = 25;
-  for (int round = 0; round < kRounds; ++round)
-    for (long k : kHot) ASSERT_TRUE(s.find(k).has_value());
-  const auto delta = aggregate() - before;
-  EXPECT_EQ(delta.finger_hit, static_cast<std::uint64_t>(4 * kRounds));
-  EXPECT_EQ(delta.finger_miss, 0u);
-  EXPECT_TRUE(s.validate().ok);
 }
 
 // Replacement policy: a frequently-hit way must survive a stream of
@@ -185,13 +156,12 @@ TEST(Finger, HotWaySurvivesColdMissStream) {
 
 // ---- Static off: FingerOff means zero finger traffic ----------------------
 
+// The finger-free FRSkipList rides along: it must never move the counters.
 TEST(Finger, FingerOffKeepsCountersAtZero) {
   lf::FRList<long, long, std::less<long>, lf::reclaim::EpochReclaimer,
              lf::mem::PoolAlloc, lf::sync::FingerOff>
       list;
-  lf::FRSkipList<long, long, std::less<long>, lf::reclaim::EpochReclaimer,
-                 24, lf::mem::FlatTowers, lf::sync::FingerOff>
-      s;
+  lf::FRSkipList<long, long> s;
   const auto before = aggregate();
   for (long k = 0; k < 64; ++k) {
     list.insert(k, k);
@@ -233,12 +203,12 @@ TEST(Finger, DeletedFingerRecoversThroughBacklink) {
 }
 
 // Epoch variant of the same shape, plus actual reclamation: after the
-// fingered tower is erased, churn advances the epoch until the victim's
-// nodes are freed. The next search from the stale finger must reject it
-// (token mismatch) without dereferencing the retired memory — this test is
-// the ASan tripwire for the whole validation scheme.
+// fingered node is erased, churn advances the epoch until the victim is
+// freed. The next search from the stale finger must reject it (token
+// mismatch) without dereferencing the retired memory — this test is the
+// ASan tripwire for the whole validation scheme.
 TEST(Finger, ReclaimedFingerFallsBackToHead) {
-  lf::FRSkipList<long, long> s;
+  lf::FRList<long, long> s;
   for (long k = 0; k < 32; ++k) ASSERT_TRUE(s.insert(k, k));
 
   std::atomic<int> phase{0};
@@ -260,8 +230,7 @@ TEST(Finger, ReclaimedFingerFallsBackToHead) {
   }
   ASSERT_TRUE(s.erase(7));
   // Far beyond kAdvanceEvery retirements: the epoch advances several times
-  // and node 7's tower is genuinely freed while the worker's finger still
-  // names it.
+  // and node 7 is genuinely freed while the worker's finger still names it.
   for (int r = 0; r < 40; ++r) {
     for (long k = 100; k < 164; ++k) ASSERT_TRUE(s.insert(k, k));
     for (long k = 100; k < 164; ++k) ASSERT_TRUE(s.erase(k));
@@ -270,7 +239,7 @@ TEST(Finger, ReclaimedFingerFallsBackToHead) {
   worker.join();
 
   EXPECT_FALSE(second_result.has_value());
-  // The pin epoch moved, so every saved level fails the token check.
+  // The pin epoch moved, so every cached way fails the token check.
   EXPECT_EQ(worker_delta.finger_hit, 0u);
   EXPECT_EQ(worker_delta.finger_miss, 1u);
   EXPECT_TRUE(s.validate().ok);
@@ -360,26 +329,6 @@ TEST(Finger, HazardDeletedFingerRecoversThroughBacklink) {
   EXPECT_TRUE(list.validate().ok);
 }
 
-// Skip-list shape of the same property. Validation tries the lowest cached
-// level first, so the deleted target is re-found through its LEVEL-1 entry,
-// whose backlinks mirror the list's (upper entries never walk backlinks —
-// a marked upper pred falls through to the next level).
-TEST(Finger, HazardDeletedSkipFingerRecoversThroughBacklink) {
-  HazardDomain hdom;
-  EpochDomain edom;
-  HazardReclaimer rec(edom, hdom);
-  HPSkipList s(rec);
-  for (long k : {10, 20, 30}) ASSERT_TRUE(s.insert(k, k));
-  ASSERT_TRUE(s.find(20).has_value());
-  std::thread eraser([&] { ASSERT_TRUE(s.erase(20)); });
-  eraser.join();
-  const auto before = aggregate();
-  EXPECT_FALSE(s.find(20).has_value());
-  const auto delta = aggregate() - before;
-  EXPECT_EQ(delta.finger_hit, 1u);
-  EXPECT_TRUE(s.validate().ok);
-}
-
 // The grown retained-slot budget, end to end: TWO ways' nodes are erased
 // and real reclamation runs (drain + scan) while both publications are
 // live. The scan must chain-walk EVERY published entry — not just the
@@ -414,35 +363,6 @@ TEST(Finger, HazardScanSparesAllPublishedWays) {
   EXPECT_EQ(delta.finger_miss, 0u);
   EXPECT_GE(delta.backlink_traversal, 2u);
   EXPECT_TRUE(list.validate().ok);
-}
-
-// Multi-level hazard fingers (one retained slot per level, each holding
-// that level's pred's tower root — flat layout only): queries hopping
-// around a small window must mostly re-enter through a cached UPPER level,
-// something the level-1 entry alone cannot do (its window is ~1 key wide,
-// which on this stream would hit ~1/16th of the time). The 20% floor sits
-// well below the observed ~50% rate but far above the level-1 ceiling.
-TEST(Finger, HazardSkipListWindowQueriesReenterThroughUpperLevels) {
-  HazardDomain hdom;
-  EpochDomain edom;
-  HazardReclaimer rec(edom, hdom);
-  HPSkipList s(rec);
-  constexpr long kKeys = 4096;
-  for (long k = 0; k < kKeys; ++k) ASSERT_TRUE(s.insert(k, k));
-  const auto before = aggregate();
-  // 128 windows of 32 keys each, 16 hops per window. A single window's hit
-  // count is at the mercy of the (random) tower geometry inside it — a
-  // tall tower mid-window can block most upper-level re-entries — so the
-  // assertion averages across windows; only the aggregate is stable.
-  std::uint64_t queries = 0;
-  for (long w = 0; w < 128; ++w) {
-    const long base = (w * 509) % (kKeys - 32);  // scattered window bases
-    for (int i = 0; i < 16; ++i, ++queries)
-      ASSERT_TRUE(s.find(base + (i * 7) % 32).has_value());
-  }
-  const auto delta = aggregate() - before;
-  EXPECT_GT(delta.finger_hit, queries / 10);
-  EXPECT_TRUE(s.validate().ok);
 }
 
 // The ASan tripwire for publish-then-revalidate: a finger whose slot
@@ -504,14 +424,13 @@ TEST(Finger, HazardFingerSurvivesEpochAdvance) {
 }
 
 // FingerOff under the hazard reclaimer stays statically zero-cost: no
-// finger counters move and nothing is ever published.
+// finger counters move and nothing is ever published. The skip list has no
+// finger to turn off.
 TEST(Finger, FingerOffUnderHazardKeepsCountersAtZero) {
   lf::FRList<long, long, std::less<long>, HazardReclaimer, lf::mem::PoolAlloc,
              lf::sync::FingerOff>
       list;
-  lf::FRSkipList<long, long, std::less<long>, HazardReclaimer, 24,
-                 lf::mem::FlatTowers, lf::sync::FingerOff>
-      s;
+  lf::FRSkipList<long, long, std::less<long>, HazardReclaimer> s;
   const auto before = aggregate();
   for (long k = 0; k < 64; ++k) {
     list.insert(k, k);
@@ -548,13 +467,13 @@ TEST(Finger, InstancesDoNotShareHints) {
 }
 
 TEST(Finger, DestroyedInstanceLeavesNoUsableHint) {
-  auto first = std::make_unique<lf::FRSkipList<long, long>>();
+  auto first = std::make_unique<lf::FRList<long, long>>();
   for (long k = 0; k < 16; ++k) ASSERT_TRUE(first->insert(k, k));
   ASSERT_TRUE(first->find(8).has_value());  // hint into `first`'s nodes
   first.reset();                            // nodes freed with the instance
   // A new instance gets a NEW id, so the old slot contents fail the id
   // check instead of being dereferenced (ASan-observable if they were).
-  lf::FRSkipList<long, long> second;
+  lf::FRList<long, long> second;
   for (long k = 0; k < 16; ++k) ASSERT_TRUE(second.insert(k, k));
   EXPECT_TRUE(second.find(8).has_value());
   EXPECT_TRUE(second.validate().ok);

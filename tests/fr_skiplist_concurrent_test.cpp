@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "lf/core/fr_skiplist.h"
+#include "lf/instrument/counters.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/util/random.h"
 
@@ -34,6 +35,32 @@ TEST(FRSkipListConcurrent, DisjointRangeInserts) {
   EXPECT_EQ(s.size(), static_cast<std::size_t>(kThreads * kPerThread));
   for (long k = 0; k < kThreads * kPerThread; ++k)
     ASSERT_EQ(*s.find(k), k * 2) << k;
+  const auto rep = s.validate();
+  EXPECT_TRUE(rep.ok) << rep.error;
+}
+
+// Regression guard for a concurrent-load pathology: 4 threads loading
+// interleaved-ascending keys (thread t inserts t, t + 4, t + 8, ...) into
+// an empty default list once ran at 11,000-16,000 essential steps/op in 2
+// of 5 loads. A head-started descent costs about 31 steps/op here, so 64
+// leaves room for contention noise while still catching that blow-up.
+TEST(FRSkipListConcurrent, InterleavedAscendingLoadStaysLogarithmic) {
+  IntSkip s;
+  constexpr long kKeys = 131072;
+  const auto before = lf::stats::aggregate();
+  std::barrier start(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (long k = t; k < kKeys; k += kThreads) ASSERT_TRUE(s.insert(k, k));
+    });
+  }
+  for (auto& w : workers) w.join();
+  const auto delta = lf::stats::aggregate() - before;
+  EXPECT_EQ(delta.op_insert, static_cast<std::uint64_t>(kKeys));
+  EXPECT_LE(delta.steps_per_op(), 64.0);
+  EXPECT_EQ(s.size(), static_cast<std::size_t>(kKeys));
   const auto rep = s.validate();
   EXPECT_TRUE(rep.ok) << rep.error;
 }

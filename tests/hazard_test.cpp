@@ -154,8 +154,8 @@ TEST(HazardDomain, RetainedFingerBlocksReclamationUntilInvalidated) {
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 
-// The multi-entry shape the skip list uses: one retained slot per fingered
-// level, each re-acquired independently by (pointer, tag, index).
+// The multi-entry shape the list's way set uses: one retained slot per
+// cache way, each re-acquired independently by (pointer, tag, index).
 TEST(HazardDomain, MultiEntryFingerPublishProtectsEveryEntry) {
   auto null_walker = +[](void*) -> void* { return nullptr; };
   HazardDomain domain;
@@ -312,7 +312,14 @@ TEST(HazardDomainStress, ProtectValidateNeverReadsFreed) {
   }
 
   std::thread writer([&] {
-    for (int i = 0; i < 3000; ++i) {
+    // Keep swapping until the readers have also made progress: on a loaded
+    // host the writer could otherwise finish before any reader runs, and
+    // the test would race nothing. The cap keeps a failed reader (which
+    // stops reading) from turning into a hang.
+    for (int i = 0;
+         i < 3000 ||
+         (reads.load(std::memory_order_relaxed) < 1000 && i < 2'000'000);
+         ++i) {
       auto* fresh = new Boxed;
       Boxed* old = shared.exchange(fresh, std::memory_order_acq_rel);
       domain.retire(old);

@@ -158,7 +158,8 @@ TYPED_TEST(SkipListLayoutFuzz, ExactCountsUnderYields) {
 // The finger layer must be semantically invisible: a finger-disabled build
 // of every finger-bearing structure holds the same exact-count guarantees
 // under the same seeds (and its counters must stay at zero, proving the
-// static FingerOff really compiles the layer out).
+// static FingerOff really compiles the layer out). FRSkipList has no finger
+// at all; its row checks that it never touches the finger counters.
 TEST(ScheduleFuzz, FingerOffVariantsExactCountsUnderYields) {
   const auto before = lf::stats::aggregate();
   {
@@ -171,9 +172,7 @@ TEST(ScheduleFuzz, FingerOffVariantsExactCountsUnderYields) {
     EXPECT_TRUE(list.validate().ok);
   }
   {
-    lf::FRSkipList<long, long, std::less<long>, lf::reclaim::EpochReclaimer,
-                   24, lf::mem::FlatTowers, lf::sync::FingerOff>
-        s;
+    lf::FRSkipList<long, long> s;
     std::atomic<long> net{0};
     fuzz_churn(s, 505, 5000, 64, net);
     EXPECT_EQ(s.size(), static_cast<std::size_t>(net.load()));
@@ -202,7 +201,8 @@ TEST(ScheduleFuzz, FingerOffVariantsExactCountsUnderYields) {
 // Hot-key churn is where fingers are live on almost every operation AND
 // constantly invalidated by erases of the fingered nodes themselves: the
 // validate / backlink-recover / head-fallback paths all run under yield
-// perturbation. Exact counts must survive regardless.
+// perturbation. Exact counts must survive regardless. The finger-free
+// FRSkipList runs the same churn from the head as a control.
 TEST(ScheduleFuzz, FingerHotKeyChurnAllStructures) {
   const auto before = lf::stats::aggregate();
   {

@@ -33,7 +33,7 @@ using Implementations = ::testing::Types<
     lf::FRList<long, long, std::less<long>,
                lf::reclaim::HazardReclaimer>,      // hazard-finger policy
     lf::FRSkipList<long, long, std::less<long>,
-                   lf::reclaim::HazardReclaimer>,  // hazard-finger policy
+                   lf::reclaim::HazardReclaimer>,  // two-stage retirement
     lf::FRListNoFlag<long, long>,      // flag-bit ablation
     lf::FRListRC<long, long>,          // Valois refcounting (Section 5)
     lf::FRSkipListRC<long, long>,      // refcounted skip list (Section 5)

@@ -11,7 +11,7 @@ deliberately ignores (see EXPERIMENTS.md).
 
 Matching is schema-agnostic: each entry of a file's "configs" array is
 flattened, every non-float scalar field (layout, reclaimer, workload,
-threads, finger, ...) becomes part of the configuration's identity, and
+threads, ...) becomes part of the configuration's identity, and
 every field named `essential_steps_per_op` (at any nesting depth, e.g. the
 per-phase objects of BENCH_memory_layout.json) is compared. Provenance
 fields (IGNORED_FIELDS below: git SHA, hostname, timestamps, toolchain
@@ -21,12 +21,10 @@ disable the gate. Configurations present on only one side — new
 benchmarks, renamed axes — are reported and skipped, so evolving a bench
 never fails the gate by itself.
 
-Informational metrics (`finger_hit_rate`, and the E14 resilience gauges
-`retire_backlog` / `quarantine_depth`) are REPORTED but never gated: hit
-rates shift with cache-policy tuning in ways steps/op already prices in,
-and the resilience gauges count survivor churn during a wall-clock stall
-window, so their magnitude tracks runner speed. They are surfaced for the
-log reader only.
+Informational metrics (the E14 resilience gauges `retire_backlog` /
+`quarantine_depth`) are REPORTED but never gated: they count survivor
+churn during a wall-clock stall window, so their magnitude tracks runner
+speed. They are surfaced for the log reader only.
 
 Usage:
     bench_trend.py --current DIR --previous DIR [--tolerance 0.10]
@@ -44,15 +42,14 @@ import sys
 METRIC = "essential_steps_per_op"
 
 # Informational metrics: deltas are printed, never gated. Matched by leaf
-# name BEFORE the identity branch — several are emitted as JSON integers,
+# name BEFORE the identity branch — they are emitted as JSON integers,
 # which would otherwise be swallowed into the configuration identity and
 # mark every run [new].
-INFO_METRICS = {"finger_hit_rate", "retire_backlog", "quarantine_depth"}
+INFO_METRICS = {"retire_backlog", "quarantine_depth"}
 
-# Minimum absolute delta worth printing, per informational metric. Rates
-# get a tight threshold; the count-valued gauges a coarse one.
-INFO_REPORT_DELTA = {"finger_hit_rate": 0.02}
-INFO_REPORT_DELTA_DEFAULT = 1.0
+# Minimum absolute delta worth printing for an informational metric (both
+# are counts).
+INFO_REPORT_DELTA = 1.0
 
 # Provenance fields: non-float scalars that describe the RUN, not the
 # configuration. Excluded from identity by leaf name — a run-unique value
@@ -67,7 +64,7 @@ IGNORED_FIELDS = {
 }
 
 # Ignore regressions smaller than this many absolute steps/op: near-zero
-# baselines (e.g. a fingered repeat-range at ~0.2 steps/op) would otherwise
+# baselines (a workload at ~0.2 steps/op) would otherwise
 # turn scheduling jitter into huge relative "regressions".
 ABS_SLACK = 0.05
 
@@ -133,9 +130,7 @@ def compare_file(name, current_path, previous_path, tolerance):
                     f"(+{100.0 * (value / old - 1.0):.1f}%)")
         for field, value in info.items():
             old = base_info.get(field)
-            threshold = INFO_REPORT_DELTA.get(field.rsplit(".", 1)[-1],
-                                              INFO_REPORT_DELTA_DEFAULT)
-            if old is None or abs(value - old) < threshold:
+            if old is None or abs(value - old) < INFO_REPORT_DELTA:
                 continue
             print(f"  [info] {name}: {describe(identity)} [{field}] "
                   f"{old:.3f} -> {value:.3f} ({value - old:+.3f}, not gated)")

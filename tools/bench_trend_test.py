@@ -3,12 +3,11 @@
 
 Each case materializes a current/previous pair of BENCH_*.json files in a
 temp directory and invokes the real script as a subprocess, asserting on
-the exit code and log lines. Covers the two PR-5 fixes:
+the exit code and log lines. Covers:
 
   * provenance fields (git_sha, hostname, timestamp, ...) must not enter a
     configuration's identity — a run-unique value there would mark every
     config [new]/[gone] and silently disable the steps/op gate;
-  * finger_hit_rate deltas are reported ([info] lines) but never gated;
   * the E14 resilience gauges (retire_backlog / quarantine_depth), emitted
     as JSON integers, are likewise reported-not-gated — and must not be
     swallowed into the identity, which would mark every run [new].
@@ -31,15 +30,13 @@ def write_bench(directory, configs, name="BENCH_fixture.json"):
         json.dump({"experiment": "fixture", "configs": configs}, f)
 
 
-def config(steps, hit_rate=None, provenance=None, workload="zipf"):
+def config(steps, provenance=None, workload="zipf"):
     entry = {
         "layout": "flat",
         "workload": workload,
         "threads": 8,
         "essential_steps_per_op": steps,
     }
-    if hit_rate is not None:
-        entry["finger_hit_rate"] = hit_rate
     if provenance:
         entry.update(provenance)
     return entry
@@ -92,24 +89,6 @@ class BenchTrendTest(unittest.TestCase):
         self.assertIn("REGRESSION", out)
         self.assertNotIn("[new]", out)
         self.assertNotIn("[gone]", out)
-
-    def test_hit_rate_delta_reported_not_gated(self):
-        # A large hit-rate DROP alone must not fail the gate, but must
-        # surface as an [info] line.
-        write_bench(self.previous, [config(10.0, hit_rate=0.40)])
-        write_bench(self.current, [config(10.0, hit_rate=0.10)])
-        code, out = run_trend(self.current, self.previous)
-        self.assertEqual(code, 0, out)
-        self.assertIn("[info]", out)
-        self.assertIn("finger_hit_rate", out)
-        self.assertIn("not gated", out)
-
-    def test_tiny_hit_rate_delta_not_reported(self):
-        write_bench(self.previous, [config(10.0, hit_rate=0.400)])
-        write_bench(self.current, [config(10.0, hit_rate=0.405)])
-        code, out = run_trend(self.current, self.previous)
-        self.assertEqual(code, 0, out)
-        self.assertNotIn("[info]", out)
 
     def test_resilience_gauges_reported_not_gated(self):
         # retire_backlog / quarantine_depth are integers: a naive identity
