@@ -80,14 +80,9 @@
 
 namespace lf {
 
-// The extra template parameters beyond the paper's algorithm:
-//   Finger      sync::FingerOn (default) caches each thread's last search
-//               result per structure and starts the next search there when
-//               the reclaimer policy can re-validate it (sync/finger.h).
-//               sync::FingerOff compiles the layer out entirely.
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
           typename Reclaimer = reclaim::EpochReclaimer,
-          typename Alloc = mem::PoolAlloc, typename Finger = sync::FingerOn>
+          typename Alloc = mem::PoolAlloc>
 class FRList {
  public:
   using key_type = Key;
@@ -141,7 +136,7 @@ class FRList {
   // concurrent container's destructor. Frees all nodes still linked;
   // physically deleted nodes were already handed to the reclaimer.
   ~FRList() {
-    if constexpr (kFingerActive && FingerPol::kPublishes) {
+    if constexpr (FingerPol::kPublishes) {
       // Other threads' retained hazard slots may still point into this
       // list, and a concurrent scan would WALK them (dereferencing nodes
       // we are about to free directly). Null every slot carrying this
@@ -478,10 +473,12 @@ class FRList {
   // recovered through its backlink chain — the exact recovery a failed C&S
   // performs. Replacement is least-frequently-hit with aging
   // (sync::finger_victim_pick); a bracket hit refreshes its own way in
-  // place and bumps its frequency counter. Only the public entry points use fingers; the
-  // two-phase adversary hooks (insert_locate / insert_try_once /
-  // erase_begin) keep their head starts so the paper's lower-bound
-  // schedules stay reproducible.
+  // place and bumps its frequency counter. The cache itself is the shared
+  // sync::FingerCache; this class adds the token filter, the hazard
+  // publish protocol and its own backlink recovery. Only the public entry
+  // points use fingers; the two-phase adversary hooks (insert_locate /
+  // insert_try_once / erase_begin) keep their head starts so the paper's
+  // lower-bound schedules stay reproducible.
   //
   // Publishing policies (FingerPol::kPublishes — hazard pointers) replace
   // the token proof with publish-then-revalidate: the save additionally
@@ -493,31 +490,10 @@ class FRList {
   // it is followed (reclaim/hazard.h, DESIGN.md §10).
 
   using FingerPol = sync::FingerPolicy<Reclaimer>;
-  static constexpr bool kFingerActive =
-      Finger::kEnabled && FingerPol::kSupported;
-  static constexpr int kWays = sync::kFingerCacheWays;
-  static_assert(!FingerPol::kPublishes || kWays <= FingerPol::kPublishedWays,
-                "every list cache way needs its own retained hazard entry");
-
-  // Each way caches the node's key and its successor's key (immutable while
-  // the token validates, since a validating token proves the node
-  // unreclaimed) so bracket probing never touches a cold node: only the
-  // way that wins the probe is dereferenced, for the mark check.
-  struct FingerSlot {
-    struct Way {
-      std::uint64_t token = 0;
-      Node* node = nullptr;
-      Key key{};              // bracket low end; meaningful unless is_head
-      Key succ_key{};         // bracket high end; meaningful unless succ_tail
-      bool is_head = false;   // head sentinel compares below every key
-      bool succ_tail = false; // tail sentinel compares above every key
-      std::uint8_t freq = 0;  // hit counter (aged by finger_victim_pick)
-    };
-    std::uint64_t instance = 0;
-    Way way[kWays] = {};
-    unsigned hand = 0;   // tie rotation for victim selection
-    unsigned ticks = 0;  // replacements since the last aging pass
-  };
+  using FingerCache =
+      sync::FingerCache<Node, Key, chaos::Site::kListFingerReplace>;
+  using FingerSet = typename FingerCache::Set;
+  static constexpr int kWays = FingerCache::kWays;
 
   // Type-erased backlink-chain step for HazardDomain's chain-protecting
   // scan: from a published finger, scanners protect every node the owning
@@ -533,56 +509,23 @@ class FRList {
   // The head-or-finger search every public operation starts with.
   template <bool Closed>
   std::pair<Node*, Node*> search_entry(const Key& k) const {
-    if constexpr (kFingerActive) {
-      auto& slot = sync::tls_finger_slot<FingerSlot>(finger_id_);
-      const std::uint64_t token = FingerPol::token(reclaimer_);
-      const auto [start, bracket] = finger_start<Closed>(k, slot, token);
-      auto out = search_from<Closed>(k, start != nullptr ? start : head_);
-      save_finger(slot, token, out, bracket);
-      return out;
-    } else {
-      return search_from<Closed>(k, head_);
-    }
+    auto& cache = FingerCache::of(finger_id_);
+    const std::uint64_t token = FingerPol::token(reclaimer_);
+    const auto [start, bracket] =
+        finger_start<Closed>(k, cache.find(finger_id_), token);
+    auto out = search_from<Closed>(k, start != nullptr ? start : head_);
+    save_finger(cache.claim(finger_id_), token, out, bracket);
+    return out;
   }
 
   // Save this search's result into the way cache, under the token of the
   // CURRENT pin (everything reachable in this operation stays
-  // dereferenceable while that token revalidates). A way already caching
-  // the same node is refreshed in place, as is the bracket way that served
-  // this search (its new bracket is a tightened subrange of the old one);
-  // otherwise a clock victim is replaced.
-  void save_finger(FingerSlot& slot, std::uint64_t token,
+  // dereferenceable while that token revalidates). The bracket way that
+  // served this search is refreshed in place unless a way already caches
+  // the same node (FingerCache::Set::save).
+  void save_finger(FingerSet& set, std::uint64_t token,
                    const std::pair<Node*, Node*>& out, int bracket) const {
-    if (slot.instance != finger_id_) {
-      slot = FingerSlot{};  // claim: stale ways must never be probed
-      slot.instance = finger_id_;
-    }
-    int w = -1;
-    for (int i = 0; i < kWays; ++i)
-      if (slot.way[i].node == out.first) { w = i; break; }
-    if (w < 0) w = bracket;
-    const bool refresh = w >= 0;
-    if (!refresh) {
-      LF_CHAOS_POINT(kListFingerReplace);
-      w = sync::finger_victim_pick(
-          slot.way, kWays, slot.hand, slot.ticks,
-          [](const typename FingerSlot::Way& e) {
-            return e.node == nullptr;
-          });
-    }
-    auto& e = slot.way[w];
-    e.token = token;
-    e.node = out.first;
-    e.is_head = out.first == head_;
-    if (!e.is_head) e.key = out.first->key;  // cache-warm reads
-    e.succ_tail = out.second->kind == Node::Kind::kTail;
-    if (!e.succ_tail) e.succ_key = out.second->key;
-    // A refreshed way keeps earning frequency; a brand-new way starts at
-    // zero — the next replacement's prime victim unless it earns a hit
-    // first — so one-shot cold keys recycle through a de-facto probation
-    // way instead of eroding the retained hot set.
-    if (refresh) sync::finger_freq_bump(e.freq);
-    else e.freq = 0;
+    const int w = set.save(out.first, out.second, token, bracket);
     if constexpr (FingerPol::kPublishes) {
       // Publish-while-alive: out.first was found unmarked (hence still
       // linked, hence unreclaimed) under the current guard, so way w's
@@ -597,7 +540,7 @@ class FRList {
       LF_CHAOS_POINT(kListFingerPublish);
       void* nodes[kWays];
       for (int i = 0; i < kWays; ++i) {
-        auto& wi = slot.way[i];
+        auto& wi = set.way[i];
         if (wi.node == nullptr) {
           nodes[i] = nullptr;
         } else if (i == w ||
@@ -616,41 +559,21 @@ class FRList {
   // Returns {start, way}: a validated start node with key < k (Closed:
   // key <= k) or nullptr for a head start, plus the index of the bracket
   // way that served it (-1 when the start came from the key-side fallback
-  // or the head). Counts one hit or miss per search; backlink hops taken
-  // here are charged as regular recovery steps.
+  // or the head). `set` is null when this thread's slot holds another
+  // instance. Only ways whose token matches the current one are probed.
+  // Counts one hit or miss per search; backlink hops taken here are
+  // charged as regular recovery steps.
   template <bool Closed>
-  std::pair<Node*, int> finger_start(const Key& k, FingerSlot& slot,
+  std::pair<Node*, int> finger_start(const Key& k, FingerSet* set,
                                      std::uint64_t token) const {
     auto& c = stats::tls();
-    if (slot.instance == finger_id_) {
-      // Deref-free probe over the cached brackets: prefer the way whose
-      // bracket [key, succ_key] contains k (the tightest such way, by pred
-      // key); otherwise the way with the largest key still on the correct
-      // side of k. Every check here reads only TLS-cached fields.
-      int bracket = -1, fallback = -1;
-      for (int i = 0; i < kWays; ++i) {
-        const auto& e = slot.way[i];
-        if (e.node == nullptr || e.token != token) continue;
-        if (!(e.is_head ||
-              (Closed ? !comp_(k, e.key) : comp_(e.key, k))))
-          continue;  // wrong side of k
-        if (e.succ_tail || !comp_(e.succ_key, k)) {  // k <= succ_key
-          if (bracket < 0 ||
-              (!e.is_head && (slot.way[bracket].is_head ||
-                              comp_(slot.way[bracket].key, e.key))))
-            bracket = i;
-        } else if (fallback < 0 ||
-                   (!e.is_head && (slot.way[fallback].is_head ||
-                                   comp_(slot.way[fallback].key, e.key)))) {
-          fallback = i;
-        }
-      }
-      const int candidates[2] = {bracket, fallback};
-      for (int ci = 0; ci < 2; ++ci) {
-        const int i = candidates[ci];
+    if (set != nullptr) {
+      const auto probe =
+          set->probe(k, Closed, comp_,
+                     [token](const auto& e) { return e.proof == token; });
+      for (const int i : {probe.bracket, probe.fallback}) {
         if (i < 0) continue;
-        auto& e = slot.way[i];
-        if (e.node == nullptr) continue;
+        auto& e = set->way[i];
         // Publishing policies must re-acquire the retained hazard entry
         // BEFORE the first dereference: a slot mismatch means protection
         // was not continuous (evicted by another structure's save on this
@@ -681,9 +604,9 @@ class FRList {
         }
         if (chain > 0) stats::chain_hist_tls().record(chain);
         if (!start->succ.load().mark) {
-          sync::finger_freq_bump(e.freq);
+          set->hit(i);
           c.finger_hit.inc();
-          return {start, i == bracket ? i : -1};
+          return {start, i == probe.bracket ? i : -1};
         }
       }
     }

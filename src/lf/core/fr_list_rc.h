@@ -18,8 +18,9 @@
 //     to the OS while the list lives), the increment may touch a recycled
 //     node; the validation step rejects it and the undo re-balances.
 //   * Link transitions adjust counts at their C&S:
-//       - insert C&S (prev: next -> node): +1 node. (The new node->next
-//         link inherits the count of the removed prev->next link.)
+//       - insert C&S (prev: next -> node): +1 node, counted BEFORE the
+//         C&S and rolled back if it fails. (The new node->next link
+//         inherits the count of the removed prev->next link.)
 //       - physical-deletion C&S (prev: del -> next): +1 next, -1 del.
 //       - backlink C&S (null -> prev): +1 prev; set-once, losers roll back.
 //       - mark/flag C&S: pointer unchanged, no count traffic.
@@ -58,12 +59,11 @@
 
 namespace lf {
 
-// `Finger` (sync::FingerOn / sync::FingerOff) statically enables the
-// thread-local search-hint layer. Unlike the epoch variant, validity is not
-// proven with an epoch token: a saved finger is re-acquired by taking a
-// count on the node and checking a per-node reuse stamp (finger_try_hold).
-template <typename Key, typename T = Key, typename Compare = std::less<Key>,
-          typename Finger = sync::FingerOn>
+// Searches start from the thread-local finger cache (sync/finger.h). Unlike
+// the epoch variant, validity is not proven with an epoch token: a saved
+// finger is re-acquired by taking a count on the node and checking a
+// per-node reuse stamp (finger_try_hold).
+template <typename Key, typename T = Key, typename Compare = std::less<Key>>
 class FRListRC {
  public:
   using key_type = Key;
@@ -140,15 +140,20 @@ class FRListRC {
         help_flagged_at(prev);
       } else {
         node->succ.store_unsynchronized(View{next, false, false});
+        // Pre-count the would-be prev->node link: counted only after the
+        // C&S, the linked node would carry just the creator reference, and
+        // a concurrent traverse + delete + release could recycle it while
+        // we still hold it. node->next inherits prev->next's count.
+        node->refct.fetch_add(1, std::memory_order_acq_rel);
         const View result =
             prev->succ.cas(View{next, false, false}, View{node, false, false});
         if (result == View{next, false, false}) {
           stats::tls().insert_cas.inc();
-          // New link prev->node; node->next inherits prev->next's count.
-          node->refct.fetch_add(1, std::memory_order_acq_rel);
           inserted = true;
           break;
         }
+        // Roll back; the creator reference keeps the count above zero.
+        node->refct.fetch_sub(1, std::memory_order_acq_rel);
         if (result.flag && !result.mark) help_flagged_at(prev);
         walk_backlinks(prev);
       }
@@ -323,7 +328,9 @@ class FRListRC {
       // a plausible nonzero count, and finger_try_hold (which has no field
       // to re-validate against, unlike SafeRead) would mistake the dying
       // node for a live one.
-      std::uint64_t old = n->refct.load(std::memory_order_relaxed);
+      // Acquire loads: reading `kind` below must not race allocate()'s
+      // writes, which its free-bit fetch_and publishes.
+      std::uint64_t old = n->refct.load(std::memory_order_acquire);
       bool dying;
       for (;;) {
         assert((old & kCountMask) != 0 && "refcount underflow");
@@ -331,7 +338,7 @@ class FRListRC {
         const std::uint64_t desired = dying ? kFreeBit : old - 1;
         if (n->refct.compare_exchange_weak(old, desired,
                                            std::memory_order_acq_rel,
-                                           std::memory_order_relaxed)) {
+                                           std::memory_order_acquire)) {
           break;
         }
       }
@@ -345,29 +352,12 @@ class FRListRC {
 
   // ---- finger (search hint) layer -----------------------------------------
 
-  static constexpr bool kFingerActive = Finger::kEnabled;
-  static constexpr int kWays = sync::kFingerCacheWays;
-
-  // A set-associative way cache (sync/finger.h): each way remembers a
-  // recent search result with the bracket of keys it serves. The keys are
-  // CACHED COPIES so the probe is deref-free; they are trusted only after
-  // a successful finger_try_hold with an equal stamp, which proves the
-  // same incarnation (hence the same key) — see finger_entry.
-  struct FingerSlot {
-    struct Way {
-      Node* node = nullptr;
-      std::uint64_t stamp = 0;
-      Key key{};               // bracket low end; meaningful unless is_head
-      Key succ_key{};          // bracket high end; meaningful unless succ_tail
-      bool is_head = false;
-      bool succ_tail = false;
-      std::uint8_t freq = 0;   // hit counter (aged by finger_victim_pick)
-    };
-    std::uint64_t instance = 0;
-    Way way[kWays] = {};
-    unsigned hand = 0;   // tie rotation for victim selection
-    unsigned ticks = 0;  // replacements since the last aging pass
-  };
+  // The shared way cache (sync/finger.h). Each way's proof is the node's
+  // reuse stamp at save time. The cached bracket keys are trusted only
+  // after a successful finger_try_hold with an equal stamp, which proves
+  // the same incarnation (hence the same key) — see finger_entry.
+  using FingerCache =
+      sync::FingerCache<Node, Key, chaos::Site::kListFingerReplace>;
 
   // Try to re-acquire a counted reference on a saved finger. Returns true
   // holding one new reference on `n`; false holding nothing.
@@ -385,9 +375,12 @@ class FRListRC {
   bool finger_try_hold(Node* n, std::uint64_t stamp) const {
     const std::uint64_t old = n->refct.fetch_add(1, std::memory_order_acq_rel);
     if ((old & kFreeBit) != 0 || (old & kCountMask) == 0) {
-      // Freelisted: undo with a raw decrement — release() here could run a
-      // second dying transition on a node another thread already owns.
-      n->refct.fetch_sub(1, std::memory_order_acq_rel);
+      // Freelisted: undo through release(), like a failed SafeRead. While
+      // the node stays freelisted the bit rules out a dying transition; if
+      // allocate() re-used it meanwhile, our increment is now a counted
+      // reference whose release may be the last one. (A raw decrement
+      // could leave that node at count zero, never recycled.)
+      release(n);
       return false;
     }
     if (n->stamp.load(std::memory_order_acquire) != stamp) {
@@ -401,102 +394,46 @@ class FRListRC {
   // finger cache, or the head. The returned reference is consumed by
   // search_from.
   //
-  // The probe is deref-free over the cached bracket keys (prefer the way
-  // whose [key, succ_key] contains k — tightest first — then the way with
-  // the largest key still left of k); only a winning candidate pays the
-  // counted finger_try_hold. An equal stamp proves the same incarnation,
-  // so the cached key IS the node's key and the probe's qualification
-  // holds retroactively; any hold/stamp failure kills the way and the next
+  // Only a probe winner (bracket, then fallback) pays the counted
+  // finger_try_hold. An equal stamp proves the same incarnation, so the
+  // cached key IS the node's key and the probe's qualification holds
+  // retroactively; any hold/stamp failure kills the way and the next
   // candidate is tried.
   template <bool Closed>
   Node* finger_entry(const Key& k) const {
-    if constexpr (kFingerActive) {
-      auto& c = stats::tls();
-      auto& slot = sync::tls_finger_slot<FingerSlot>(finger_id_);
-      if (slot.instance == finger_id_) {
-        int bracket = -1, fallback = -1;
-        for (int i = 0; i < kWays; ++i) {
-          const auto& e = slot.way[i];
-          if (e.node == nullptr) continue;
-          if (!(e.is_head ||
-                (Closed ? !comp_(k, e.key) : comp_(e.key, k))))
-            continue;  // wrong side of k
-          if (e.succ_tail || !comp_(e.succ_key, k)) {  // k <= succ_key
-            if (bracket < 0 ||
-                (!e.is_head && (slot.way[bracket].is_head ||
-                                comp_(slot.way[bracket].key, e.key))))
-              bracket = i;
-          } else if (fallback < 0 ||
-                     (!e.is_head &&
-                      (slot.way[fallback].is_head ||
-                       comp_(slot.way[fallback].key, e.key)))) {
-            fallback = i;
-          }
+    auto& c = stats::tls();
+    if (auto* set = FingerCache::of(finger_id_).find(finger_id_)) {
+      const auto probe = set->probe(k, Closed, comp_);
+      for (const int i : {probe.bracket, probe.fallback}) {
+        if (i < 0) continue;
+        auto& e = set->way[i];
+        if (!finger_try_hold(e.node, e.proof)) {
+          e.node = nullptr;  // recycled since the save: dead way
+          continue;
         }
-        const int candidates[2] = {bracket, fallback};
-        for (int ci = 0; ci < 2; ++ci) {
-          const int i = candidates[ci];
-          if (i < 0) continue;
-          auto& e = slot.way[i];
-          if (e.node == nullptr) continue;
-          if (!finger_try_hold(e.node, e.stamp)) {
-            e.node = nullptr;  // recycled since the save: dead way
-            continue;
-          }
-          Node* start = e.node;
-          LF_CHAOS_POINT(kListFingerValidate);
-          walk_backlinks(start);  // marked finger: recover leftward
-          if (!start->succ.load().mark) {
-            sync::finger_freq_bump(e.freq);
-            c.finger_hit.inc();
-            return start;
-          }
-          release(start);
+        Node* start = e.node;
+        LF_CHAOS_POINT(kListFingerValidate);
+        walk_backlinks(start);  // marked finger: recover leftward
+        if (!start->succ.load().mark) {
+          set->hit(i);
+          c.finger_hit.inc();
+          return start;
         }
+        release(start);
       }
-      LF_CHAOS_POINT(kListFingerFallback);
-      c.finger_miss.inc();
     }
+    LF_CHAOS_POINT(kListFingerFallback);
+    c.finger_miss.inc();
     return acquire(head_);
   }
 
   // Remember a node the caller currently holds (with its successor, for
   // the bracket) as a way of this thread's finger cache. Only raw
   // pointers, keys, and stamps are kept — no count survives the caller's
-  // release — so quiescent count accounting is unaffected. A way already
-  // caching the same node is refreshed in place; otherwise clock
-  // replacement picks a victim.
+  // release — so quiescent count accounting is unaffected.
   void save_finger(Node* n, Node* succ) const {
-    if constexpr (kFingerActive) {
-      auto& slot = sync::tls_finger_slot<FingerSlot>(finger_id_);
-      if (slot.instance != finger_id_) {
-        slot = FingerSlot{};  // claim: stale ways must never be probed
-        slot.instance = finger_id_;
-      }
-      int w = -1;
-      for (int i = 0; i < kWays; ++i)
-        if (slot.way[i].node == n) { w = i; break; }
-      const bool refresh = w >= 0;
-      if (!refresh) {
-        LF_CHAOS_POINT(kListFingerReplace);
-        w = sync::finger_victim_pick(
-            slot.way, kWays, slot.hand, slot.ticks,
-            [](const typename FingerSlot::Way& e) {
-              return e.node == nullptr;
-            });
-      }
-      auto& e = slot.way[w];
-      e.node = n;
-      e.stamp = n->stamp.load(std::memory_order_acquire);
-      e.is_head = n->kind == Node::Kind::kHead;
-      if (!e.is_head) e.key = n->key;
-      e.succ_tail = succ->kind == Node::Kind::kTail;
-      if (!e.succ_tail) e.succ_key = succ->key;
-      // New ways start at frequency zero (probation); refreshes bump, so
-      // the hot set is retained against the cold-miss flow.
-      if (refresh) sync::finger_freq_bump(e.freq);
-      else e.freq = 0;
-    }
+    FingerCache::of(finger_id_).claim(finger_id_).save(
+        n, succ, n->stamp.load(std::memory_order_acquire));
   }
 
   // ---- arena / free list --------------------------------------------------

@@ -46,15 +46,14 @@
 namespace lf {
 
 // `Finger` (sync::FingerOn / sync::FingerOff) statically enables the
-// thread-local search-hint layer: a set-associative cache of recent
-// descent positions over the lowest fingered levels, kWays bracket-keyed
-// ways per level (sync/finger.h), mirroring the epoch variant's shape.
+// thread-local search-hint layer: the shared way cache of sync/finger.h
+// with one 4-way set per level on the lowest kFingerLevels levels, each way
+// remembering a recent descent position (pred) and its bracket keys.
 // Probing is deref-free over cached bracket keys; only the way that wins a
 // level's probe pays the counted re-acquisition (count + reuse stamp, see
 // finger_try_hold), whose stamp equality retroactively validates the
-// cached keys — so the multi-level cache costs at most one counted hold
-// per search, the same as the old level-1-only hint. Unlike the hazard
-// variant, a marked pred can recover through backlinks at ANY level (every
+// cached keys — so a search pays at most one counted hold per level it
+// tries. A marked pred can recover through backlinks at ANY level (every
 // node is individually counted, so safe reads need no retired-address
 // argument). Erase's tower-cleanup pass keeps its full head descent
 // (min_finger_level = MaxLevel), which preserves the superfluous-tower
@@ -295,7 +294,7 @@ class FRSkipListRC {
       // IN-FREELIST bit atomically; zero-without-the-bit must never be
       // observable or finger_try_hold could validate a dying node (see
       // fr_list_rc.h::release for the ghost-revival interleaving).
-      std::uint64_t old = n->refct.load(std::memory_order_relaxed);
+      std::uint64_t old = n->refct.load(std::memory_order_acquire);
       bool dying;
       for (;;) {
         assert((old & kCountMask) != 0 && "refcount underflow");
@@ -303,7 +302,7 @@ class FRSkipListRC {
         const std::uint64_t desired = dying ? kFreeBit : old - 1;
         if (n->refct.compare_exchange_weak(old, desired,
                                            std::memory_order_acq_rel,
-                                           std::memory_order_relaxed)) {
+                                           std::memory_order_acquire)) {
           break;
         }
       }
@@ -414,31 +413,16 @@ class FRSkipListRC {
   // ---- finger (search hint) layer ------------------------------------------
 
   static constexpr bool kFingerActive = Finger::kEnabled;
-  static constexpr int kWays = sync::kFingerCacheWays;
   static constexpr int kFingerLevels =
       4 < kMaxTowerHeight ? 4 : kMaxTowerHeight;
 
-  // Ways cache the bracket KEYS alongside the pred pointer; the probe is
-  // deref-free, and the keys are trusted only after finger_try_hold
-  // succeeds with an equal stamp (same incarnation => same key).
-  struct FingerSlot {
-    std::uint64_t instance = 0;
-    struct Entry {
-      Node* pred = nullptr;
-      std::uint64_t stamp = 0;
-      Key pred_key{};  // meaningful unless pred_head
-      Key succ_key{};  // meaningful unless succ_tail
-      bool pred_head = false;
-      bool succ_tail = false;
-      std::uint8_t freq = 0;  // hit counter (aged by finger_victim_pick)
-    };
-    struct Level {
-      Entry way[kWays] = {};
-      unsigned hand = 0;   // tie rotation for victim selection
-      unsigned ticks = 0;  // replacements since the last aging pass
-    };
-    Level level[kFingerLevels + 1];  // [1..kFingerLevels]; [0] unused
-  };
+  // The shared way cache (sync/finger.h), set lvl - 1 for level lvl. Each
+  // way's node is a pred and its proof the pred's reuse stamp; the cached
+  // keys are trusted only after finger_try_hold succeeds with an equal
+  // stamp (same incarnation => same key).
+  using FingerCache = sync::FingerCache<Node, Key,
+                                        chaos::Site::kSkipFingerReplace,
+                                        kFingerLevels>;
 
   // Identical protocol to fr_list_rc.h::finger_try_hold; the soundness
   // argument (RMW on the count word sees the dying transition's atomic
@@ -447,7 +431,7 @@ class FRSkipListRC {
   bool finger_try_hold(Node* n, std::uint64_t stamp) const {
     const std::uint64_t old = n->refct.fetch_add(1, std::memory_order_acq_rel);
     if ((old & kFreeBit) != 0 || (old & kCountMask) == 0) {
-      n->refct.fetch_sub(1, std::memory_order_acq_rel);  // raw undo
+      release(n);  // freelisted: undo as a failed SafeRead does
       return false;
     }
     if (n->stamp.load(std::memory_order_acquire) != stamp) {
@@ -467,61 +451,53 @@ class FRSkipListRC {
 
   // Picks a validated, COUNTED entry point: (start node, level), or
   // (nullptr, 0) for a head descent. Scans cached levels from
-  // max(v, min_level) upward, probing each level's ways deref-free
-  // (bracket containing k, tightest pred key first) and paying a counted
-  // finger_try_hold only for the probe winner; a hold/stamp failure kills
-  // the way and falls through to the next level. Hit/miss accounting
-  // covers exactly the finger-eligible searches (lo <= kFingerLevels) —
-  // see fr_skiplist.h::finger_start.
+  // max(v, min_level) upward, probing each level's ways deref-free for the
+  // tightest bracket containing k and paying a counted finger_try_hold only
+  // for the probe winner; a hold/stamp failure kills the way and falls
+  // through to the next level. Hit/miss accounting covers exactly the
+  // finger-eligible searches (lo <= kFingerLevels).
   template <bool Closed>
   std::pair<Node*, int> finger_start(const Key& k, int v,
                                      int min_level) const {
     auto& c = stats::tls();
     const int lo = min_level > v ? min_level : v;
     if (lo > kFingerLevels) return {nullptr, 0};  // never eligible
-    auto& slot = sync::tls_finger_slot<FingerSlot>(finger_id_);
-    if (slot.instance == finger_id_) {
-      for (int lvl = lo; lvl <= kFingerLevels; ++lvl) {
-        auto& lv = slot.level[lvl];
-        // Equality admitted only for a Closed level-1 search at its own
-        // target (same superfluous-node argument as fr_skiplist.h).
-        const bool allow_eq = Closed && lvl == v && v == 1;
-        int w = -1;
-        for (int i = 0; i < kWays; ++i) {
-          const auto& e = lv.way[i];
-          if (e.pred == nullptr) continue;
-          if (!e.pred_head &&
-              (allow_eq ? comp_(k, e.pred_key) : !comp_(e.pred_key, k)))
-            continue;
-          if (!e.succ_tail && comp_(e.succ_key, k)) continue;
-          if (w < 0 ||
-              (!e.pred_head && (lv.way[w].pred_head ||
-                                comp_(lv.way[w].pred_key, e.pred_key))))
-            w = i;
-        }
-        if (w < 0) continue;
-        auto& e = lv.way[w];
-        if (!finger_try_hold(e.pred, e.stamp)) {
-          e.pred = nullptr;  // recycled since the save: dead way
-          continue;
-        }
-        Node* start = e.pred;
-        LF_CHAOS_POINT(kSkipFingerValidate);
-        // Marked pred: recover leftward. Sound at ANY level here — every
-        // node is individually counted, so the walk's safe reads need no
-        // retired-address argument (unlike the hazard variant).
-        walk_backlinks(start);
-        if (start->succ.load().mark) {
-          release(start);
-          continue;  // try the next level up
-        }
-        sync::finger_freq_bump(e.freq);
-        c.finger_hit.inc();
-        const int head_v = head_entry_level(v);
-        if (head_v > lvl)
-          c.finger_skip.inc(static_cast<std::uint64_t>(head_v - lvl));
-        return {start, lvl};
+    auto& cache = FingerCache::of(finger_id_);
+    for (int lvl = lo; lvl <= kFingerLevels; ++lvl) {
+      auto* set = cache.find(finger_id_, lvl - 1);
+      if (set == nullptr) break;  // slot holds another instance
+      // Equality (pred.key == k) is admitted only for a Closed search
+      // entering at its own target when that target is level 1: there the
+      // cached pred is a tower ROOT, so "unmarked" below directly implies
+      // it is not superfluous. At upper levels an equal-key start could
+      // sit ON a superfluous node and search_right — which only examines
+      // successors — would never physically delete it. Only the bracket
+      // way is used: a pred whose successor lies left of k would mean an
+      // unbounded rightward walk, worse than descending from above.
+      const bool allow_eq = Closed && lvl == v && v == 1;
+      const int w = set->probe(k, allow_eq, comp_).bracket;
+      if (w < 0) continue;
+      auto& e = set->way[w];
+      if (!finger_try_hold(e.node, e.proof)) {
+        e.node = nullptr;  // recycled since the save: dead way
+        continue;
       }
+      Node* start = e.node;
+      LF_CHAOS_POINT(kSkipFingerValidate);
+      // Marked pred: recover leftward. Sound at ANY level here — every
+      // node is individually counted, so the walk's safe reads need no
+      // retired-address argument.
+      walk_backlinks(start);
+      if (start->succ.load().mark) {
+        release(start);
+        continue;  // try the next level up
+      }
+      set->hit(w);
+      c.finger_hit.inc();
+      const int head_v = head_entry_level(v);
+      if (head_v > lvl)
+        c.finger_skip.inc(static_cast<std::uint64_t>(head_v - lvl));
+      return {start, lvl};
     }
     LF_CHAOS_POINT(kSkipFingerFallback);
     c.finger_miss.inc();
@@ -532,41 +508,9 @@ class FRSkipListRC {
   // held by the caller — as a way of this level's set. Only raw pointers,
   // keys, and stamps are kept; no count survives the caller's release.
   void save_finger(int lvl, Node* pred, Node* succ) const {
-    if constexpr (kFingerActive) {
-      if (lvl > kFingerLevels) return;
-      auto& slot = sync::tls_finger_slot<FingerSlot>(finger_id_);
-      if (slot.instance != finger_id_) {
-        // Claim the direct-mapped TLS slot: ways from another instance
-        // must never be probed as ours.
-        for (int l = 1; l <= kFingerLevels; ++l)
-          slot.level[l] = typename FingerSlot::Level();
-        slot.instance = finger_id_;
-      }
-      auto& lv = slot.level[lvl];
-      int w = -1;
-      for (int i = 0; i < kWays; ++i)
-        if (lv.way[i].pred == pred) { w = i; break; }
-      const bool refresh = w >= 0;
-      if (!refresh) {
-        LF_CHAOS_POINT(kSkipFingerReplace);
-        w = sync::finger_victim_pick(
-            lv.way, kWays, lv.hand, lv.ticks,
-            [](const typename FingerSlot::Entry& e) {
-              return e.pred == nullptr;
-            });
-      }
-      auto& e = lv.way[w];
-      e.pred = pred;
-      e.stamp = pred->stamp.load(std::memory_order_acquire);
-      e.pred_head = pred->kind == Node::Kind::kHead;
-      if (!e.pred_head) e.pred_key = pred->key;
-      e.succ_tail = succ->kind == Node::Kind::kTail;
-      if (!e.succ_tail) e.succ_key = succ->key;
-      // New ways start at frequency zero (probation); refreshes bump, so
-      // the hot set is retained against the cold-miss flow.
-      if (refresh) sync::finger_freq_bump(e.freq);
-      else e.freq = 0;
-    }
+    if (lvl > kFingerLevels) return;
+    FingerCache::of(finger_id_).claim(finger_id_, lvl - 1).save(
+        pred, succ, pred->stamp.load(std::memory_order_acquire));
   }
 
   // ---- skip-list search (counted) ------------------------------------------
@@ -756,14 +700,16 @@ class FRSkipListRC {
         help_flagged_at(prev);
       } else {
         node->succ.store_unsynchronized(View{next, false, false});
+        // Pre-count the would-be prev->node link (see fr_list_rc.h::insert).
+        node->refct.fetch_add(1, std::memory_order_acq_rel);
         const View result =
             prev->succ.cas(View{next, false, false}, View{node, false, false});
         if (result == View{next, false, false}) {
           c.insert_cas.inc();
-          node->refct.fetch_add(1, std::memory_order_acq_rel);  // the link
           release(next);
           return {prev, InsertResult::kInserted};
         }
+        node->refct.fetch_sub(1, std::memory_order_acq_rel);  // roll back
         if (result.flag && !result.mark) help_flagged_at(prev);
         walk_backlinks(prev);
       }

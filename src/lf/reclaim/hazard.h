@@ -189,10 +189,6 @@ class HazardDomain {
   // the publish-while-alive invariant every scan-side argument rests on.
   void publish_finger(void* const* nodes, int n, ChainWalker walker,
                       std::uint64_t tag);
-  // Single-entry convenience (the unit tests' shape).
-  void publish_finger(void* node, ChainWalker walker, std::uint64_t tag) {
-    publish_finger(&node, 1, walker, tag);
-  }
 
   // Re-acquire a finger cached by an earlier operation: true iff the
   // calling thread's slot kFingerSlot + idx still holds exactly `node`
@@ -256,7 +252,7 @@ class HazardDomain {
 
 // ---------------------------------------------------------------------------
 // HazardReclaimer — the reclamation policy that makes the finger layer total
-// over hazard pointers (sync/finger.h reports kSupported = true for it).
+// over hazard pointers (sync/finger.h gives it a publishing FingerPolicy).
 //
 // Pure per-pointer hazard protection cannot validate an FR traversal: the
 // structures follow write-once backlinks and frozen (marked) successor
@@ -312,10 +308,6 @@ class HazardReclaimer {
   void finger_publish(void* const* nodes, int n,
                       HazardDomain::ChainWalker walker, std::uint64_t tag) {
     hazard_->publish_finger(nodes, n, walker, tag);
-  }
-  void finger_publish(void* node, HazardDomain::ChainWalker walker,
-                      std::uint64_t tag) {
-    hazard_->publish_finger(node, walker, tag);
   }
   bool finger_reacquire(const void* node, std::uint64_t tag, int idx = 0) {
     return hazard_->reacquire_finger(node, tag, idx);

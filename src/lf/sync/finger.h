@@ -65,36 +65,39 @@
 //                    domain's scan protects the whole published chain
 //                    (reclaim/hazard.cpp::scan_record, DESIGN.md §10).
 //
-//   anything else    — the primary template reports kSupported = false and
-//                    the structures compile the finger code out entirely.
-//
 // The reference-counted variants (core/*_rc.h) do not use tokens; they
 // validate by re-acquiring a count on the node and checking a per-node
 // reuse stamp (see fr_list_rc.h::finger_try_hold).
 //
-// Storage: hints live in thread_local direct-mapped slot arrays, keyed by a
-// monotonically increasing per-structure instance id. Ids are never reused,
-// so a slot left over from a destroyed structure can never be mistaken for
-// the current one (the id check fails without touching the stale pointer).
+// The way cache itself — way layout, slot claiming, the deref-free probe
+// and LFU replacement — is written once, as FingerCache below. FRList,
+// FRListRC and FRSkipListRC (one way set per fingered level) all use it and
+// keep only their own validation and backlink recovery.
 //
-// The whole layer is statically removable: structures take a FingerOn /
-// FingerOff policy tag (default on) and guard every finger touch with
-// `if constexpr`, so the off configuration is zero-cost the same way
-// LF_CHAOS off is.
+// Storage: caches live in thread_local direct-mapped slot arrays, keyed by
+// a monotonically increasing per-structure instance id. Ids are never
+// reused, so a slot left over from a destroyed structure can never be
+// mistaken for the current one (the id check fails without touching the
+// stale pointer).
+//
+// FRList and FRListRC always carry the layer. FRSkipListRC still takes a
+// FingerOn / FingerOff policy tag (default on) and guards every finger
+// touch with `if constexpr`, so its off configuration is zero-cost the same
+// way LF_CHAOS off is.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 
+#include "lf/chaos/chaos.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/hazard.h"
 #include "lf/reclaim/leaky.h"
 
 namespace lf::sync {
 
-// Structure-level on/off switch (template parameter of FRList, FRListRC and
-// FRSkipListRC).
+// FRSkipListRC's on/off switch (its `Finger` template parameter).
 struct FingerOn {
   static constexpr bool kEnabled = true;
 };
@@ -102,10 +105,16 @@ struct FingerOff {
   static constexpr bool kEnabled = false;
 };
 
-// Reclaimer-specific validity proof. token() is called while the calling
-// thread holds the reclaimer's guard, both when saving a finger and when
-// attempting to reuse one; a saved entry is dereferenceable iff its saved
-// token equals the current one.
+// Set associativity of the per-(thread, instance) finger cache: how many
+// bracket-keyed ways each structure (or skip-list level) keeps. Matches the
+// hazard domain's retained-entry budget so a publishing policy can retain
+// every way in its own slot (static_asserted in its policy below).
+inline constexpr int kFingerCacheWays = 4;
+
+// Reclaimer-specific validity proof for FRList. token() is called while the
+// calling thread holds the reclaimer's guard, both when saving a finger and
+// when attempting to reuse one; a saved entry is dereferenceable iff its
+// saved token equals the current one.
 //
 // kPublishes marks policies whose proof is NOT token-based but slot-based:
 // the structure must additionally call the reclaimer's finger_publish /
@@ -113,19 +122,15 @@ struct FingerOff {
 // token still participates so the shared save/validate plumbing stays
 // uniform; publishing policies use a constant token that always matches and
 // let the slot re-acquisition be the real proof).
+//
+// Only the in-tree reclaimers have a policy: FRList does not compile with
+// any other.
 template <typename Reclaimer>
-struct FingerPolicy {
-  static constexpr bool kSupported = false;
-  static constexpr bool kPublishes = false;
-  static constexpr int kPublishedWays = 0;
-  static std::uint64_t token(Reclaimer&) noexcept { return 0; }
-};
+struct FingerPolicy;
 
 template <>
 struct FingerPolicy<reclaim::LeakyReclaimer> {
-  static constexpr bool kSupported = true;
   static constexpr bool kPublishes = false;
-  static constexpr int kPublishedWays = 0;
   static std::uint64_t token(reclaim::LeakyReclaimer&) noexcept {
     return 1;  // nodes are immortal: every saved finger stays valid
   }
@@ -133,9 +138,7 @@ struct FingerPolicy<reclaim::LeakyReclaimer> {
 
 template <>
 struct FingerPolicy<reclaim::EpochReclaimer> {
-  static constexpr bool kSupported = true;
   static constexpr bool kPublishes = false;
-  static constexpr int kPublishedWays = 0;
   static std::uint64_t token(reclaim::EpochReclaimer& r) {
     // +1 keeps 0 free as the "empty entry" value even if a domain ever
     // started at epoch 0 (the default domain starts at kBuckets).
@@ -145,10 +148,9 @@ struct FingerPolicy<reclaim::EpochReclaimer> {
 
 template <>
 struct FingerPolicy<reclaim::HazardReclaimer> {
-  static constexpr bool kSupported = true;
   static constexpr bool kPublishes = true;
-  // Retained slots available per thread, one per cache way.
-  static constexpr int kPublishedWays = reclaim::HazardReclaimer::kFingerEntries;
+  static_assert(kFingerCacheWays <= reclaim::HazardReclaimer::kFingerEntries,
+                "every cache way needs its own retained hazard entry");
   static std::uint64_t token(reclaim::HazardReclaimer&) noexcept {
     // Constant: the epoch pin expires between operations and per-pointer
     // validation proves nothing for a cross-operation pointer, so no token
@@ -166,12 +168,6 @@ inline std::uint64_t next_finger_instance() noexcept {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-// Set associativity of the per-(thread, instance) finger cache: how many
-// bracket-keyed entries each structure keeps. Matches the hazard domain's
-// retained-entry budget so a publishing policy can retain every way in its
-// own slot (static_asserted at the use site in core/fr_list.h).
-inline constexpr int kFingerCacheWays = 4;
-
 // Replacement halves all frequency counters every kFingerAgePeriod
 // replacements, so a way's retention tracks its RECENT hit rate and a
 // once-hot way that went cold decays back to eviction candidacy.
@@ -184,20 +180,20 @@ inline void finger_freq_bump(std::uint8_t& freq) noexcept {
 }
 
 // Victim selection over a way array: least-frequently-hit with aging
-// (GCLOCK). Prefers an empty way (`is_empty(way)`); otherwise picks the
-// way with the smallest `freq` counter, scanning from `hand` so ties
-// rotate. New ways are inserted with freq == 0 — the next replacement
-// evicts them unless they earn a hit first — which is what lets a skewed
-// key stream keep its hot set resident: pure recency (plain clock) cannot,
-// because under a zipf tail the hand circles faster than even the hottest
-// key recurs, while here cold one-shot entries are recycled through a
-// de-facto probation way and the accumulated counters of the hot ways are
-// never disturbed by miss traffic.
-template <typename Way, typename EmptyFn>
-int finger_victim_pick(Way* ways, int n, unsigned& hand, unsigned& ticks,
-                       EmptyFn&& is_empty) noexcept {
+// (GCLOCK). Prefers an empty way (null `node`); otherwise picks the way
+// with the smallest `freq` counter, scanning from `hand` so ties rotate.
+// New ways are inserted with freq == 0 — the next replacement evicts them
+// unless they earn a hit first — which is what lets a skewed key stream
+// keep its hot set resident: pure recency (plain clock) cannot, because
+// under a zipf tail the hand circles faster than even the hottest key
+// recurs, while here cold one-shot entries are recycled through a de-facto
+// probation way and the accumulated counters of the hot ways are never
+// disturbed by miss traffic.
+template <typename Way>
+int finger_victim_pick(Way* ways, int n, unsigned& hand,
+                       unsigned& ticks) noexcept {
   for (int i = 0; i < n; ++i)
-    if (is_empty(ways[i])) return i;
+    if (ways[i].node == nullptr) return i;
   if (++ticks >= kFingerAgePeriod) {
     ticks = 0;
     for (int i = 0; i < n; ++i) ways[i].freq >>= 1;
@@ -211,19 +207,151 @@ int finger_victim_pick(Way* ways, int n, unsigned& hand, unsigned& ticks,
   return victim;
 }
 
-// Direct-mapped thread-local slot array for a structure's Slot type. Each
-// distinct Slot type (one per structure template instantiation) gets its
-// own array; instances hash into it by id. A collision between two live
-// instances merely evicts (the id check turns the stale entry into a miss).
-// (Distinct from kFingerCacheWays: this is how many INSTANCES of a
-// structure type share a thread's storage, not the per-instance cache
-// associativity.)
+// Direct-mapped thread-local slot count per cache type: how many INSTANCES
+// of a structure type share a thread's storage (not the per-instance cache
+// associativity). A collision between two live instances merely evicts
+// (the id check turns the stale entry into a miss).
 inline constexpr std::size_t kFingerTlsSlots = 8;
 
-template <typename Slot>
-Slot& tls_finger_slot(std::uint64_t instance) noexcept {
-  thread_local Slot slots[kFingerTlsSlots] = {};
-  return slots[instance & (kFingerTlsSlots - 1)];
-}
+// One thread's finger cache for one structure instance: `Sets` independent
+// way sets (the lists use one; FRSkipListRC one per fingered level), each
+// holding kFingerCacheWays ways. A way remembers the node n1 a search
+// returned together with the bracket of keys it serves ([n1.key, n2.key],
+// cached so probing never touches a node) and the structure's validity
+// proof. Nothing here dereferences a cached node: validating a probed way
+// (token, hazard slot or count + stamp) and recovering a marked one through
+// its backlinks is the structure's job. Node must have `kind` (Kind::kHead
+// / kTail sentinels) and `key`; the save reads them from nodes the caller
+// holds.
+//
+// kReplaceSite is the chaos injection point that fires before a
+// replacement picks its victim.
+template <typename Node, typename Key, chaos::Site kReplaceSite, int Sets = 1>
+class FingerCache {
+ public:
+  static constexpr int kWays = kFingerCacheWays;
+
+  struct Way {
+    Node* node = nullptr;       // null: empty, or killed by the structure
+    std::uint64_t proof = 0;    // reclaimer token (FRList) or reuse stamp
+    Key key{};                  // bracket low end; meaningful unless is_head
+    Key succ_key{};             // bracket high end; meaningful unless succ_tail
+    bool is_head = false;       // head sentinel compares below every key
+    bool succ_tail = false;     // tail sentinel compares above every key
+    std::uint8_t freq = 0;      // hit counter (aged by finger_victim_pick)
+  };
+
+  // Way indices a probe found, -1 for none; see Set::probe.
+  struct Probe {
+    int bracket = -1;
+    int fallback = -1;
+  };
+
+  class Set {
+   public:
+    // Deref-free probe for a search toward k, reading only cached fields.
+    // A way qualifies if its key is left of k: key <= k when `closed`,
+    // key < k otherwise; a head way is left of every key. `bracket` is the
+    // qualifying way whose bracket also contains k (k <= succ_key);
+    // `fallback` the qualifying way whose bracket does not. Each picks the
+    // tightest candidate, i.e. the largest key, so any keyed way beats a
+    // head way. Empty ways and ways `usable` rejects are skipped.
+    template <typename Compare, typename Usable>
+    Probe probe(const Key& k, bool closed, const Compare& comp,
+                Usable&& usable) const {
+      auto tighter = [&](int i, int best) {  // way i has the larger key
+        return best < 0 ||
+               (!way[i].is_head &&
+                (way[best].is_head || comp(way[best].key, way[i].key)));
+      };
+      int bracket = -1, fallback = -1;
+      for (int i = 0; i < kWays; ++i) {
+        const Way& e = way[i];
+        if (e.node == nullptr || !usable(e)) continue;
+        if (!(e.is_head || (closed ? !comp(k, e.key) : comp(e.key, k))))
+          continue;  // wrong side of k
+        if (e.succ_tail || !comp(e.succ_key, k)) {  // k <= succ_key
+          if (tighter(i, bracket)) bracket = i;
+        } else if (tighter(i, fallback)) {
+          fallback = i;
+        }
+      }
+      return {bracket, fallback};
+    }
+
+    template <typename Compare>
+    Probe probe(const Key& k, bool closed, const Compare& comp) const {
+      return probe(k, closed, comp, [](const Way&) { return true; });
+    }
+
+    // A probed way that validated served a search.
+    void hit(int i) noexcept { finger_freq_bump(way[i].freq); }
+
+    // Caches `node` (held by the caller) with its successor `succ` under
+    // `proof`, and returns the way used. A way already caching `node` is
+    // refreshed in place; failing that, way `prefer` when the caller names
+    // one (FRList's served bracket, whose new bracket is a subrange of the
+    // old one); failing that, the finger_victim_pick victim is replaced.
+    // A refreshed way keeps earning frequency; a brand-new way starts at
+    // zero — the next replacement's prime victim unless it earns a hit
+    // first — so one-shot cold keys recycle through a de-facto probation
+    // way instead of eroding the retained hot set.
+    int save(Node* node, const Node* succ, std::uint64_t proof,
+             int prefer = -1) {
+      int w = prefer;
+      for (int i = 0; i < kWays; ++i)
+        if (way[i].node == node) { w = i; break; }
+      const bool refresh = w >= 0;
+      if (!refresh) {
+#if LF_CHAOS
+        chaos::point(kReplaceSite);
+#endif
+        w = finger_victim_pick(way, kWays, hand_, ticks_);
+      }
+      Way& e = way[w];
+      e.node = node;
+      e.proof = proof;
+      e.is_head = node->kind == Node::Kind::kHead;
+      if (!e.is_head) e.key = node->key;  // cache-warm reads
+      e.succ_tail = succ->kind == Node::Kind::kTail;
+      if (!e.succ_tail) e.succ_key = succ->key;
+      if (refresh) finger_freq_bump(e.freq);
+      else e.freq = 0;
+      return w;
+    }
+
+    Way way[kWays] = {};
+
+   private:
+    unsigned hand_ = 0;   // tie rotation for victim selection
+    unsigned ticks_ = 0;  // replacements since the last aging pass
+  };
+
+  // This thread's cache slot for `instance`. The slot is direct-mapped, so
+  // it may still hold another instance's ways.
+  static FingerCache& of(std::uint64_t instance) noexcept {
+    thread_local FingerCache slots[kFingerTlsSlots] = {};
+    return slots[instance & (kFingerTlsSlots - 1)];
+  }
+
+  // Set `s` if the slot holds `instance`'s ways, else nullptr (a miss).
+  Set* find(std::uint64_t instance, int s = 0) noexcept {
+    return instance_ == instance ? &sets_[s] : nullptr;
+  }
+
+  // Set `s`, first claiming the slot for `instance` if it holds another
+  // instance's ways: those must never be probed as ours, so all are dropped.
+  Set& claim(std::uint64_t instance, int s = 0) {
+    if (instance_ != instance) {
+      *this = FingerCache{};
+      instance_ = instance;
+    }
+    return sets_[s];
+  }
+
+ private:
+  std::uint64_t instance_ = 0;
+  Set sets_[Sets] = {};
+};
 
 }  // namespace lf::sync

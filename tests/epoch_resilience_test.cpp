@@ -271,7 +271,8 @@ TEST(EpochResilience, HazardAdoptStalledScavengesFingersAndRetired) {
   std::thread victim([&] {
     // Publish a retained finger and retire some nodes, then park — the
     // stand-in for a thread that died between operations holding a finger.
-    hazard.publish_finger(finger_node, nullptr, /*tag=*/42);
+    void* entries[1] = {finger_node};
+    hazard.publish_finger(entries, 1, nullptr, /*tag=*/42);
     for (int i = 0; i < kNodes; ++i) hazard.retire(new Tracked);
     std::unique_lock lk(mu);
     parked = true;

@@ -20,8 +20,13 @@
 //     never share or inherit each other's hints, even when a structure is
 //     destroyed and a new one takes its place.
 //
-//   * STATIC OFF — sync::FingerOff compiles the layer out; its counters
-//     stay exactly zero (the fuzz suite re-checks this under yields).
+//   * STATIC OFF — FRSkipListRC's sync::FingerOff compiles the layer out;
+//     its counters stay exactly zero (the fuzz suite re-checks this under
+//     yields), as do those of the finger-free FRSkipList.
+//
+// The shared way cache (sync::FingerCache) is also tested on its own, with
+// no structure involved: probe choice, empty/killed ways, and the save's
+// frequency bookkeeping.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -156,21 +161,23 @@ TEST(Finger, HotWaySurvivesColdMissStream) {
 
 // ---- Static off: FingerOff means zero finger traffic ----------------------
 
-// The finger-free FRSkipList rides along: it must never move the counters.
+// The finger-free FRSkipList rides along under both reclaimers: it must
+// never move the counters.
 TEST(Finger, FingerOffKeepsCountersAtZero) {
-  lf::FRList<long, long, std::less<long>, lf::reclaim::EpochReclaimer,
-             lf::mem::PoolAlloc, lf::sync::FingerOff>
-      list;
+  lf::FRSkipListRC<long, long, std::less<long>, 24, lf::sync::FingerOff> rc;
   lf::FRSkipList<long, long> s;
+  lf::FRSkipList<long, long, std::less<long>, HazardReclaimer> hs;
   const auto before = aggregate();
   for (long k = 0; k < 64; ++k) {
-    list.insert(k, k);
+    rc.insert(k, k);
     s.insert(k, k);
+    hs.insert(k, k);
   }
   for (int r = 0; r < 4; ++r) {
     for (long k = 0; k < 64; ++k) {
-      list.find(k);
+      rc.find(k);
       s.find(k);
+      hs.find(k);
     }
   }
   const auto delta = aggregate() - before;
@@ -400,11 +407,11 @@ TEST(Finger, HazardEvictedFingerRejectedAfterReclamation) {
 // What the retained slot buys over the epoch token: churn that advances the
 // epoch many times (the exact scenario of ReclaimedFingerFallsBackToHead
 // above, where the strict-token epoch policy must miss) does NOT invalidate
-// a hazard finger, because the churning structure is FingerOff and never
+// a hazard finger, because the churning structure has no finger and never
 // evicts the slot.
 TEST(Finger, HazardFingerSurvivesEpochAdvance) {
-  using ChurnList = lf::FRList<long, long, std::less<long>, HazardReclaimer,
-                               lf::mem::PoolAlloc, lf::sync::FingerOff>;
+  using ChurnList =
+      lf::FRSkipList<long, long, std::less<long>, HazardReclaimer>;
   HazardDomain hdom;
   EpochDomain edom;
   HazardReclaimer rec(edom, hdom);
@@ -421,31 +428,6 @@ TEST(Finger, HazardFingerSurvivesEpochAdvance) {
   const auto delta = aggregate() - before;
   EXPECT_EQ(delta.finger_hit, 1u);  // slot match — epochs are irrelevant
   EXPECT_EQ(delta.finger_miss, 0u);
-}
-
-// FingerOff under the hazard reclaimer stays statically zero-cost: no
-// finger counters move and nothing is ever published. The skip list has no
-// finger to turn off.
-TEST(Finger, FingerOffUnderHazardKeepsCountersAtZero) {
-  lf::FRList<long, long, std::less<long>, HazardReclaimer, lf::mem::PoolAlloc,
-             lf::sync::FingerOff>
-      list;
-  lf::FRSkipList<long, long, std::less<long>, HazardReclaimer> s;
-  const auto before = aggregate();
-  for (long k = 0; k < 64; ++k) {
-    list.insert(k, k);
-    s.insert(k, k);
-  }
-  for (int r = 0; r < 4; ++r) {
-    for (long k = 0; k < 64; ++k) {
-      list.find(k);
-      s.find(k);
-    }
-  }
-  const auto delta = aggregate() - before;
-  EXPECT_EQ(delta.finger_hit, 0u);
-  EXPECT_EQ(delta.finger_miss, 0u);
-  EXPECT_EQ(delta.finger_skip, 0u);
 }
 
 // ---- Isolation: hints are per-instance, ids never reused ------------------
@@ -477,6 +459,131 @@ TEST(Finger, DestroyedInstanceLeavesNoUsableHint) {
   for (long k = 0; k < 16; ++k) ASSERT_TRUE(second.insert(k, k));
   EXPECT_TRUE(second.find(8).has_value());
   EXPECT_TRUE(second.validate().ok);
+}
+
+// ---- The shared way cache on its own (sync::FingerCache) ------------------
+
+// A stand-in node: the cache reads only `kind` and `key`, and only when
+// saving.
+struct FakeNode {
+  enum class Kind : unsigned char { kHead, kInterior, kTail };
+  Kind kind = Kind::kInterior;
+  long key = 0;
+};
+using Cache =
+    lf::sync::FingerCache<FakeNode, long, lf::chaos::Site::kListFingerReplace>;
+
+FakeNode head_node() { return {FakeNode::Kind::kHead, 0}; }
+FakeNode tail_node() { return {FakeNode::Kind::kTail, 0}; }
+
+TEST(FingerCache, TightestContainingBracketWins) {
+  FakeNode n10{.key = 10}, n20{.key = 20}, n40{.key = 40};
+  Cache::Set set;
+  const int wide = set.save(&n10, &n40, 1);   // [10, 40]
+  const int tight = set.save(&n20, &n40, 1);  // [20, 40]
+  ASSERT_NE(wide, tight);
+  const auto p = set.probe(30, true, std::less<long>{});
+  EXPECT_EQ(p.bracket, tight);
+  EXPECT_EQ(p.fallback, -1);
+}
+
+TEST(FingerCache, FallbackIsLargestKeyLeftOfK) {
+  FakeNode n10{.key = 10}, n15{.key = 15}, n20{.key = 20}, n25{.key = 25},
+      n50{.key = 50}, n60{.key = 60};
+  Cache::Set set;
+  set.save(&n10, &n15, 1);                   // left of 30, bracket too low
+  const int best = set.save(&n20, &n25, 1);  // left of 30, closer
+  set.save(&n50, &n60, 1);                   // right of 30: never a start
+  const auto p = set.probe(30, true, std::less<long>{});
+  EXPECT_EQ(p.bracket, -1);
+  EXPECT_EQ(p.fallback, best);
+}
+
+TEST(FingerCache, AnyKeyedWayBeatsAHeadWay) {
+  FakeNode head = head_node(), tail = tail_node();
+  FakeNode n5{.key = 5}, n10{.key = 10}, n15{.key = 15};
+  Cache::Set brackets;
+  brackets.save(&head, &tail, 1);  // brackets every key
+  const int keyed = brackets.save(&n10, &tail, 1);
+  EXPECT_EQ(brackets.probe(30, true, std::less<long>{}).bracket, keyed);
+  Cache::Set fallbacks;
+  fallbacks.save(&head, &n5, 1);
+  const int keyed_fallback = fallbacks.save(&n10, &n15, 1);
+  EXPECT_EQ(fallbacks.probe(30, true, std::less<long>{}).fallback,
+            keyed_fallback);
+}
+
+// Closed searches may start at key == k, open (k - eps) ones may not.
+TEST(FingerCache, ClosedAndOpenBoundsDifferAtKeyEqualsK) {
+  FakeNode n20{.key = 20}, n40{.key = 40};
+  Cache::Set set;
+  const int w = set.save(&n20, &n40, 1);
+  EXPECT_EQ(set.probe(20, true, std::less<long>{}).bracket, w);
+  const auto open = set.probe(20, false, std::less<long>{});
+  EXPECT_EQ(open.bracket, -1);
+  EXPECT_EQ(open.fallback, -1);
+  EXPECT_EQ(set.probe(21, false, std::less<long>{}).bracket, w);
+}
+
+TEST(FingerCache, KilledOrEmptyWayIsNeverReturned) {
+  Cache::Set set;
+  auto p = set.probe(30, true, std::less<long>{});
+  EXPECT_EQ(p.bracket, -1);  // every way empty
+  EXPECT_EQ(p.fallback, -1);
+  FakeNode n10{.key = 10}, n40{.key = 40};
+  const int w0 = set.save(&n10, &n40, 1);
+  set.way[w0].node = nullptr;  // killed by a failed validation
+  p = set.probe(30, true, std::less<long>{});
+  EXPECT_EQ(p.bracket, -1);
+  EXPECT_EQ(p.fallback, -1);
+  // A way the caller's filter rejects (FRList: a stale token) is skipped.
+  const int w = set.save(&n10, &n40, 7);
+  EXPECT_EQ(set.probe(30, true, std::less<long>{},
+                      [](const Cache::Way& e) { return e.proof == 8; })
+                .bracket,
+            -1);
+  EXPECT_EQ(set.probe(30, true, std::less<long>{},
+                      [](const Cache::Way& e) { return e.proof == 7; })
+                .bracket,
+            w);
+}
+
+TEST(FingerCache, SameNodeSaveBumpsFreqAndNewWayStartsAtZero) {
+  FakeNode n10{.key = 10}, n20{.key = 20}, n30{.key = 30};
+  Cache::Set set;
+  const int a = set.save(&n10, &n20, 1);
+  EXPECT_EQ(set.way[a].freq, 0);
+  EXPECT_EQ(set.save(&n10, &n30, 2), a);  // refreshed in place
+  EXPECT_EQ(set.way[a].freq, 1);
+  EXPECT_EQ(set.way[a].proof, 2u);
+  EXPECT_EQ(set.way[a].succ_key, 30);
+  set.hit(a);
+  EXPECT_EQ(set.way[a].freq, 2);
+  const int b = set.save(&n20, &n30, 1);
+  EXPECT_NE(b, a);
+  EXPECT_EQ(set.way[b].freq, 0);
+  // A named way (FRList's served bracket) is refreshed, not replaced.
+  EXPECT_EQ(set.save(&n30, &n30, 1, b), b);
+  EXPECT_EQ(set.way[b].freq, 1);
+  EXPECT_EQ(set.way[b].node, &n30);
+}
+
+// The thread-local slot belongs to one instance at a time: another
+// instance's claim drops every way, and the first instance then misses.
+TEST(FingerCache, ClaimByAnotherInstanceDropsTheWays) {
+  FakeNode n10{.key = 10}, n20{.key = 20};
+  const std::uint64_t a = lf::sync::next_finger_instance();
+  std::uint64_t b;  // a later id sharing a's direct-mapped slot
+  do {
+    b = lf::sync::next_finger_instance();
+  } while ((b - a) % lf::sync::kFingerTlsSlots != 0);
+  Cache& cache = Cache::of(a);
+  ASSERT_EQ(&cache, &Cache::of(b));
+  cache.claim(a).save(&n10, &n20, 1);
+  ASSERT_NE(cache.find(a), nullptr);
+  EXPECT_EQ(cache.find(b), nullptr);
+  EXPECT_EQ(cache.claim(b).probe(15, true, std::less<long>{}).bracket, -1);
+  EXPECT_EQ(cache.find(a), nullptr);
 }
 
 }  // namespace

@@ -142,6 +142,38 @@ TEST(FRListRC, ConcurrentChurnKeepsCountsConsistent) {
     EXPECT_EQ(list.contains(k), list.find(k).has_value());
 }
 
+// Many short churns on a handful of keys, each checked for full
+// accounting. Two counting races once stranded nodes here (count zero but
+// never recycled): the insert C&S counted the new link only after
+// linking, and a failed finger re-acquisition undid its increment with a
+// raw decrement. About one trial in five caught them.
+TEST(FRListRC, RepeatedHotKeyChurnsKeepAccounting) {
+  constexpr int kThreads = 4;
+  for (int trial = 0; trial < 32; ++trial) {
+    RCList list;
+    std::barrier start(kThreads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        lf::Xoshiro256 rng(1000 * trial + t);
+        start.arrive_and_wait();
+        for (int i = 0; i < 20000; ++i) {
+          const long k = static_cast<long>(rng.below(8));
+          switch (rng.below(3)) {
+            case 0: list.insert(k, k); break;
+            case 1: list.erase(k); break;
+            default: list.contains(k);
+          }
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+    ASSERT_TRUE(list.validate_counts()) << "trial " << trial;
+    ASSERT_EQ(list.arena_count(), list.free_count() + list.size() + 2)
+        << "trial " << trial;
+  }
+}
+
 TEST(FRListRC, ReadersSeeOnlySaneValuesDuringChurn) {
   RCList list;
   std::atomic<bool> stop{false};

@@ -156,6 +156,38 @@ TEST(FRSkipListRC, HotKeyDuelInterruptsTowers) {
   EXPECT_LE(s.size(), 4u);
 }
 
+// Many short insert/erase duels on four keys, each checked for full
+// accounting. Two counting races once broke this: the insert C&S counted
+// the new link only after linking, so a just-linked tower node could be
+// recycled while its builder still held it (the next level's `down` then
+// named a re-used node; this crashed), and a failed finger
+// re-acquisition undid its increment with a raw decrement, stranding
+// nodes at count zero. Most runs of 32 trials caught them.
+TEST(FRSkipListRC, RepeatedHotKeyDuelsKeepAccounting) {
+  constexpr int kThreads = 4;
+  for (int trial = 0; trial < 32; ++trial) {
+    RCSkip s;
+    std::barrier start(kThreads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        lf::Xoshiro256 rng(1000 * trial + t);
+        start.arrive_and_wait();
+        for (int i = 0; i < 5000; ++i) {
+          const long k = static_cast<long>(rng.below(4));
+          if (rng.below(2) == 0) {
+            s.insert(k, k);
+          } else {
+            s.erase(k);
+          }
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+    ASSERT_TRUE(s.validate_accounting()) << "trial " << trial;
+  }
+}
+
 TEST(FRSkipListRC, ReadersSeeOnlySaneValues) {
   RCSkip s;
   std::atomic<bool> stop{false};

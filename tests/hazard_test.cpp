@@ -141,8 +141,9 @@ TEST(HazardDomain, RetainedFingerBlocksReclamationUntilInvalidated) {
   HazardDomain domain;
   auto* obj = new Tracked;
   constexpr std::uint64_t kTag = 7001;
+  void* entries[1] = {obj};
   domain.publish_finger(
-      obj, +[](void*) -> void* { return nullptr; }, kTag);
+      entries, 1, +[](void*) -> void* { return nullptr; }, kTag);
   EXPECT_TRUE(domain.reacquire_finger(obj, kTag));
   EXPECT_FALSE(domain.reacquire_finger(obj, kTag + 1));  // wrong tag
   domain.retire(obj);
@@ -187,10 +188,12 @@ TEST(HazardDomain, RepublishEvictsPreviousFinger) {
   HazardDomain domain;
   auto* first = new Tracked;
   auto* second = new Tracked;
+  void* first_entry[1] = {first};
+  void* second_entry[1] = {second};
   domain.publish_finger(
-      first, +[](void*) -> void* { return nullptr; }, 1);
+      first_entry, 1, +[](void*) -> void* { return nullptr; }, 1);
   domain.publish_finger(
-      second, +[](void*) -> void* { return nullptr; }, 2);
+      second_entry, 1, +[](void*) -> void* { return nullptr; }, 2);
   // One retained slot per (thread, domain): the second publish evicted the
   // first, whose re-acquisition must now fail closed.
   EXPECT_FALSE(domain.reacquire_finger(first, 1));
@@ -226,7 +229,8 @@ TEST(HazardDomain, ChainWalkProtectsWholeBacklinkChain) {
   auto* n0 = new ChainNode;  // the published finger, itself marked
   n0->marked.store(true);
   n0->back.store(n1);
-  domain.publish_finger(n0, walker, 42);
+  void* entries[1] = {n0};
+  domain.publish_finger(entries, 1, walker, 42);
   domain.retire(n1);
   domain.retire(n2);
   domain.scan();
@@ -267,8 +271,9 @@ TEST(HazardReclaimerTest, FingerHooksRouteToTheDomain) {
   EpochDomain edom;
   HazardReclaimer rec(edom, hdom);
   auto* obj = new Tracked;
+  void* entries[1] = {obj};
   rec.finger_publish(
-      obj, +[](void*) -> void* { return nullptr; }, 9);
+      entries, 1, +[](void*) -> void* { return nullptr; }, 9);
   EXPECT_TRUE(rec.finger_reacquire(obj, 9));
   rec.retire(obj);
   edom.drain();
