@@ -67,7 +67,7 @@
 //
 // The reference-counted variants (core/*_rc.h) do not use tokens; they
 // validate by re-acquiring a count on the node and checking a per-node
-// reuse stamp (see fr_list_rc.h::finger_try_hold).
+// reuse stamp (see fr_rc_core.h::finger_try_hold).
 //
 // The way cache itself — way layout, slot claiming, the deref-free probe
 // and LFU replacement — is written once, as FingerCache below. FRList,
@@ -80,10 +80,8 @@
 // mistaken for the current one (the id check fails without touching the
 // stale pointer).
 //
-// FRList and FRListRC always carry the layer. FRSkipListRC still takes a
-// FingerOn / FingerOff policy tag (default on) and guards every finger
-// touch with `if constexpr`, so its off configuration is zero-cost the same
-// way LF_CHAOS off is.
+// FRList, FRListRC and FRSkipListRC always carry the layer; none has an
+// off switch.
 #pragma once
 
 #include <atomic>
@@ -96,14 +94,6 @@
 #include "lf/reclaim/leaky.h"
 
 namespace lf::sync {
-
-// FRSkipListRC's on/off switch (its `Finger` template parameter).
-struct FingerOn {
-  static constexpr bool kEnabled = true;
-};
-struct FingerOff {
-  static constexpr bool kEnabled = false;
-};
 
 // Set associativity of the per-(thread, instance) finger cache: how many
 // bracket-keyed ways each structure (or skip-list level) keeps. Matches the

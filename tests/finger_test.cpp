@@ -20,9 +20,8 @@
 //     never share or inherit each other's hints, even when a structure is
 //     destroyed and a new one takes its place.
 //
-//   * STATIC OFF — FRSkipListRC's sync::FingerOff compiles the layer out;
-//     its counters stay exactly zero (the fuzz suite re-checks this under
-//     yields), as do those of the finger-free FRSkipList.
+//   * NO FINGER, NO TRAFFIC — the finger-free FRSkipList never moves the
+//     finger counters (the fuzz suite re-checks this under yields).
 //
 // The shared way cache (sync::FingerCache) is also tested on its own, with
 // no structure involved: probe choice, empty/killed ways, and the save's
@@ -159,23 +158,20 @@ TEST(Finger, HotWaySurvivesColdMissStream) {
   EXPECT_TRUE(list.validate().ok);
 }
 
-// ---- Static off: FingerOff means zero finger traffic ----------------------
+// ---- No finger: zero finger traffic ---------------------------------------
 
-// The finger-free FRSkipList rides along under both reclaimers: it must
-// never move the counters.
+// The finger-free FRSkipList, under both reclaimers, must never move the
+// counters.
 TEST(Finger, FingerOffKeepsCountersAtZero) {
-  lf::FRSkipListRC<long, long, std::less<long>, 24, lf::sync::FingerOff> rc;
   lf::FRSkipList<long, long> s;
   lf::FRSkipList<long, long, std::less<long>, HazardReclaimer> hs;
   const auto before = aggregate();
   for (long k = 0; k < 64; ++k) {
-    rc.insert(k, k);
     s.insert(k, k);
     hs.insert(k, k);
   }
   for (int r = 0; r < 4; ++r) {
     for (long k = 0; k < 64; ++k) {
-      rc.find(k);
       s.find(k);
       hs.find(k);
     }

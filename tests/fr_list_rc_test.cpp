@@ -138,6 +138,7 @@ TEST(FRListRC, ConcurrentChurnKeepsCountsConsistent) {
   // reachable from the node it holds, a known property of reference
   // counting; the chains all cascade back to the free list once released.)
   EXPECT_EQ(list.arena_count(), list.free_count() + list.size() + 2);
+  EXPECT_TRUE(list.validate_accounting());
   for (long k = 0; k < 128; ++k)
     EXPECT_EQ(list.contains(k), list.find(k).has_value());
 }
@@ -171,6 +172,7 @@ TEST(FRListRC, RepeatedHotKeyChurnsKeepAccounting) {
     ASSERT_TRUE(list.validate_counts()) << "trial " << trial;
     ASSERT_EQ(list.arena_count(), list.free_count() + list.size() + 2)
         << "trial " << trial;
+    EXPECT_TRUE(list.validate_accounting()) << "trial " << trial;
   }
 }
 
