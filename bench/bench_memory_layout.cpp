@@ -1,22 +1,13 @@
-// E11 — cache-conscious memory layer ablation: flat towers + pooled
-// allocation vs the seed's pointer-chained, heap-allocated placement.
+// E11 — the cache-conscious memory layer: FRSkipList's flat pooled towers
+// (each tower one contiguous pool block) under build, search and churn.
 //
-// The 2x2 matrix {chained, flat} x {heap, pool} isolates the two effects:
-//
-//   * LAYOUT (chained -> flat): a whole tower in one contiguous block puts
-//     the root's hot fields in the block's first cache line and keeps the
-//     down-descent inside the block; an insert costs one allocation
-//     instead of one per level.
-//   * ALLOCATOR (heap -> pool): per-thread freelists recycle blocks warm
-//     and line-aligned, and the global allocator is hit only once per
-//     256 KiB segment instead of once per node.
-//
-// The paper's complexity claims are layout-independent — the essential
-// steps/op column must be flat across the matrix (the same algorithm
-// executes the same CAS/backlink/pointer steps); only the wall-clock and
-// allocator columns may move. On a single-core host the multi-thread
-// throughput numbers measure lost-interleaving overhead rather than
-// parallel speedup; the single-thread phases carry the cache-effect claim.
+// EXPERIMENTS.md E11 records the 2x2 ablation {chained, flat} x {heap,
+// pool} that chose this layout. The bench reports the layout's two
+// allocator claims — one block per insert, and almost no global-allocator
+// round-trips — and emits essential steps/op per phase, which CI's trend
+// gate (tools/bench_trend.py) compares run over run. On a single-core host
+// the multi-thread churn numbers measure lost-interleaving overhead rather
+// than parallel speedup.
 //
 // Output: the usual tables, plus machine-readable BENCH_memory_layout.json.
 #include <algorithm>
@@ -31,7 +22,6 @@
 #include "lf/harness/table.h"
 #include "lf/instrument/counters.h"
 #include "lf/mem/pool.h"
-#include "lf/mem/tower.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/util/random.h"
 #include "lf/util/timer.h"
@@ -43,12 +33,14 @@ using lf::harness::Table;
 using lf::mem::PoolTotals;
 using lf::mem::pool_totals;
 
-template <typename Layout>
-using SkipList = lf::FRSkipList<long, long, std::less<long>,
-                                lf::reclaim::EpochReclaimer, 24, Layout>;
+using SkipList = lf::FRSkipList<long, long>;
 
-// Allocator traffic attributable to one measured region, for either
-// allocation policy. "blocks" counts blocks handed to the structure;
+// JSON row identity, unchanged since the 2x2 ablation so the trend gate
+// keeps comparing this row across history.
+constexpr const char* kLayout = "flat/pool";
+
+// Allocator traffic attributable to one measured region. "blocks" counts
+// blocks handed to the structure;
 // "global hits" counts round-trips to the global allocator (the expensive,
 // lock-taking path the pool amortizes away).
 struct AllocDelta {
@@ -59,8 +51,8 @@ struct AllocDelta {
 AllocDelta alloc_delta(const PoolTotals& before) {
   const PoolTotals d = pool_totals() - before;
   AllocDelta out;
-  out.blocks = d.fresh_blocks + d.recycled_blocks + d.oversize + d.heap_allocs;
-  out.global_hits = d.global_hits() + d.heap_allocs;
+  out.blocks = d.fresh_blocks + d.recycled_blocks + d.oversize;
+  out.global_hits = d.global_hits();
   return out;
 }
 
@@ -73,9 +65,8 @@ struct PhaseResult {
 };
 
 // Phase 1: build a set of kBuildKeys distinct keys, single thread, shuffled
-// order. blocks/op here is the allocations-per-insert claim: flat = 1 block
-// per tower; chained = one block per tower LEVEL (expected ~2 for fair
-// coin flips).
+// order. blocks/op here is the allocations-per-insert claim: 1 block per
+// tower, whatever its height.
 constexpr std::size_t kBuildKeys = 200'000;
 
 std::vector<long> shuffled_keys(std::size_t n, std::uint64_t seed) {
@@ -106,8 +97,7 @@ PhaseResult build_phase(Set& set, const std::vector<long>& keys) {
 }
 
 // Phase 2: single-thread random searches over the built set — the
-// pointer-chasing workload where node placement (flat block vs heap
-// spread) shows up as wall-clock.
+// pointer-chasing workload where node placement shows up as wall-clock.
 template <typename Set>
 PhaseResult search_phase(const Set& set, std::uint64_t seed) {
   constexpr std::size_t kSearches = 400'000;
@@ -155,38 +145,34 @@ PhaseResult churn_phase(Set& set) {
 }
 
 struct ConfigResult {
-  const char* name;
   PhaseResult build, search, churn;
 };
 
-template <typename Layout>
 ConfigResult run_config() {
-  ConfigResult out{Layout::kName, {}, {}, {}};
+  ConfigResult out;
   const auto keys = shuffled_keys(kBuildKeys, 0x5eed);
   {
-    SkipList<Layout> set;
+    SkipList set;
     out.build = build_phase(set, keys);
     out.search = search_phase(set, 0xfeed);
   }
   {
-    SkipList<Layout> set;
+    SkipList set;
     out.churn = churn_phase(set);
   }
-  // Both sets retired everything into the global domain; drain so the next
-  // config starts from a clean slate (and pooled configs return blocks).
   lf::reclaim::EpochDomain::global().drain();
   return out;
 }
 
-void emit_json(const std::vector<ConfigResult>& results) {
+void emit_json(const ConfigResult& c) {
   lf::harness::JsonWriter j;
   j.begin_object();
   j.field("experiment", "E11 memory layout");
   j.field("build_keys", static_cast<std::uint64_t>(kBuildKeys));
   j.key("configs").begin_array();
-  for (const auto& c : results) {
+  {
     j.begin_object();
-    j.field("layout", c.name);
+    j.field("layout", kLayout);
     const auto phase = [&](const char* name, const PhaseResult& p,
                            bool alloc_cols) {
       j.key(name).begin_object();
@@ -216,48 +202,30 @@ void emit_json(const std::vector<ConfigResult>& results) {
 int main() {
   lf::harness::print_environment(
       "E11 (memory layer)",
-      "flat towers + pooled allocation remove the per-level allocator "
-      "round-trips and heap spread; essential steps/op must not move");
+      "flat pooled towers cost one block per insert and almost no global "
+      "allocator round-trips; essential steps/op must not move");
 
-  std::vector<ConfigResult> results;
-  results.push_back(run_config<lf::mem::ChainedTowers>());        // seed
-  results.push_back(run_config<lf::mem::PooledChainedTowers>());
-  results.push_back(run_config<lf::mem::FlatTowersHeap>());
-  results.push_back(run_config<lf::mem::FlatTowers>());           // default
+  const ConfigResult c = run_config();
 
   lf::harness::print_section(
-      "(a) build: 200k distinct inserts, 1 thread (blocks/op = allocations "
-      "per insert)");
-  Table build({"layout", "Mops/s", "steps/op", "blocks/op", "global hits/op"});
-  for (const auto& c : results)
-    build.add_row({c.name, Table::num(c.build.mops, 3),
-                   Table::num(c.build.steps_per_op, 2),
-                   Table::num(c.build.blocks_per_op, 3),
-                   Table::num(c.build.hits_per_op, 5)});
-  build.print();
+      "build: 200k distinct inserts, 1 thread | search: 400k random "
+      "contains, 1 thread | churn: 4 threads, 45i/45d/10s, 2048 keys");
+  Table table({"phase", "Mops/s", "steps/op", "blocks/op", "global hits/op"});
+  const auto row = [&](const char* name, const PhaseResult& p,
+                       bool alloc_cols) {
+    table.add_row({name, Table::num(p.mops, 3), Table::num(p.steps_per_op, 2),
+                   alloc_cols ? Table::num(p.blocks_per_op, 3) : "-",
+                   alloc_cols ? Table::num(p.hits_per_op, 5) : "-"});
+  };
+  row("build", c.build, true);
+  row("search", c.search, false);
+  row("churn", c.churn, true);
+  table.print();
 
-  lf::harness::print_section("(b) search: 400k random contains, 1 thread");
-  Table search({"layout", "Mops/s", "steps/op"});
-  for (const auto& c : results)
-    search.add_row({c.name, Table::num(c.search.mops, 3),
-                    Table::num(c.search.steps_per_op, 2)});
-  search.print();
+  std::cout << "Expected shape: build blocks/op = 1.000 (one block per\n"
+               "tower, whatever its height); global hits/op ~0 (the pool\n"
+               "goes to the global allocator once per 256 KiB segment).\n\n";
 
-  lf::harness::print_section(
-      "(c) churn: 4 threads, 45i/45d/10s, 2048 keys (recycle pressure)");
-  Table churn({"layout", "Mops/s", "steps/op", "blocks/op", "global hits/op"});
-  for (const auto& c : results)
-    churn.add_row({c.name, Table::num(c.churn.mops, 3),
-                   Table::num(c.churn.steps_per_op, 2),
-                   Table::num(c.churn.blocks_per_op, 3),
-                   Table::num(c.churn.hits_per_op, 5)});
-  churn.print();
-
-  std::cout << "Expected shape: steps/op identical down each column (the\n"
-               "algorithm is unchanged); flat halves blocks/op vs chained;\n"
-               "pool drives global hits/op to ~0; flat/pool leads the\n"
-               "wall-clock columns.\n\n";
-
-  emit_json(results);
+  emit_json(c);
   return 0;
 }

@@ -23,14 +23,12 @@ namespace {
 // update-in-place); an overwriting put is erase+insert, which readers see
 // as a miss-or-either — good enough for a demo, real memtables version.
 //
-// The layout parameter is spelled out (it is also the default): flat
-// pooled towers are exactly what a memtable wants — one arena allocation
-// per put, towers recycled through the epoch grace period as overwrites
-// churn, and contiguous towers for the flusher's range scans. RocksDB's
-// memtable skip list sits on a concurrent arena for the same reasons.
-using MemTable =
-    lf::FRSkipList<std::string, std::string, std::less<std::string>,
-                   lf::reclaim::EpochReclaimer, 24, lf::mem::FlatTowers>;
+// FRSkipList's flat pooled towers are exactly what a memtable wants — one
+// arena allocation per put, towers recycled through the epoch grace period
+// as overwrites churn, and contiguous towers for the flusher's range scans.
+// RocksDB's memtable skip list sits on a concurrent arena for the same
+// reasons.
+using MemTable = lf::FRSkipList<std::string, std::string>;
 
 std::string make_key(std::uint64_t i) {
   char buf[32];

@@ -44,12 +44,11 @@
 //               Defaults to epoch-based reclamation, which is safe here
 //               even though searches may traverse backlinks into
 //               physically deleted nodes (argument in lf/reclaim/epoch.h).
-//   Alloc       node allocation policy (see lf/mem/pool.h). Defaults to the
-//               per-thread segment pool: nodes come out 64-byte aligned in
-//               whole cache lines (no false sharing between neighbours) and
-//               a freed node is recycled only after the reclaimer's grace
-//               period, so reuse is ABA-safe. mem::HeapAlloc restores the
-//               global allocator for the ablation benches.
+//
+// Nodes come from the per-thread segment pool (lf/mem/pool.h): 64-byte
+// aligned in whole cache lines (no false sharing between neighbours), and a
+// freed node is recycled only after the reclaimer's grace period, so reuse
+// is ABA-safe.
 //
 // Instrumentation: every C&S, backlink traversal and search pointer update
 // is tallied in lf::stats — the exact step set the paper's amortized
@@ -81,8 +80,7 @@
 namespace lf {
 
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
-          typename Reclaimer = reclaim::EpochReclaimer,
-          typename Alloc = mem::PoolAlloc>
+          typename Reclaimer = reclaim::EpochReclaimer>
 class FRList {
  public:
   using key_type = Key;
@@ -112,13 +110,13 @@ class FRList {
         : kind(k), key(std::move(key_arg)), value(std::move(value_arg)) {}
 
     // Route every `new Node` / `delete node` — including the reclaimer's
-    // deferred deletes — through the allocation policy. The sized overload
-    // is all that's needed; the compiler always knows the node size here.
+    // deferred deletes — through the pool. The sized overload is all
+    // that's needed; the compiler always knows the node size here.
     static void* operator new(std::size_t bytes) {
-      return Alloc::allocate(bytes);
+      return mem::pool_allocate(bytes);
     }
     static void operator delete(void* p, std::size_t bytes) {
-      Alloc::deallocate(p, bytes);
+      mem::pool_deallocate(p, bytes);
     }
   };
 

@@ -28,7 +28,7 @@
 // it just added (if any), and still reports success (its root made it in).
 //
 // Departures from the paper's presentation, all noted in DESIGN.md:
-//   * The head tower is preallocated at full height (MaxLevel), so the
+//   * The head tower is preallocated at full height (kMaxLevel), so the
 //     paper's `up` pointers for growing the head are unnecessary. A
 //     top-level hint makes searches start just above the tallest live
 //     tower, which is what the adaptive head bought.
@@ -39,16 +39,15 @@
 //     prose (every step of Section 4) plus the linked-list routines of
 //     Figures 3-5 they are explicitly built from.
 //
-// Memory layout is a template policy (mem/tower.h). The default,
-// mem::FlatTowers, allocates each tower as ONE contiguous 64-byte-aligned
-// block from a per-thread pool: the root's hot fields (succ, key) sit in
-// the block's first cache line, the down-descent stays inside the block,
-// and an insert costs one allocation instead of one per level.
-// mem::ChainedTowers reproduces the seed's per-level `new Node` placement
-// for the ablation benches (bench_memory_layout). Retirement is unchanged
-// either way: the whole tower is retired in one step when its last linked
-// node is unlinked (see the Node comments), which is exactly what lets a
-// flat block be freed as a unit.
+// Memory layout: each tower is ONE contiguous 64-byte-aligned block from
+// the per-thread pool (mem/pool.h), with the root at slot 0 and level v at
+// slot v-1. The root's hot fields (succ, key) sit in the block's first
+// cache line, the down-descent stays inside the block, and an insert costs
+// one allocation instead of one per level — the cache-miss argument of
+// "Skiplists with Foresight". The whole tower is retired in one step when
+// its last linked node is unlinked (see the Node comments), which is
+// exactly what lets the block be freed as a unit. EXPERIMENTS.md E11
+// records the per-level chained and global-heap placements this replaced.
 #pragma once
 
 #include <array>
@@ -67,7 +66,7 @@
 
 #include "lf/chaos/chaos.h"
 #include "lf/instrument/counters.h"
-#include "lf/mem/tower.h"
+#include "lf/mem/pool.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/reclaimer.h"
 #include "lf/sync/backoff.h"
@@ -77,13 +76,11 @@
 
 namespace lf {
 
-// The extra template parameter beyond the paper's algorithm:
-//   Layout      memory layout policy (mem/tower.h), see below.
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
-          typename Reclaimer = reclaim::EpochReclaimer, int MaxLevel = 24,
-          typename Layout = mem::FlatTowers>
+          typename Reclaimer = reclaim::EpochReclaimer>
 class FRSkipList {
-  static_assert(MaxLevel >= 2, "need at least two levels (erase cleanup)");
+  // Levels, counting level 1 (the list of every key).
+  static constexpr int kMaxLevel = 24;
 
  public:
   using key_type = Key;
@@ -99,16 +96,16 @@ class FRSkipList {
  public:
   // Towers occupy levels 1..kMaxTowerHeight; the head reaches one level
   // higher so the top level is always an empty express lane.
-  static constexpr int kMaxTowerHeight = MaxLevel - 1;
+  static constexpr int kMaxTowerHeight = kMaxLevel - 1;
 
   // Field order is cache-conscious: the members a search touches on every
   // hop (succ, key, tower_root, kind) are declared first so they pack into
-  // the node's first cache line — which, under the flat layout, is also the
-  // first line of the tower's block. Recovery (backlink) and root-only
-  // bookkeeping follow. Both allocation policies hand out 64-byte-aligned
-  // blocks in whole lines, so adjacent nodes never share a line (the
-  // false-sharing padding the head tower needs comes from the allocator,
-  // not from inflating every node with alignas(64)).
+  // the node's first cache line — for a root, also the first line of the
+  // tower's block. Recovery (backlink) and root-only bookkeeping follow.
+  // The pool hands out 64-byte-aligned blocks in whole lines, so adjacent
+  // blocks never share a line (the false-sharing padding the head tower
+  // needs comes from the allocator, not from inflating every node with
+  // alignas(64)).
   struct alignas(8) Node {
     enum class Kind : unsigned char { kHead, kInterior, kTail };
 
@@ -118,7 +115,8 @@ class FRSkipList {
     Node* down;        // immutable after construction
     Kind kind;
     int level;           // 1-based; immutable
-    int planned_height;  // roots: the coin-flip height (census/E6); else 0
+    int planned_height;  // slots in this node's block (roots: the coin-flip
+                         // height; sentinels: 1); 0 for upper nodes
     T value;  // meaningful in root nodes only
     std::atomic<Node*> backlink{nullptr};
 
@@ -137,8 +135,8 @@ class FRSkipList {
     // inserter increments before attempting to link, and pre-publishes
     // tower_top, so the count can only reach zero when no link attempt is
     // in flight and every linked node has been unlinked). The unlinker or
-    // abandoner that drops it to zero walks tower_top -> down -> ... -> root
-    // and retires each node.
+    // abandoner that drops it to zero retires the tower's block, whose
+    // deleter walks tower_top -> down -> ... -> root destroying each node.
     std::atomic<int> tower_alive{1};
     std::atomic<Node*> tower_top{nullptr};
 
@@ -161,44 +159,30 @@ class FRSkipList {
       : FRSkipList(Compare{}, std::move(reclaimer)) {}
   FRSkipList(Compare comp, Reclaimer reclaimer)
       : comp_(std::move(comp)), reclaimer_(std::move(reclaimer)) {
-    // Sentinels go through the layout's allocator too: every head level
-    // lands in its own cache line (the allocator hands out whole lines),
-    // so concurrent traffic on adjacent head levels cannot false-share.
-    tail_ = Layout::template make_sentinel<Node>(Node::Kind::kTail, 0, Key{},
-                                                 T{}, nullptr, nullptr);
+    // Sentinels come from the pool too: every head level lands in its own
+    // cache line (the pool hands out whole lines), so concurrent traffic
+    // on adjacent head levels cannot false-share.
+    tail_ = make_sentinel(Node::Kind::kTail, 0, nullptr);
     Node* below = nullptr;
-    for (int v = 1; v <= MaxLevel; ++v) {
-      head_[v] = Layout::template make_sentinel<Node>(
-          Node::Kind::kHead, v, Key{}, T{}, below, nullptr);
+    for (int v = 1; v <= kMaxLevel; ++v) {
+      head_[v] = make_sentinel(Node::Kind::kHead, v, below);
       head_[v]->succ.store_unsynchronized(View{tail_, false, false});
       below = head_[v];
     }
     top_hint_.store(1, std::memory_order_relaxed);
   }
 
-  // Destruction requires quiescence. Under the flat layout each level-1
-  // node is a tower root owning one block for its whole tower; under the
-  // chained layout every linked node is freed individually per level.
+  // Destruction requires quiescence. Each level-1 node is a tower root
+  // owning one block for its whole tower.
   ~FRSkipList() {
-    if constexpr (Layout::kFlat) {
-      Node* n = head_[1]->succ.load().right;
-      while (n->kind != Node::Kind::kTail) {
-        Node* next = n->succ.load().right;
-        Layout::template destroy_tower<Node>(n);
-        n = next;
-      }
-    } else {
-      for (int v = 1; v <= MaxLevel; ++v) {
-        Node* n = head_[v]->succ.load().right;
-        while (n->kind != Node::Kind::kTail) {
-          Node* next = n->succ.load().right;
-          Layout::template destroy_node<Node>(n);
-          n = next;
-        }
-      }
+    Node* n = head_[1]->succ.load().right;
+    while (n->kind != Node::Kind::kTail) {
+      Node* next = n->succ.load().right;
+      destroy_tower(n);
+      n = next;
     }
-    for (int v = 1; v <= MaxLevel; ++v) Layout::free_sentinel(head_[v]);
-    Layout::free_sentinel(tail_);
+    for (int v = 1; v <= kMaxLevel; ++v) free_unpublished(head_[v]);
+    free_unpublished(tail_);
   }
 
   FRSkipList(const FRSkipList&) = delete;
@@ -207,9 +191,10 @@ class FRSkipList {
   // ---- Dictionary operations (Insert_SL / Delete_SL / Search_SL) -------
 
   // insert_checked distinguishes "key already present" from "allocation
-  // failed". A root allocation that throws is absorbed before anything is
-  // linked; an upper-level allocation that throws truncates the tower but
-  // the root IS in, so the insert still succeeded.
+  // failed". A std::bad_alloc while making the root (the block, or the
+  // root's copy of the key) is absorbed before anything is linked; one
+  // while constructing an upper node truncates the tower but the root IS
+  // in, so the insert still succeeded.
   enum class InsertStatus { kInserted, kDuplicate, kNoMemory };
 
   bool insert(const Key& k, T value) {
@@ -224,7 +209,7 @@ class FRSkipList {
   }
 
   // Test hook: insert with a chosen tower height instead of coin flips, so
-  // fault-injection tests can target a specific upper-level allocation.
+  // fault-injection tests can target a specific upper level.
   InsertStatus insert_with_height(const Key& k, T value, int tower_height) {
     assert(tower_height >= 1 && tower_height <= kMaxTowerHeight);
     return insert_impl(k, std::move(value), tower_height);
@@ -334,9 +319,6 @@ class FRSkipList {
     return top_hint_.load(std::memory_order_relaxed);
   }
 
-  // Human-readable name of the memory-layout policy (bench labels).
-  static constexpr const char* layout_name() noexcept { return Layout::kName; }
-
   // ---- Invariant validation & census (tests / E6; quiescent only) ------
 
   struct ValidationReport {
@@ -348,7 +330,7 @@ class FRSkipList {
   ValidationReport validate() const {
     ValidationReport rep;
     std::size_t roots = 0;
-    for (int v = 1; v <= MaxLevel; ++v) {
+    for (int v = 1; v <= kMaxLevel; ++v) {
       const Node* prev = head_[v];
       const Node* curr = prev->succ.load().right;
       if (prev->succ.load().mark || prev->succ.load().flag)
@@ -397,7 +379,7 @@ class FRSkipList {
   TowerCensus census() const {
     TowerCensus out;
     std::unordered_map<const Node*, int> height;
-    for (int v = 1; v <= MaxLevel; ++v) {
+    for (int v = 1; v <= kMaxLevel; ++v) {
       for (const Node* p = head_[v]->succ.load().right;
            p->kind != Node::Kind::kTail; p = p->succ.load().right) {
         auto [it, fresh] = height.emplace(p->tower_root, v);
@@ -433,10 +415,7 @@ class FRSkipList {
     }
     Node* root = nullptr;
     try {
-      root = Layout::template make_root<Node>(tower_height,
-                                              Node::Kind::kInterior, 1, k,
-                                              std::move(value), nullptr,
-                                              nullptr);
+      root = make_root(k, std::move(value), tower_height);
     } catch (const std::bad_alloc&) {
       stats::tls().op_insert.inc();
       return InsertStatus::kNoMemory;  // nothing linked, nothing leaked
@@ -449,16 +428,17 @@ class FRSkipList {
       if (result == InsertResult::kDuplicate) {
         if (curr_v == 1) {
           // Never published; nobody else can hold it.
-          Layout::free_unpublished_root(root);
+          free_unpublished(root);
           stats::tls().op_insert.inc();
           return InsertStatus::kDuplicate;
         }
         // A same-key tower exists at an upper level: only possible after
         // our root was deleted and the key reinserted. Abandon the node
-        // (never linked): roll tower_top back to the highest linked node
-        // and release the reference taken before the attempt.
+        // (never linked): roll tower_top back to the highest linked node,
+        // destroy it in place (its slot dies with the block) and release
+        // the reference taken before the attempt.
         root->tower_top.store(node->down, std::memory_order_release);
-        Layout::free_unpublished_upper(node);
+        node->~Node();
         release_tower_ref(root);
         break;
       }
@@ -480,8 +460,8 @@ class FRSkipList {
       // (count reached zero), it must NOT be resurrected: stop building.
       if (!acquire_tower_ref(root)) break;
       try {
-        node = Layout::make_upper(root, curr_v, Node::Kind::kInterior,
-                                  curr_v, k, T{}, below, root);
+        node = ::new (upper_slot(root, curr_v))
+            Node(Node::Kind::kInterior, curr_v, k, T{}, below, root);
       } catch (const std::bad_alloc&) {
         // Out of memory above a linked root: give back the announced
         // reference and stop with a truncated (still valid) tower.
@@ -552,7 +532,7 @@ class FRSkipList {
   template <bool Closed>
   std::pair<Node*, Node*> search_to_level(const Key& k, int v) const {
     int curr_v = top_hint_.load(std::memory_order_relaxed) + 1;
-    if (curr_v > MaxLevel) curr_v = MaxLevel;
+    if (curr_v > kMaxLevel) curr_v = kMaxLevel;
     if (curr_v < v) curr_v = v;
     Node* curr = head_[curr_v];
     Node* next = nullptr;
@@ -638,12 +618,11 @@ class FRSkipList {
   }
 
   // Drop one reference on a tower; the thread that releases the last one
-  // retires the whole tower in a single step (see Node docs) — per node
-  // under the chained layout, one block under the flat layout.
+  // retires the whole tower's block in a single step (see Node docs).
   void release_tower_ref(Node* root) const {
     if (root->tower_alive.fetch_sub(1, std::memory_order_acq_rel) != 1)
       return;
-    Layout::retire_tower(reclaimer_, root);
+    reclaimer_.retire_with(root, &destroy_tower);
   }
 
   void help_flagged(Node* prev, Node* del) const {
@@ -757,6 +736,70 @@ class FRSkipList {
     }
   }
 
+  // ---- Tower blocks ------------------------------------------------------
+  //
+  // A tower is one pool block of planned_height node slots: the root at
+  // slot 0, level v at slot v-1. Upper nodes are constructed in their slot
+  // lazily as the build climbs, so a block may hold fewer nodes than slots;
+  // tower_top -> down -> ... -> root chains exactly the constructed ones.
+
+  static std::size_t tower_bytes(int height) {
+    return sizeof(Node) * static_cast<std::size_t>(height);
+  }
+
+  // Allocates the block and constructs the root in slot 0. If the root's
+  // construction throws (e.g. copying the key), the block goes back too.
+  static Node* make_root(const Key& k, T value, int planned_height) {
+    void* block = mem::pool_allocate(tower_bytes(planned_height));
+    Node* root;
+    try {
+      root = ::new (block) Node(Node::Kind::kInterior, 1, k, std::move(value),
+                                nullptr, nullptr);
+    } catch (...) {
+      mem::pool_deallocate(block, tower_bytes(planned_height));
+      throw;
+    }
+    root->planned_height = planned_height;
+    return root;
+  }
+
+  // Address of the level-`level` slot of root's block (levels are 1-based).
+  static void* upper_slot(Node* root, int level) {
+    return reinterpret_cast<char*>(root) +
+           sizeof(Node) * static_cast<std::size_t>(level - 1);
+  }
+
+  // The tower's one deleter: destroys every constructed node top-down
+  // (abandoned slots were already destroyed and dropped from the chain),
+  // then frees the block once.
+  static void destroy_tower(void* p) {
+    Node* root = static_cast<Node*>(p);
+    const std::size_t bytes = tower_bytes(root->planned_height);
+    Node* n = root->tower_top.load(std::memory_order_acquire);
+    while (n != nullptr) {
+      Node* below = n->down;
+      n->~Node();
+      n = below;
+    }
+    mem::pool_deallocate(p, bytes);
+  }
+
+  // Sentinels are one-slot blocks, so free_unpublished frees them too.
+  static Node* make_sentinel(typename Node::Kind kind, int level, Node* down) {
+    Node* n = ::new (mem::pool_allocate(tower_bytes(1)))
+        Node(kind, level, Key{}, T{}, down, nullptr);
+    n->planned_height = 1;
+    return n;
+  }
+
+  // A block nobody else can reach (an unpublished root, or a sentinel at
+  // destruction): destroy the node and free the block at once.
+  static void free_unpublished(Node* root) {
+    const std::size_t bytes = tower_bytes(root->planned_height);
+    root->~Node();
+    mem::pool_deallocate(root, bytes);
+  }
+
   static ValidationReport fail(ValidationReport& rep, const char* msg) {
     rep.ok = false;
     rep.error = msg;
@@ -765,13 +808,13 @@ class FRSkipList {
 
   Compare comp_;
   mutable Reclaimer reclaimer_;
-  std::array<Node*, MaxLevel + 1> head_{};  // head_[1..MaxLevel]; [0] unused
+  std::array<Node*, kMaxLevel + 1> head_{};  // head_[1..kMaxLevel]; [0] unused
   Node* tail_;
   std::atomic<int> top_hint_;
 
   static_assert(reclaim::reclaimer_for<Reclaimer, Node>);
-  // Tower retirement goes through the layout's type-erased deleter, so the
-  // reclaimer must support deleter-based retirement (epoch and leaky do).
+  // Tower retirement goes through destroy_tower, a type-erased deleter, so
+  // the reclaimer must support deleter-based retirement (epoch and leaky do).
   static_assert(reclaim::deferred_reclaimer<Reclaimer>);
 };
 

@@ -61,8 +61,6 @@ struct SharedPool {
   std::atomic<std::uint64_t> freed{0};
   std::atomic<std::uint64_t> segment_count{0};
   std::atomic<std::uint64_t> oversize{0};
-  std::atomic<std::uint64_t> heap_allocs{0};
-  std::atomic<std::uint64_t> heap_frees{0};
   std::atomic<std::uint64_t> adopted{0};
 };
 
@@ -312,23 +310,8 @@ PoolTotals pool_totals() {
   t.freed_blocks = s.freed.load(std::memory_order_relaxed);
   t.segments = s.segment_count.load(std::memory_order_relaxed);
   t.oversize = s.oversize.load(std::memory_order_relaxed);
-  t.heap_allocs = s.heap_allocs.load(std::memory_order_relaxed);
-  t.heap_frees = s.heap_frees.load(std::memory_order_relaxed);
   t.adopted_blocks = s.adopted.load(std::memory_order_relaxed);
   return t;
-}
-
-void* heap_allocate(std::size_t bytes) {
-  shared().heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (bytes == 0) bytes = 1;
-  return ::operator new(bytes, std::align_val_t{kGranule});
-}
-
-void heap_deallocate(void* p, std::size_t bytes) {
-  if (p == nullptr) return;
-  (void)bytes;
-  shared().heap_frees.fetch_add(1, std::memory_order_relaxed);
-  ::operator delete(p, std::align_val_t{kGranule});
 }
 
 }  // namespace lf::mem

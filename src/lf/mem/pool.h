@@ -66,8 +66,6 @@ struct PoolTotals {
   std::uint64_t freed_blocks = 0;    // pool_deallocate calls (pooled sizes)
   std::uint64_t segments = 0;        // 256 KiB segments from ::operator new
   std::uint64_t oversize = 0;        // requests > kMaxPooledBytes (global)
-  std::uint64_t heap_allocs = 0;     // HeapAlloc::allocate calls
-  std::uint64_t heap_frees = 0;      // HeapAlloc::deallocate calls
   std::uint64_t adopted_blocks = 0;  // blocks scavenged by pool_adopt_stalled
 
   // Global-allocator hits attributable to pooled allocation.
@@ -81,8 +79,6 @@ struct PoolTotals {
     out.freed_blocks = freed_blocks - rhs.freed_blocks;
     out.segments = segments - rhs.segments;
     out.oversize = oversize - rhs.oversize;
-    out.heap_allocs = heap_allocs - rhs.heap_allocs;
-    out.heap_frees = heap_frees - rhs.heap_frees;
     out.adopted_blocks = adopted_blocks - rhs.adopted_blocks;
     return out;
   }
@@ -105,29 +101,5 @@ PoolTotals pool_totals();
 // Returns the number of blocks scavenged (also surfaced as
 // PoolTotals::adopted_blocks).
 std::uint64_t pool_adopt_stalled(std::thread::id tid);
-
-// 64-byte-aligned global-allocator path with the same interface, so the
-// allocation policy is a template knob and benchmarks can compare like
-// with like (both policies line-isolate their blocks).
-void* heap_allocate(std::size_t bytes);
-void heap_deallocate(void* p, std::size_t bytes);
-
-// ---- Allocation policies (template parameters of the structures) -------
-
-struct PoolAlloc {
-  static constexpr const char* kName = "pool";
-  static void* allocate(std::size_t bytes) { return pool_allocate(bytes); }
-  static void deallocate(void* p, std::size_t bytes) {
-    pool_deallocate(p, bytes);
-  }
-};
-
-struct HeapAlloc {
-  static constexpr const char* kName = "heap";
-  static void* allocate(std::size_t bytes) { return heap_allocate(bytes); }
-  static void deallocate(void* p, std::size_t bytes) {
-    heap_deallocate(p, bytes);
-  }
-};
 
 }  // namespace lf::mem

@@ -105,9 +105,9 @@ class EpochDomain {
   }
 
   // Deleter-based retirement: `deleter(object)` runs after the grace
-  // period. This is the hook pooled/flat-tower layouts use to return
-  // blocks to their freelist only once no pinned reader can still hold a
-  // pointer into them (mem/tower.h) — the epoch-integrated recycle path.
+  // period. This is the hook FRSkipList's flat tower blocks use to return
+  // to the pool only once no pinned reader can still hold a pointer into
+  // them (FRSkipList::destroy_tower) — the epoch-integrated recycle path.
   // It is also how the two-stage epoch→hazard handoff (hazard.h Handoff)
   // composes with the quarantine: a quarantined record keeps its deleter,
   // so draining it still runs Handoff::pass and the hazard scan's final

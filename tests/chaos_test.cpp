@@ -14,9 +14,11 @@
 //     parked, and after the victim is released exact-count semantics and
 //     all invariants hold.
 //
-//   * ALLOCATION FAILURE — a pool allocation (node, tower root, tower
-//     upper level, or fresh segment) that throws must surface as a clean
-//     error with nothing half-linked and nothing leaked.
+//   * ALLOCATION FAILURE — a pool allocation (list node, tower block, or
+//     fresh segment) that throws must surface as a clean error with
+//     nothing half-linked and nothing leaked. (A tower's upper levels live
+//     in its block and allocate nothing; their failure path is covered by
+//     FRSkipListWhitebox.UpperKeyCopyFailureTruncatesTower.)
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,7 +35,6 @@
 #include "lf/harness/watchdog.h"
 #include "lf/instrument/counters.h"
 #include "lf/mem/pool.h"
-#include "lf/mem/tower.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/hazard.h"
 #include "lf/reclaim/leaky.h"
@@ -622,24 +623,6 @@ TEST_F(ChaosTest, SkipRootAllocFailureSurfacesCleanly) {
   EXPECT_TRUE(s.validate().ok);
   EXPECT_EQ(s.insert_checked(2, 2), Skip::InsertStatus::kInserted);
   EXPECT_EQ(s.size(), 2u);
-}
-
-TEST_F(ChaosTest, SkipUpperLevelAllocFailureTruncatesTower) {
-  // Chained towers allocate per level, so the 2nd pooled allocation after
-  // arming is the level-2 node of a height-3 tower: the root is already
-  // linked, so the insert SUCCEEDS with a truncated (height-1) tower.
-  using Skip = lf::FRSkipList<long, long, std::less<long>,
-                              lf::reclaim::EpochReclaimer, 24,
-                              lf::mem::PooledChainedTowers>;
-  Skip s;
-  chaos::arm_alloc_failure(2);
-  EXPECT_EQ(s.insert_with_height(5, 5, 3), Skip::InsertStatus::kInserted);
-  EXPECT_EQ(chaos::alloc_failures_injected(), 1u);
-  EXPECT_TRUE(s.contains(5));
-  EXPECT_TRUE(s.validate().ok);
-  EXPECT_TRUE(s.erase(5));  // the truncated tower deletes normally
-  EXPECT_TRUE(s.validate().ok);
-  EXPECT_EQ(s.size(), 0u);
 }
 
 TEST_F(ChaosTest, SegmentCarveFailureSurfacesAsBadAlloc) {

@@ -110,18 +110,6 @@ TEST(FRSkipListBasic, TopHintTracksTallTowers) {
   EXPECT_LE(s.top_level_hint(), IntSkip::kMaxTowerHeight);
 }
 
-TEST(FRSkipListBasic, SmallMaxLevelConfiguration) {
-  // MaxLevel = 2: towers are all height 1; the structure degrades to a
-  // linked list and must still be fully functional.
-  lf::FRSkipList<long, long, std::less<long>, lf::reclaim::EpochReclaimer, 2>
-      s;
-  for (long k = 0; k < 200; ++k) ASSERT_TRUE(s.insert(k, k));
-  for (long k = 0; k < 200; ++k) ASSERT_TRUE(s.contains(k));
-  for (long k = 0; k < 200; k += 2) ASSERT_TRUE(s.erase(k));
-  EXPECT_EQ(s.size(), 100u);
-  EXPECT_TRUE(s.validate().ok);
-}
-
 TEST(FRSkipListBasic, StringKeys) {
   lf::FRSkipList<std::string, int> s;
   EXPECT_TRUE(s.insert("mango", 1));

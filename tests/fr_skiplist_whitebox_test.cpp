@@ -1,32 +1,22 @@
 // White-box tests for FRSkipList: tower retirement accounting, per-level
 // structure after deletions, the three-step protocol at every level, and
-// the first() accessor the priority-queue adapter relies on.
-//
-// The whole suite is typed over the memory-layout policies (mem/tower.h):
-// the algorithm must behave identically whether towers are flat blocks or
-// pointer-chained nodes, pooled or heap-allocated.
+// the first() accessor the priority-queue adapter relies on, the flat
+// tower block's address arithmetic, and the exception paths of tower
+// construction.
 #include <gtest/gtest.h>
+
+#include <new>
 
 #include "lf/core/fr_skiplist.h"
 #include "lf/instrument/counters.h"
-#include "lf/mem/tower.h"
+#include "lf/mem/pool.h"
 #include "lf/reclaim/epoch.h"
 
 namespace {
 
-template <typename Layout>
-struct FRSkipListWhitebox : ::testing::Test {
-  using Skip = lf::FRSkipList<long, long, std::less<long>,
-                              lf::reclaim::EpochReclaimer, 24, Layout>;
-};
+using Skip = lf::FRSkipList<long, long>;
 
-using Layouts =
-    ::testing::Types<lf::mem::FlatTowers, lf::mem::FlatTowersHeap,
-                     lf::mem::PooledChainedTowers, lf::mem::ChainedTowers>;
-TYPED_TEST_SUITE(FRSkipListWhitebox, Layouts);
-
-TYPED_TEST(FRSkipListWhitebox, EraseRemovesKeyFromEveryLevel) {
-  using Skip = typename TestFixture::Skip;
+TEST(FRSkipListWhitebox, EraseRemovesKeyFromEveryLevel) {
   Skip s;
   for (long k = 0; k < 300; ++k) s.insert(k, k);
   ASSERT_TRUE(s.erase(150));
@@ -39,8 +29,7 @@ TYPED_TEST(FRSkipListWhitebox, EraseRemovesKeyFromEveryLevel) {
   }
 }
 
-TYPED_TEST(FRSkipListWhitebox, TowersAreRetiredWholeAndFreed) {
-  using Skip = typename TestFixture::Skip;
+TEST(FRSkipListWhitebox, TowersAreRetiredWholeAndFreed) {
   lf::reclaim::EpochDomain domain;
   {
     Skip s{lf::reclaim::EpochReclaimer(domain)};
@@ -49,8 +38,8 @@ TYPED_TEST(FRSkipListWhitebox, TowersAreRetiredWholeAndFreed) {
     for (long k = 0; k < 1000; ++k) ASSERT_TRUE(s.erase(k));
     domain.drain();
     const auto delta = lf::stats::aggregate() - before;
-    // Every tower must have been retired (as one block under the flat
-    // layout, node by node under the chained one) and, after drain, freed.
+    // Every tower must have been retired (as one block) and, after drain,
+    // freed.
     // retired == freed means no retirement leaked and none was doubled (a
     // double retire would crash in free).
     EXPECT_GE(delta.node_retired, 1000u);
@@ -59,8 +48,7 @@ TYPED_TEST(FRSkipListWhitebox, TowersAreRetiredWholeAndFreed) {
   }
 }
 
-TYPED_TEST(FRSkipListWhitebox, DeletionRunsThreeStepsPerLevel) {
-  using Skip = typename TestFixture::Skip;
+TEST(FRSkipListWhitebox, DeletionRunsThreeStepsPerLevel) {
   Skip s;
   // Insert until we get a tower of height >= 2 and capture its key.
   long tall_key = -1;
@@ -93,8 +81,7 @@ TYPED_TEST(FRSkipListWhitebox, DeletionRunsThreeStepsPerLevel) {
   EXPECT_EQ(delta.pdelete_cas, static_cast<std::uint64_t>(height));
 }
 
-TYPED_TEST(FRSkipListWhitebox, FirstReturnsSmallestRegularKey) {
-  using Skip = typename TestFixture::Skip;
+TEST(FRSkipListWhitebox, FirstReturnsSmallestRegularKey) {
   Skip s;
   EXPECT_FALSE(s.first().has_value());
   s.insert(50, 500);
@@ -111,8 +98,7 @@ TYPED_TEST(FRSkipListWhitebox, FirstReturnsSmallestRegularKey) {
   EXPECT_FALSE(s.first().has_value());
 }
 
-TYPED_TEST(FRSkipListWhitebox, ValidateCountsMatchCensus) {
-  using Skip = typename TestFixture::Skip;
+TEST(FRSkipListWhitebox, ValidateCountsMatchCensus) {
   Skip s;
   for (long k = 0; k < 5000; ++k) s.insert(k * 3, k);
   const auto rep = s.validate();
@@ -125,8 +111,7 @@ TYPED_TEST(FRSkipListWhitebox, ValidateCountsMatchCensus) {
   EXPECT_EQ(census.towers, 5000u);
 }
 
-TYPED_TEST(FRSkipListWhitebox, TopHintNeverExceedsTallestTower) {
-  using Skip = typename TestFixture::Skip;
+TEST(FRSkipListWhitebox, TopHintNeverExceedsTallestTower) {
   Skip s;
   for (long k = 0; k < 3000; ++k) s.insert(k, k);
   const auto census = s.census();
@@ -136,8 +121,7 @@ TYPED_TEST(FRSkipListWhitebox, TopHintNeverExceedsTallestTower) {
   EXPECT_GE(s.top_level_hint(), tallest);
 }
 
-TYPED_TEST(FRSkipListWhitebox, RangeQueriesVisitExactInterval) {
-  using Skip = typename TestFixture::Skip;
+TEST(FRSkipListWhitebox, RangeQueriesVisitExactInterval) {
   Skip s;
   for (long k = 0; k < 100; ++k) s.insert(k * 2, k);  // evens 0..198
   std::vector<long> seen;
@@ -155,8 +139,7 @@ TYPED_TEST(FRSkipListWhitebox, RangeQueriesVisitExactInterval) {
   EXPECT_EQ(s.count_range(0, 1000), 100u);  // everything
 }
 
-TYPED_TEST(FRSkipListWhitebox, RangeSkipsDeletedKeys) {
-  using Skip = typename TestFixture::Skip;
+TEST(FRSkipListWhitebox, RangeSkipsDeletedKeys) {
   Skip s;
   for (long k = 0; k < 50; ++k) s.insert(k, k);
   for (long k = 10; k < 20; ++k) s.erase(k);
@@ -166,8 +149,7 @@ TYPED_TEST(FRSkipListWhitebox, RangeSkipsDeletedKeys) {
   EXPECT_EQ(seen, (std::vector<long>{8, 9, 20, 21}));
 }
 
-TYPED_TEST(FRSkipListWhitebox, SearchHasNoSideEffectsOnCleanList) {
-  using Skip = typename TestFixture::Skip;
+TEST(FRSkipListWhitebox, SearchHasNoSideEffectsOnCleanList) {
   Skip s;
   for (long k = 0; k < 100; ++k) s.insert(k, k);
   const auto before = lf::stats::aggregate();
@@ -177,14 +159,10 @@ TYPED_TEST(FRSkipListWhitebox, SearchHasNoSideEffectsOnCleanList) {
   EXPECT_EQ(delta.help_flagged, 0u);
 }
 
-// The flat layout packs the tower into one block: verify the advertised
-// address arithmetic actually holds for linked towers (root at offset 0,
-// level v at offset (v-1)*sizeof(Node)) — the property the cache-locality
-// claims rest on.
+// Each tower is one block: verify the advertised address arithmetic
+// actually holds for linked towers (root at offset 0, level v at offset
+// (v-1)*sizeof(Node)) — the property the cache-locality claims rest on.
 TEST(FlatTowerLayout, UpperNodesLiveInsideTheRootBlock) {
-  using Skip = lf::FRSkipList<long, long, std::less<long>,
-                              lf::reclaim::EpochReclaimer, 24,
-                              lf::mem::FlatTowers>;
   Skip s;
   for (long k = 0; k < 500; ++k) s.insert(k, k);
   std::size_t towers_checked = 0;
@@ -194,7 +172,7 @@ TEST(FlatTowerLayout, UpperNodesLiveInsideTheRootBlock) {
       const auto* root = p->tower_root;
       const auto off = reinterpret_cast<const char*>(p) -
                        reinterpret_cast<const char*>(root);
-      EXPECT_EQ(off, static_cast<std::ptrdiff_t>(sizeof(typename Skip::Node)) *
+      EXPECT_EQ(off, static_cast<std::ptrdiff_t>(sizeof(Skip::Node)) *
                          (p->level - 1));
       EXPECT_LT(p->level, root->planned_height + 1);
       ++towers_checked;
@@ -206,6 +184,78 @@ TEST(FlatTowerLayout, UpperNodesLiveInsideTheRootBlock) {
        p->kind != Skip::Node::Kind::kTail; p = p->succ.load().right) {
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
   }
+}
+
+// A key whose copy constructor throws std::bad_alloc on the Nth copy after
+// arming — the way a std::string key fails when the heap is exhausted.
+// Moves never throw, so only the copies insert makes from `const Key&` into
+// tower nodes count.
+struct ThrowingKey {
+  static inline int copies_until_throw = 0;  // 0: disarmed
+
+  long v = 0;
+
+  ThrowingKey() = default;
+  ThrowingKey(long x) : v(x) {}  // NOLINT: implicit, for terse tests
+  ThrowingKey(const ThrowingKey& o) : v(o.v) {
+    if (copies_until_throw > 0 && --copies_until_throw == 0)
+      throw std::bad_alloc();
+  }
+  ThrowingKey(ThrowingKey&& o) noexcept : v(o.v) {}
+  ThrowingKey& operator=(const ThrowingKey&) = default;
+  ThrowingKey& operator=(ThrowingKey&&) noexcept = default;
+  bool operator<(const ThrowingKey& o) const { return v < o.v; }
+};
+
+using ThrowSkip = lf::FRSkipList<ThrowingKey, long>;
+
+// The root's key copy throws after its block was allocated: the insert
+// reports kNoMemory and the block goes back to the pool — every pool
+// request of the list's lifetime is matched by a free.
+TEST(FRSkipListWhitebox, RootKeyCopyFailureFreesTheBlock) {
+  lf::reclaim::EpochDomain domain;
+  const lf::mem::PoolTotals before = lf::mem::pool_totals();
+  {
+    ThrowSkip s{lf::reclaim::EpochReclaimer(domain)};
+    ASSERT_TRUE(s.insert(1, 1));
+    ThrowingKey::copies_until_throw = 1;  // the root's copy of the key
+    EXPECT_EQ(s.insert_checked(2, 2), ThrowSkip::InsertStatus::kNoMemory);
+    EXPECT_EQ(ThrowingKey::copies_until_throw, 0);  // it did throw
+    EXPECT_FALSE(s.contains(2));
+    EXPECT_TRUE(s.validate().ok);
+    EXPECT_EQ(s.insert_checked(2, 2), ThrowSkip::InsertStatus::kInserted);
+  }
+  domain.drain();
+  const lf::mem::PoolTotals delta = lf::mem::pool_totals() - before;
+  EXPECT_EQ(delta.requests, delta.freed_blocks);
+}
+
+// An upper node's key copy throws once the root is linked: the insert
+// still succeeds, with a tower truncated to the levels already built, and
+// the truncated tower deletes and reclaims normally.
+TEST(FRSkipListWhitebox, UpperKeyCopyFailureTruncatesTower) {
+  lf::reclaim::EpochDomain domain;
+  const auto before = lf::stats::aggregate();
+  {
+    ThrowSkip s{lf::reclaim::EpochReclaimer(domain)};
+    ThrowingKey::copies_until_throw = 2;  // root copies, level 2 throws
+    EXPECT_EQ(s.insert_with_height(5, 5, 3),
+              ThrowSkip::InsertStatus::kInserted);
+    EXPECT_EQ(ThrowingKey::copies_until_throw, 0);  // it did throw
+    EXPECT_TRUE(s.contains(5));
+    const auto census = s.census();
+    EXPECT_EQ(census.towers, 1u);
+    EXPECT_EQ(census.height_counts.at(1), 1u);
+    EXPECT_EQ(census.incomplete, 1u);
+    EXPECT_TRUE(s.validate().ok);
+    EXPECT_TRUE(s.erase(5));
+    EXPECT_TRUE(s.validate().ok);
+    EXPECT_EQ(s.size(), 0u);
+  }
+  domain.drain();
+  const auto delta = lf::stats::aggregate() - before;
+  EXPECT_GE(delta.node_retired, 1u);
+  EXPECT_EQ(delta.node_retired, delta.node_freed);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Node/tower reuse under the pooled allocators must be ABA-safe: a block
+// Node/tower reuse through the segment pool must be ABA-safe: a block
 // returns to a freelist only via the reclaimer's deferred deleter, i.e.
 // after the grace period, so no thread can carry a CAS expectation about a
 // node across its reuse. These tests churn a tiny key range from several
@@ -16,7 +16,6 @@
 #include "lf/core/fr_list.h"
 #include "lf/core/fr_skiplist.h"
 #include "lf/mem/pool.h"
-#include "lf/mem/tower.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/util/random.h"
 
@@ -30,13 +29,8 @@ using lf::mem::pool_totals;
 using lf::reclaim::EpochDomain;
 using lf::reclaim::EpochReclaimer;
 
-using FlatPooledSkipList =
-    lf::FRSkipList<long, long, std::less<long>, EpochReclaimer, 24,
-                   lf::mem::FlatTowers>;
-using ChainedPooledSkipList =
-    lf::FRSkipList<long, long, std::less<long>, EpochReclaimer, 24,
-                   lf::mem::PooledChainedTowers>;
-using PooledList = lf::FRList<long, long>;  // PoolAlloc is the default
+using FlatPooledSkipList = lf::FRSkipList<long, long>;
+using PooledList = lf::FRList<long, long>;
 
 // Multi-threaded churn on a small key range with an isolated epoch domain:
 // every block cycles allocate -> link -> unlink -> retire -> recycle many
@@ -91,10 +85,6 @@ void churn_and_validate() {
 
 TEST(PoolReuse, FlatSkipListChurn) {
   churn_and_validate<FlatPooledSkipList>();
-}
-
-TEST(PoolReuse, ChainedPooledSkipListChurn) {
-  churn_and_validate<ChainedPooledSkipList>();
 }
 
 TEST(PoolReuse, PooledListChurn) { churn_and_validate<PooledList>(); }

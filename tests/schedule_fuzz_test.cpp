@@ -25,7 +25,6 @@
 #include "lf/core/fr_list_rc.h"
 #include "lf/core/fr_skiplist.h"
 #include "lf/core/fr_skiplist_rc.h"
-#include "lf/mem/tower.h"
 #include "lf/util/random.h"
 
 namespace {
@@ -118,35 +117,12 @@ TEST(ScheduleFuzz, FRSkipListRCExactCountsAndAccountingUnderYields) {
   }
 }
 
-// All four memory-layout/allocator combinations from the cache-conscious
-// memory layer must survive schedule fuzzing identically: layout must not
-// change semantics, only placement.
-template <typename Layout>
-struct SkipListLayoutFuzz : ::testing::Test {};
-
-using AllLayouts =
-    ::testing::Types<lf::mem::ChainedTowers, lf::mem::PooledChainedTowers,
-                     lf::mem::FlatTowers, lf::mem::FlatTowersHeap>;
-
-class LayoutNames {
- public:
-  template <typename Layout>
-  static std::string GetName(int) {
-    // Layout::kName contains '/', which gtest forbids in test names.
-    std::string n = Layout::kName;
-    for (char& c : n)
-      if (c == '/') c = '_';
-    return n;
-  }
-};
-
-TYPED_TEST_SUITE(SkipListLayoutFuzz, AllLayouts, LayoutNames);
-
-TYPED_TEST(SkipListLayoutFuzz, ExactCountsUnderYields) {
+// Flat pooled towers recycle blocks through the epoch grace period while
+// the yields stretch every race window: counts stay exact and the
+// structure validates.
+TEST(SkipListLayoutFuzz, ExactCountsUnderYields) {
   for (std::uint64_t seed : {44u, 555u, 6666u}) {
-    lf::FRSkipList<long, long, std::less<long>, lf::reclaim::EpochReclaimer,
-                   24, TypeParam>
-        s;
+    lf::FRSkipList<long, long> s;
     std::atomic<long> net{0};
     fuzz_churn(s, seed, 6000, 64, net);
     EXPECT_EQ(s.size(), static_cast<std::size_t>(net.load()))
