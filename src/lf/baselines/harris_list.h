@@ -10,7 +10,9 @@
 // poor performance" (Section 3.1). Every such restart is counted in
 // stats::restart, and the paper's Ω(n̄·c̄) adversarial execution against
 // this list is reproduced by bench_adversarial (E1) through the same
-// two-phase insertion hooks FRList exposes.
+// two-phase insertion hooks FRList exposes. Its C&S sites (chaos kBase*)
+// let E12 force failures, so restart-based recovery can be compared against
+// FRList's backlink recovery under the same injected fault train.
 //
 // Reclamation: a node (or chain of marked nodes) is retired by the thread
 // whose C&S physically unlinked it. Safe under epoch reclamation; NOT safe
@@ -92,8 +94,8 @@ class HarrisList {
     for (;;) {
       node->succ.store_unsynchronized(View{right, false, false});
       const View result =
-          chaos_cas(chaos::Site::kBaseInsertCas, left->succ,
-                    View{right, false, false}, View{node, false, false});
+          chaos::cas(chaos::Site::kBaseInsertCas, left->succ,
+                     View{right, false, false}, View{node, false, false});
       if (result == View{right, false, false}) {
         stats::tls().insert_cas.inc();
         stats::tls().op_insert.inc();
@@ -121,7 +123,7 @@ class HarrisList {
         continue;
       }
       // Logical deletion: mark right.
-      const View result = chaos_cas(
+      const View result = chaos::cas(
           chaos::Site::kBaseMarkCas, right->succ,
           View{right_succ.right, false, false},
           View{right_succ.right, true, false});
@@ -133,9 +135,9 @@ class HarrisList {
       erased = true;
       // Physical deletion: try once; on failure let a search clean up.
       const View unlink =
-          chaos_cas(chaos::Site::kBaseUnlinkCas, left->succ,
-                    View{right, false, false},
-                    View{right_succ.right, false, false});
+          chaos::cas(chaos::Site::kBaseUnlinkCas, left->succ,
+                     View{right, false, false},
+                     View{right_succ.right, false, false});
       if (unlink == View{right, false, false}) {
         stats::tls().pdelete_cas.inc();
         reclaimer_.retire(right);
@@ -205,8 +207,8 @@ class HarrisList {
     for (;;) {
       cur.node->succ.store_unsynchronized(View{right, false, false});
       const View result =
-          chaos_cas(chaos::Site::kBaseInsertCas, left->succ,
-                    View{right, false, false}, View{cur.node, false, false});
+          chaos::cas(chaos::Site::kBaseInsertCas, left->succ,
+                     View{right, false, false}, View{cur.node, false, false});
       if (result == View{right, false, false}) {
         stats::tls().insert_cas.inc();
         inserted = true;
@@ -234,8 +236,8 @@ class HarrisList {
     auto& c = stats::tls();
     cur.node->succ.store_unsynchronized(View{cur.right, false, false});
     const View result =
-        chaos_cas(chaos::Site::kBaseInsertCas, cur.left->succ,
-                  View{cur.right, false, false}, View{cur.node, false, false});
+        chaos::cas(chaos::Site::kBaseInsertCas, cur.left->succ,
+                   View{cur.right, false, false}, View{cur.node, false, false});
     if (result == View{cur.right, false, false}) {
       c.insert_cas.inc();
       c.op_insert.inc();
@@ -258,21 +260,6 @@ class HarrisList {
   Node* head() const noexcept { return head_; }
 
  private:
-  // Chaos wrapper, as in FRList: E12 forces failures here so restart-based
-  // recovery can be compared against FRList's backlink recovery under the
-  // same injected fault train.
-  static View chaos_cas([[maybe_unused]] chaos::Site site, Succ& field,
-                        View expected, View desired) {
-#if LF_CHAOS
-    chaos::point(site);
-    if (chaos::force_cas_fail(site)) {
-      stats::tls().cas_attempt.inc();
-      return View{nullptr, true, false};
-    }
-#endif
-    return field.cas(expected, desired);
-  }
-
   bool node_lt(const Node* n, const Key& k) const {
     if (n->kind == Node::Kind::kHead) return true;
     if (n->kind == Node::Kind::kTail) return false;
@@ -316,8 +303,8 @@ class HarrisList {
         return {left, right};
       }
       // Phase 3: unlink the marked chain between left and right.
-      const View result = chaos_cas(chaos::Site::kBaseUnlinkCas, left->succ,
-                                    left_succ, View{right, false, false});
+      const View result = chaos::cas(chaos::Site::kBaseUnlinkCas, left->succ,
+                                     left_succ, View{right, false, false});
       if (result == left_succ) {
         c.pdelete_cas.inc();
         // The winner retires the whole unlinked chain.

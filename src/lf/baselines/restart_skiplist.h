@@ -9,7 +9,9 @@
 // the node's levels top-down and lets find() snip marked nodes; ANY C&S
 // failure during find() restarts the whole descent from the top of the
 // head tower (counted in stats::restart). No backlinks, no flags, no
-// recovery — the contrast for experiments E4/E7.
+// recovery — the contrast for experiments E4/E7. E12 forces failures at its
+// C&S sites (chaos kBase*) to measure restart-from-the-top recovery against
+// FRSkipList's backlink recovery.
 //
 // Reclamation: a node unlinked at level 0 can remain linked at upper
 // levels, so per-unlink retirement is unsound for ANY grace-period scheme.
@@ -35,9 +37,10 @@
 
 namespace lf {
 
-template <typename Key, typename T = Key, typename Compare = std::less<Key>,
-          int MaxLevel = 24>
+template <typename Key, typename T = Key, typename Compare = std::less<Key>>
 class RestartSkipList {
+  static constexpr int kMaxLevel = 24;
+
  public:
   using key_type = Key;
   using mapped_type = T;
@@ -50,7 +53,7 @@ class RestartSkipList {
   using View = sync::SuccView<Node>;
 
  public:
-  static constexpr int kMaxTowerHeight = MaxLevel;
+  static constexpr int kMaxTowerHeight = kMaxLevel;
 
   struct alignas(8) Node {
     enum class Kind : unsigned char { kHead, kInterior, kTail };
@@ -59,7 +62,7 @@ class RestartSkipList {
     int height;  // levels 0..height-1 in use
     Key key;
     T value;
-    Succ next[MaxLevel];
+    Succ next[kMaxLevel];
     Node* alloc_next = nullptr;  // allocation-registry link
 
     Node(Kind k, int h, Key key_arg, T value_arg)
@@ -70,9 +73,9 @@ class RestartSkipList {
   };
 
   RestartSkipList() {
-    head_ = new Node(Node::Kind::kHead, MaxLevel, Key{}, T{});
-    tail_ = new Node(Node::Kind::kTail, MaxLevel, Key{}, T{});
-    for (int lv = 0; lv < MaxLevel; ++lv)
+    head_ = new Node(Node::Kind::kHead, kMaxLevel, Key{}, T{});
+    tail_ = new Node(Node::Kind::kTail, kMaxLevel, Key{}, T{});
+    for (int lv = 0; lv < kMaxLevel; ++lv)
       head_->next[lv].store_unsynchronized(View{tail_, false, false});
   }
 
@@ -92,21 +95,21 @@ class RestartSkipList {
 
   bool insert(const Key& k, T value) {
     auto& c = stats::tls();
-    Node* preds[MaxLevel];
-    Node* succs[MaxLevel];
+    Node* preds[kMaxLevel];
+    Node* succs[kMaxLevel];
     if (find(k, preds, succs)) {
       stats::tls().op_insert.inc();
       return false;  // duplicate detected before allocating: zero allocs
     }
-    const int h = tls_rng().tower_height(MaxLevel);
+    const int h = tls_rng().tower_height(kMaxLevel);
     Node* node = new Node(Node::Kind::kInterior, h, k, std::move(value));
     for (;;) {
       for (int lv = 0; lv < h; ++lv)
         node->next[lv].store_unsynchronized(View{succs[lv], false, false});
       // Link level 0: the linearization point.
       const View res =
-          chaos_cas(chaos::Site::kBaseInsertCas, preds[0]->next[0],
-                    View{succs[0], false, false}, View{node, false, false});
+          chaos::cas(chaos::Site::kBaseInsertCas, preds[0]->next[0],
+                     View{succs[0], false, false}, View{node, false, false});
       if (res != View{succs[0], false, false}) {
         c.restart.inc();
         if (find(k, preds, succs)) {
@@ -132,8 +135,8 @@ class RestartSkipList {
             if (redirect != View{mine.right, false, false}) continue;
           }
           const View link =
-              chaos_cas(chaos::Site::kBaseInsertCas, preds[lv]->next[lv],
-                        View{succ, false, false}, View{node, false, false});
+              chaos::cas(chaos::Site::kBaseInsertCas, preds[lv]->next[lv],
+                         View{succ, false, false}, View{node, false, false});
           if (link == View{succ, false, false}) {
             c.insert_cas.inc();
             break;
@@ -150,8 +153,8 @@ class RestartSkipList {
 
   bool erase(const Key& k) {
     auto& c = stats::tls();
-    Node* preds[MaxLevel];
-    Node* succs[MaxLevel];
+    Node* preds[kMaxLevel];
+    Node* succs[kMaxLevel];
     bool erased = false;
     if (find(k, preds, succs)) {
       Node* victim = succs[0];
@@ -169,8 +172,8 @@ class RestartSkipList {
         const View v = victim->next[0].load();
         if (v.mark) break;  // a concurrent erase won
         const View res =
-            chaos_cas(chaos::Site::kBaseMarkCas, victim->next[0],
-                      View{v.right, false, false}, View{v.right, true, false});
+            chaos::cas(chaos::Site::kBaseMarkCas, victim->next[0],
+                       View{v.right, false, false}, View{v.right, true, false});
         if (res == View{v.right, false, false}) {
           c.mark_cas.inc();
           erased = true;
@@ -184,8 +187,8 @@ class RestartSkipList {
   }
 
   std::optional<T> find(const Key& k) const {
-    Node* preds[MaxLevel];
-    Node* succs[MaxLevel];
+    Node* preds[kMaxLevel];
+    Node* succs[kMaxLevel];
     std::optional<T> out;
     if (find(k, preds, succs)) out.emplace(succs[0]->value);
     stats::tls().op_search.inc();
@@ -198,7 +201,7 @@ class RestartSkipList {
     auto& c = stats::tls();
     Node* pred = head_;
     Node* curr = nullptr;
-    for (int lv = MaxLevel - 1; lv >= 0; --lv) {
+    for (int lv = kMaxLevel - 1; lv >= 0; --lv) {
       curr = pred->next[lv].load().right;
       for (;;) {
         View curr_succ = curr->next[lv].load();
@@ -230,20 +233,6 @@ class RestartSkipList {
   }
 
  private:
-  // Chaos wrapper, as in HarrisList: E12 forces failures here to measure
-  // restart-from-the-top recovery against FRSkipList's backlink recovery.
-  static View chaos_cas([[maybe_unused]] chaos::Site site, Succ& field,
-                        View expected, View desired) {
-#if LF_CHAOS
-    chaos::point(site);
-    if (chaos::force_cas_fail(site)) {
-      stats::tls().cas_attempt.inc();
-      return View{nullptr, true, false};
-    }
-#endif
-    return field.cas(expected, desired);
-  }
-
   bool node_lt(const Node* n, const Key& k) const {
     if (n->kind == Node::Kind::kHead) return true;
     if (n->kind == Node::Kind::kTail) return false;
@@ -277,15 +266,15 @@ class RestartSkipList {
     auto& c = stats::tls();
   retry:
     Node* pred = head_;
-    for (int lv = MaxLevel - 1; lv >= 0; --lv) {
+    for (int lv = kMaxLevel - 1; lv >= 0; --lv) {
       Node* curr = pred->next[lv].load().right;
       for (;;) {
         View curr_succ = curr->next[lv].load();
         while (curr_succ.mark) {
           const View res =
-              chaos_cas(chaos::Site::kBaseUnlinkCas, pred->next[lv],
-                        View{curr, false, false},
-                        View{curr_succ.right, false, false});
+              chaos::cas(chaos::Site::kBaseUnlinkCas, pred->next[lv],
+                         View{curr, false, false},
+                         View{curr_succ.right, false, false});
           if (res != View{curr, false, false}) {
             c.restart.inc();
             goto retry;

@@ -23,17 +23,18 @@
 
 namespace lf {
 
-template <typename Key, typename T = Key, typename Compare = std::less<Key>,
-          int MaxLevel = 24>
+template <typename Key, typename T = Key, typename Compare = std::less<Key>>
 class RWLockSkipList {
+  static constexpr int kMaxLevel = 24;
+
  public:
   using key_type = Key;
   using mapped_type = T;
   using key_compare = Compare;
 
   RWLockSkipList() {
-    head_ = new Node(MaxLevel, Key{}, T{});
-    for (int lv = 0; lv < MaxLevel; ++lv) head_->next[lv] = nullptr;
+    head_ = new Node(kMaxLevel, Key{}, T{});
+    for (int lv = 0; lv < kMaxLevel; ++lv) head_->next[lv] = nullptr;
   }
 
   ~RWLockSkipList() {
@@ -50,11 +51,11 @@ class RWLockSkipList {
 
   bool insert(const Key& k, T value) {
     std::unique_lock lock(mu_);
-    Node* preds[MaxLevel];
+    Node* preds[kMaxLevel];
     Node* curr = locate(k, preds);
     bool inserted = false;
     if (curr == nullptr || comp_(k, curr->key)) {
-      const int h = tls_rng().tower_height(MaxLevel);
+      const int h = tls_rng().tower_height(kMaxLevel);
       Node* node = new Node(h, k, std::move(value));
       for (int lv = 0; lv < h; ++lv) {
         node->next[lv] = next_of(preds[lv], lv);
@@ -70,7 +71,7 @@ class RWLockSkipList {
 
   bool erase(const Key& k) {
     std::unique_lock lock(mu_);
-    Node* preds[MaxLevel];
+    Node* preds[kMaxLevel];
     Node* curr = locate(k, preds);
     bool erased = false;
     if (curr != nullptr && !comp_(k, curr->key)) {
@@ -88,7 +89,7 @@ class RWLockSkipList {
 
   std::optional<T> find(const Key& k) const {
     std::shared_lock lock(mu_);
-    Node* preds[MaxLevel];
+    Node* preds[kMaxLevel];
     Node* curr = locate(k, preds);
     std::optional<T> out;
     if (curr != nullptr && !comp_(k, curr->key)) out.emplace(curr->value);
@@ -98,7 +99,7 @@ class RWLockSkipList {
 
   bool contains(const Key& k) const {
     std::shared_lock lock(mu_);
-    Node* preds[MaxLevel];
+    Node* preds[kMaxLevel];
     Node* curr = locate(k, preds);
     stats::tls().op_search.inc();
     return curr != nullptr && !comp_(k, curr->key);
@@ -121,7 +122,7 @@ class RWLockSkipList {
     int height;
     Key key;
     T value;
-    Node* next[MaxLevel];
+    Node* next[kMaxLevel];
 
     Node(int h, Key key_arg, T value_arg)
         : height(h), key(std::move(key_arg)), value(std::move(value_arg)) {}
@@ -151,7 +152,7 @@ class RWLockSkipList {
       }
       preds[lv] = pred;
     }
-    for (int lv = level_; lv < MaxLevel; ++lv) preds[lv] = head_;
+    for (int lv = level_; lv < kMaxLevel; ++lv) preds[lv] = head_;
     return preds[0]->next[0];
   }
 

@@ -11,7 +11,7 @@
 //
 // The layer is compile-time optional: configure with -DLF_CHAOS=ON to arm
 // it. When OFF (the default), LF_CHAOS_POINT(...) expands to `((void)0)`
-// and the CAS wrappers inline to the bare primitive, so production builds
+// and chaos::cas inlines to the bare primitive, so production builds
 // carry zero cost — bench_fault_recovery statically verifies the expansion.
 //
 // Fault modes (all seeded and reproducible):
@@ -45,6 +45,8 @@
 #if LF_CHAOS
 #include <chrono>
 #include <vector>
+
+#include "lf/instrument/counters.h"
 #endif
 
 namespace lf::chaos {
@@ -53,12 +55,15 @@ namespace lf::chaos {
 // *kind* of step, not per code line: the crash matrix iterates these.
 enum class Site : int {
   // FRList (core/fr_list.h)
-  kListSearchStep = 0,  // search_from: advance to the next node
-  kListInsertCas,       // insert_loop / insert_try_once: insertion C&S
+  // The C&S, backlink and helping sites fire inside fr::Core
+  // (core/fr_core.h), which FRList and FRSkipList share; each structure
+  // passes its own sites.
+  kListSearchStep = 0,  // search_right: advance to the next node
+  kListInsertCas,       // insert_step: insertion C&S
   kListFlagCas,         // try_flag: flagging C&S (deletion step 1)
   kListMarkCas,         // try_mark: marking C&S (deletion step 2)
   kListUnlinkCas,       // help_marked: physical-deletion C&S (step 3)
-  kListBacklinkStep,    // one hop along a backlink chain
+  kListBacklinkStep,    // walk_backlinks: one hop along a backlink chain
   kListHelpFlagged,     // help_flagged entry
   kListHelpMarked,      // help_marked entry
   kListFingerValidate,  // finger_start: cached hint qualified, about to be
@@ -193,6 +198,26 @@ bool should_fail_alloc(bool segment);  // pool: throw bad_alloc here?
 inline constexpr bool kCompiledIn = false;
 
 #endif  // LF_CHAOS
+
+// The C&S every protocol step of the lock-free structures goes through.
+// With chaos off it inlines to the bare field.cas. With chaos on, the site
+// becomes an injection point, and an armed forced failure returns a view
+// matching no caller's success or helping pattern (marked, no successor);
+// callers then re-read real state and take their recovery path (retry /
+// help / backlink walk) exactly as if a concurrent thread had won the C&S.
+template <typename Field>
+typename Field::View cas([[maybe_unused]] Site site, Field& field,
+                         typename Field::View expected,
+                         typename Field::View desired) {
+#if LF_CHAOS
+  point(site);
+  if (force_cas_fail(site)) {
+    stats::tls().cas_attempt.inc();  // a failed attempt is still a step
+    return typename Field::View{nullptr, true, false};
+  }
+#endif
+  return field.cas(expected, desired);
+}
 
 // ---- Yield injection for schedule-fuzz tests (both build modes) ---------
 //

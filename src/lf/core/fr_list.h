@@ -31,6 +31,10 @@
 // Processes help one another (HelpFlagged / HelpMarked) so that a stalled
 // deleter can never block anyone: the implementation is lock-free.
 //
+// The per-level steps of Figures 3-5 (HelpMarked, HelpFlagged, TryMark,
+// TryFlag, the Insert retry loop) live in fr_core.h, shared with FRSkipList;
+// this file keeps the list's SearchFrom and its finger layer.
+//
 // Linearization points (Section 3.3): successful insert at its successful
 // C&S; successful delete when the node becomes marked; searches at the
 // moment the SearchFrom postcondition (n1 unmarked and n1.right = n2) holds.
@@ -56,17 +60,15 @@
 // cost claims in its own units.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <functional>
 #include <new>
 #include <optional>
-#include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "lf/chaos/chaos.h"
+#include "lf/core/fr_core.h"
 #include "lf/instrument/counters.h"
 #include "lf/mem/pool.h"
 #include "lf/reclaim/epoch.h"
@@ -79,51 +81,83 @@
 
 namespace lf {
 
+namespace fr {
+
+// FRList's node (FRList::Node). Public so that white-box tests can inspect
+// structure; user code should treat nodes as opaque. The per-level steps
+// of fr_core.h run on it, as they run on every level of the skip list.
+template <typename Key, typename T>
+struct alignas(8) ListNode {
+  enum class Kind : unsigned char { kHead, kInterior, kTail };
+
+  Kind kind;
+  Key key;    // value-initialized for sentinels
+  T value;    // value-initialized for sentinels
+  sync::SuccField<ListNode> succ;
+  std::atomic<ListNode*> backlink{nullptr};
+
+  ListNode(Kind k, Key key_arg, T value_arg)
+      : kind(k), key(std::move(key_arg)), value(std::move(value_arg)) {}
+
+  // Route every `new Node` / `delete node` — including the reclaimer's
+  // deferred deletes — through the pool. The sized overload is all
+  // that's needed; the compiler always knows the node size here.
+  static void* operator new(std::size_t bytes) {
+    return mem::pool_allocate(bytes);
+  }
+  static void operator delete(void* p, std::size_t bytes) {
+    mem::pool_deallocate(p, bytes);
+  }
+};
+
+inline constexpr Sites kListSites{
+    .insert_cas = chaos::Site::kListInsertCas,
+    .flag_cas = chaos::Site::kListFlagCas,
+    .mark_cas = chaos::Site::kListMarkCas,
+    .unlink_cas = chaos::Site::kListUnlinkCas,
+    .backlink_step = chaos::Site::kListBacklinkStep,
+    .help_flagged = chaos::Site::kListHelpFlagged,
+    .help_marked = chaos::Site::kListHelpMarked,
+};
+
+}  // namespace fr
+
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
           typename Reclaimer = reclaim::EpochReclaimer>
-class FRList {
+class FRList
+    : private fr::Core<FRList<Key, T, Compare, Reclaimer>,
+                       fr::ListNode<Key, T>, Key, Compare, fr::kListSites> {
  public:
   using key_type = Key;
   using mapped_type = T;
   using key_compare = Compare;
-
-  struct Node;
+  using Node = fr::ListNode<Key, T>;
 
  private:
-  using Succ = sync::SuccField<Node>;
-  using View = sync::SuccView<Node>;
+  using Core = fr::Core<FRList, Node, Key, Compare, fr::kListSites>;
+  using View = typename Core::View;
+  using FlagStatus = typename Core::FlagStatus;
+  using InsertResult = typename Core::InsertResult;
+  friend Core;
+
+  using Core::comp_;
+  using Core::delete_node;
+  using Core::help_flagged;
+  using Core::help_marked;
+  using Core::insert_node;
+  using Core::insert_step;
+  using Core::node_eq;
+  using Core::node_le;
+  using Core::node_lt;
+  using Core::try_flag;
 
  public:
-  // Node layout. Public so that white-box tests and the skip list (which
-  // reuses these routines per level) can inspect structure; user code should
-  // treat nodes as opaque.
-  struct alignas(8) Node {
-    enum class Kind : unsigned char { kHead, kInterior, kTail };
-
-    Kind kind;
-    Key key;    // value-initialized for sentinels
-    T value;    // value-initialized for sentinels
-    Succ succ;
-    std::atomic<Node*> backlink{nullptr};
-
-    Node(Kind k, Key key_arg, T value_arg)
-        : kind(k), key(std::move(key_arg)), value(std::move(value_arg)) {}
-
-    // Route every `new Node` / `delete node` — including the reclaimer's
-    // deferred deletes — through the pool. The sized overload is all
-    // that's needed; the compiler always knows the node size here.
-    static void* operator new(std::size_t bytes) {
-      return mem::pool_allocate(bytes);
-    }
-    static void operator delete(void* p, std::size_t bytes) {
-      mem::pool_deallocate(p, bytes);
-    }
-  };
+  using typename Core::ValidationReport;
 
   FRList() : FRList(Compare{}, Reclaimer{}) {}
   explicit FRList(Reclaimer reclaimer) : FRList(Compare{}, std::move(reclaimer)) {}
   FRList(Compare comp, Reclaimer reclaimer)
-      : comp_(std::move(comp)), reclaimer_(std::move(reclaimer)) {
+      : Core(std::move(comp)), reclaimer_(std::move(reclaimer)) {
     head_ = new Node(Node::Kind::kHead, Key{}, T{});
     tail_ = new Node(Node::Kind::kTail, Key{}, T{});
     head_->succ.store_unsynchronized(View{tail_, false, false});
@@ -179,7 +213,7 @@ class FRList {
       stats::tls().op_insert.inc();
       return InsertStatus::kNoMemory;  // nothing linked, nothing leaked
     }
-    const bool inserted = insert_loop(node, prev, next);
+    const bool inserted = link_or_free(node, prev, next);
     stats::tls().op_insert.inc();
     return inserted ? InsertStatus::kInserted : InsertStatus::kDuplicate;
   }
@@ -190,12 +224,7 @@ class FRList {
     [[maybe_unused]] auto guard = reclaimer_.guard();
     // SearchFrom(k - eps): prev.key < k <= del.key, per Delete line 1.
     auto [prev, del] = search_entry<false>(k);
-    bool erased = false;
-    if (node_eq(del, k)) {
-      auto [flag_prev, result] = try_flag(prev, del);
-      if (flag_prev != nullptr) help_flagged(flag_prev, del);
-      erased = result;
-    }
+    const bool erased = node_eq(del, k) && delete_node(prev, del);
     stats::tls().op_erase.inc();
     return erased;
   }
@@ -225,12 +254,8 @@ class FRList {
   // is impossible to maintain cheaply on a lock-free list, so under
   // concurrency this is a point-in-traversal approximation.
   std::size_t size() const {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
     std::size_t n = 0;
-    for (Node* p = head_->succ.load().right; p->kind != Node::Kind::kTail;
-         p = p->succ.load().right) {
-      if (!p->succ.load().mark) ++n;
-    }
+    for_each([&](const Key&, const T&) { ++n; });
     return n;
   }
 
@@ -255,36 +280,11 @@ class FRList {
 
   // ---- Invariant validation (tests; requires quiescence) ---------------
 
-  struct ValidationReport {
-    bool ok = true;
-    std::size_t node_count = 0;
-    std::string error;
-  };
-
-  // Checks the paper's INV 1-5 as they manifest at a quiescent point: the
-  // list from head to tail is strictly sorted, and no linked node is marked
-  // or flagged (all deletions, once begun, complete before their operation
-  // returns, so quiescence implies no logically deleted nodes remain).
+  // The paper's INV 1-5 at a quiescent point (fr::Core::validate_level).
   ValidationReport validate() const {
     ValidationReport rep;
-    const Node* prev = head_;
-    View pv = prev->succ.load();
-    if (pv.mark || pv.flag) return fail(rep, "head marked or flagged");
-    const Node* curr = pv.right;
-    while (curr->kind != Node::Kind::kTail) {
-      const View cv = curr->succ.load();
-      if (cv.mark) return fail(rep, "linked node is marked at quiescence");
-      if (cv.flag) return fail(rep, "linked node is flagged at quiescence");
-      if (cv.mark && cv.flag) return fail(rep, "INV5 violated");
-      if (prev->kind == Node::Kind::kInterior &&
-          !comp_(prev->key, curr->key)) {
-        return fail(rep, "INV1 violated: keys not strictly sorted");
-      }
-      ++rep.node_count;
-      prev = curr;
-      curr = cv.right;
-      if (curr == nullptr) return fail(rep, "list does not reach tail");
-    }
+    this->validate_level(head_, rep,
+                         [](const Node*) -> const char* { return nullptr; });
     return rep;
   }
 
@@ -307,7 +307,7 @@ class FRList {
   // (Insert lines 1-4). Returns false (and allocates nothing) on duplicate.
   bool insert_locate(const Key& k, T value, InsertCursor& cur) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, next] = search_from<true>(k, head_);
+    auto [prev, next] = search_right<true>(k, head_);
     if (node_eq(prev, k)) return false;
     cur.key = k;
     cur.prev = prev;
@@ -320,7 +320,7 @@ class FRList {
   // backlinks when the located predecessor got marked in between.
   bool insert_complete(InsertCursor& cur) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    const bool inserted = insert_loop(cur.node, cur.prev, cur.next);
+    const bool inserted = link_or_free(cur.node, cur.prev, cur.next);
     stats::tls().op_insert.inc();
     cur.node = nullptr;
     return inserted;
@@ -334,43 +334,17 @@ class FRList {
 
   TryResult insert_try_once(InsertCursor& cur) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto& c = stats::tls();
-    Node* prev = cur.prev;
-    Node* next = cur.next;
-    const View prev_succ = prev->succ.load();
-    if (prev_succ.flag) {
-      help_flagged(prev, prev_succ.right);
-    } else {
-      cur.node->succ.store_unsynchronized(View{next, false, false});
-      const View result =
-          chaos_cas(chaos::Site::kListInsertCas, prev->succ,
-                    View{next, false, false}, View{cur.node, false, false});
-      if (result == View{next, false, false}) {
-        c.insert_cas.inc();
-        c.op_insert.inc();
-        cur.node = nullptr;
-        return TryResult::kInserted;
-      }
-      if (result.flag && !result.mark) help_flagged(prev, result.right);
-      std::uint64_t chain = 0;
-      while (prev->succ.load().mark) {
-        LF_CHAOS_POINT(kListBacklinkStep);
-        c.backlink_traversal.inc();
-        ++chain;
-        prev = prev->backlink.load(std::memory_order_acquire);
-      }
-      if (chain > 0) stats::chain_hist_tls().record(chain);
-    }
-    std::tie(prev, next) = search_from<true>(cur.key, prev);
-    if (node_eq(prev, cur.key)) {
-      delete cur.node;
+    sync::Backoff backoff;
+    if (insert_step(cur.node, cur.prev, cur.next, backoff)) {
       cur.node = nullptr;
-      c.op_insert.inc();
-      return TryResult::kDuplicate;
+      stats::tls().op_insert.inc();
+      return TryResult::kInserted;
     }
-    cur.prev = prev;
-    cur.next = next;
-    return TryResult::kRetry;
+    if (!node_eq(cur.prev, cur.key)) return TryResult::kRetry;
+    delete cur.node;  // never published; plain delete is safe
+    cur.node = nullptr;
+    stats::tls().op_insert.inc();
+    return TryResult::kDuplicate;
   }
 
   // ---- Stalled-deleter hooks (tests; Section 3.3 helping paths) --------
@@ -391,13 +365,14 @@ class FRList {
 
   bool erase_begin(const Key& k, StalledErase& out) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, del] = search_from<false>(k, head_);
+    auto [prev, del] = search_right<false>(k, head_);
     if (!node_eq(del, k)) return false;
-    auto [flag_prev, result] = try_flag(prev, del);
-    out.prev = flag_prev;
+    auto [flag_prev, status, won] = try_flag(prev, del);
+    const bool in = status == FlagStatus::kIn;
+    out.prev = in ? flag_prev : nullptr;
     out.del = del;
-    out.flagged = result;
-    return flag_prev != nullptr;
+    out.flagged = won;
+    return in;
   }
 
   // Completes the stalled deletion; returns whether the stalled operation
@@ -415,48 +390,6 @@ class FRList {
   Reclaimer& reclaimer() noexcept { return reclaimer_; }
 
  private:
-  // ---- Chaos instrumentation -------------------------------------------
-  //
-  // Every protocol C&S goes through this wrapper. With LF_CHAOS off it
-  // inlines to the bare primitive. With chaos on, the site becomes an
-  // injection point, and an armed forced failure returns a view matching
-  // no caller's success or helping pattern — callers then re-read real
-  // state and take their recovery path (retry / help / backlink walk)
-  // exactly as if a concurrent thread had won the C&S.
-  static View chaos_cas([[maybe_unused]] chaos::Site site, Succ& field,
-                        View expected, View desired) {
-#if LF_CHAOS
-    chaos::point(site);
-    if (chaos::force_cas_fail(site)) {
-      stats::tls().cas_attempt.inc();  // a failed attempt is still a step
-      return View{nullptr, true, false};
-    }
-#endif
-    return field.cas(expected, desired);
-  }
-
-  // ---- Key/sentinel ordering helpers -----------------------------------
-  // Sentinels hold no real keys; kHead compares below and kTail above
-  // every key, realizing the paper's -inf/+inf dummy keys for arbitrary
-  // key types.
-
-  bool node_lt(const Node* n, const Key& k) const {  // n.key < k
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-
-  bool node_le(const Node* n, const Key& k) const {  // n.key <= k
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return !comp_(k, n->key);
-  }
-
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
-  }
-
   // ---- Finger (search hint) layer — see sync/finger.h and DESIGN.md §10 --
   //
   // Each thread remembers, per list instance, a small set-associative cache
@@ -511,7 +444,7 @@ class FRList {
     const std::uint64_t token = FingerPol::token(reclaimer_);
     const auto [start, bracket] =
         finger_start<Closed>(k, cache.find(finger_id_), token);
-    auto out = search_from<Closed>(k, start != nullptr ? start : head_);
+    auto out = search_right<Closed>(k, start != nullptr ? start : head_);
     save_finger(cache.claim(finger_id_), token, out, bracket);
     return out;
   }
@@ -619,9 +552,9 @@ class FRList {
   // the call and n1.key <= k < n2.key (Closed = true), or
   // n1.key < k <= n2.key (Closed = false; the paper's SearchFrom(k - eps)).
   // Physically deletes the logically deleted nodes it encounters by helping
-  // (line 5).
+  // (line 5). Named search_right for the core, which restarts through it.
   template <bool Closed>
-  std::pair<Node*, Node*> search_from(const Key& k, Node* curr) const {
+  std::pair<Node*, Node*> search_right(const Key& k, Node* curr) const {
     auto& c = stats::tls();
     auto advances = [&](const Node* n) {
       return Closed ? node_le(n, k) : node_lt(n, k);
@@ -655,152 +588,19 @@ class FRList {
     return {curr, next};
   }
 
-  // ---- HELPMARKED (Figure 3) --------------------------------------------
-  //
-  // Physically deletes the marked node del (the successor of the flagged
-  // node prev) and removes prev's flag, in one C&S. The thread whose C&S
-  // performs the unlink owns retirement of del.
-  void help_marked(Node* prev, Node* del) const {
-    LF_CHAOS_POINT(kListHelpMarked);
-    stats::tls().help_marked.inc();
-    Node* next = del->succ.load().right;
-    const View result =
-        chaos_cas(chaos::Site::kListUnlinkCas, prev->succ,
-                  View{del, false, true}, View{next, false, false});
-    if (result == View{del, false, true}) {
-      stats::tls().pdelete_cas.inc();
-      reclaimer_.retire(del);
+  // The core's disposal hook: the unlinking thread retires del.
+  void on_unlinked(Node* del) const { reclaimer_.retire(del); }
+
+  // The Insert retry loop for a node allocated by this operation; a
+  // duplicate frees it (never published, so plain delete is safe).
+  bool link_or_free(Node* node, Node* prev, Node* next) {
+    if (insert_node(node, prev, next).second == InsertResult::kInserted) {
+      return true;
     }
+    delete node;
+    return false;
   }
 
-  // ---- HELPFLAGGED (Figure 4) -------------------------------------------
-  //
-  // prev is flagged and del is its successor: set del's backlink, mark del,
-  // then physically delete it. Callable by any thread (helping); all
-  // callers compute the same backlink value, so the store is idempotent.
-  void help_flagged(Node* prev, Node* del) const {
-    LF_CHAOS_POINT(kListHelpFlagged);
-    stats::tls().help_flagged.inc();
-    del->backlink.store(prev, std::memory_order_release);
-    if (!del->succ.load().mark) try_mark(del);
-    help_marked(prev, del);
-  }
-
-  // ---- TRYMARK (Figure 4) -----------------------------------------------
-  void try_mark(Node* del) const {
-    do {
-      Node* next = del->succ.load().right;
-      const View result =
-          chaos_cas(chaos::Site::kListMarkCas, del->succ,
-                    View{next, false, false}, View{next, true, false});
-      if (result == View{next, false, false}) {
-        stats::tls().mark_cas.inc();
-      } else if (result.flag && !result.mark) {
-        // Failure because del itself got flagged: a deletion of del's
-        // successor is underway; help it finish, then retry.
-        help_flagged(del, result.right);
-      }
-      // Failure because del.right changed: loop re-reads and retries.
-    } while (!del->succ.load().mark);
-  }
-
-  // ---- TRYFLAG (Figure 5) -------------------------------------------------
-  //
-  // Attempts to flag the predecessor of target. Returns (prev, true) when
-  // this call placed the flag; (prev, false) when another operation's flag
-  // is already in place (that operation will report success for the key);
-  // (nullptr, false) when target was deleted from the list.
-  std::pair<Node*, bool> try_flag(Node* prev, Node* target) const {
-    auto& c = stats::tls();
-    sync::Backoff backoff;
-    for (;;) {
-      if (prev->succ.load() == View{target, false, true}) {
-        return {prev, false};  // predecessor already flagged by someone else
-      }
-      const View result =
-          chaos_cas(chaos::Site::kListFlagCas, prev->succ,
-                    View{target, false, false}, View{target, false, true});
-      if (result == View{target, false, false}) {
-        c.flag_cas.inc();
-        return {prev, true};
-      }
-      if (result == View{target, false, true}) {
-        return {prev, false};  // lost the race to a concurrent flagger
-      }
-      // Lost a C&S to real contention: back off briefly before recovering,
-      // so retry storms on one hot predecessor drain instead of thrashing.
-      // Off the success path, so it adds no counted steps and no fast-path
-      // cost (sync/backoff.h).
-      backoff.pause();
-      // Possibly a failure due to marking: recover through the backlink
-      // chain to the nearest unmarked node (paper lines 9-10).
-      std::uint64_t chain = 0;
-      while (prev->succ.load().mark) {
-        LF_CHAOS_POINT(kListBacklinkStep);
-        c.backlink_traversal.inc();
-        ++chain;
-        prev = prev->backlink.load(std::memory_order_acquire);
-      }
-      if (chain > 0) stats::chain_hist_tls().record(chain);
-      // Relocate target's predecessor (paper line 11; k - eps semantics).
-      auto [new_prev, del] = search_from<false>(target->key, prev);
-      if (del != target) return {nullptr, false};  // target got deleted
-      prev = new_prev;
-    }
-  }
-
-  // ---- INSERT retry loop (Figure 5, lines 5-22) ---------------------------
-  //
-  // Attempts to link `node` between prev and next, recovering from flagging
-  // (help the deletion), marking (walk backlinks) and repositioning
-  // (SearchFrom) until the C&S lands or the key turns out to be a duplicate.
-  bool insert_loop(Node* node, Node* prev, Node* next) {
-    auto& c = stats::tls();
-    const Key& k = node->key;
-    sync::Backoff backoff;
-    for (;;) {
-      const View prev_succ = prev->succ.load();
-      if (prev_succ.flag) {
-        help_flagged(prev, prev_succ.right);
-      } else {
-        node->succ.store_unsynchronized(View{next, false, false});
-        const View result =
-            chaos_cas(chaos::Site::kListInsertCas, prev->succ,
-                      View{next, false, false}, View{node, false, false});
-        if (result == View{next, false, false}) {
-          c.insert_cas.inc();
-          return true;  // successful insertion (linearization point)
-        }
-        if (result.flag && !result.mark) {
-          help_flagged(prev, result.right);
-        }
-        // Failed insertion C&S under contention: back off before the
-        // recovery walk + re-search (no counted steps; see try_flag).
-        backoff.pause();
-        std::uint64_t chain = 0;
-        while (prev->succ.load().mark) {
-          LF_CHAOS_POINT(kListBacklinkStep);
-          c.backlink_traversal.inc();
-          ++chain;
-          prev = prev->backlink.load(std::memory_order_acquire);
-        }
-        if (chain > 0) stats::chain_hist_tls().record(chain);
-      }
-      std::tie(prev, next) = search_from<true>(k, prev);
-      if (node_eq(prev, k)) {
-        delete node;  // never published; plain delete is safe
-        return false;  // DUPLICATE_KEY
-      }
-    }
-  }
-
-  static ValidationReport fail(ValidationReport& rep, const char* msg) {
-    rep.ok = false;
-    rep.error = msg;
-    return rep;
-  }
-
-  Compare comp_;
   mutable Reclaimer reclaimer_;
   Node* head_;
   Node* tail_;

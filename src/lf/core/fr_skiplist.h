@@ -37,7 +37,8 @@
 //   * The detailed pseudocode for the skip-list routines lives in
 //     Fomitchev's thesis; these routines are reconstructed from the paper's
 //     prose (every step of Section 4) plus the linked-list routines of
-//     Figures 3-5 they are explicitly built from.
+//     Figures 3-5 they are explicitly built from, which live in fr_core.h
+//     and are the ones FRList runs.
 //
 // Memory layout: each tower is ONE contiguous 64-byte-aligned block from
 // the per-thread pool (mem/pool.h), with the root at slot 0 and level v at
@@ -57,7 +58,6 @@
 #include <map>
 #include <new>
 #include <optional>
-#include <string>
 #include <thread>
 #include <tuple>
 #include <unordered_map>
@@ -65,20 +65,95 @@
 #include <vector>
 
 #include "lf/chaos/chaos.h"
+#include "lf/core/fr_core.h"
 #include "lf/instrument/counters.h"
 #include "lf/mem/pool.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/reclaimer.h"
-#include "lf/sync/backoff.h"
 #include "lf/sync/succ_field.h"
 #include "lf/util/prefetch.h"
 #include "lf/util/random.h"
 
 namespace lf {
 
+namespace fr {
+
+// FRSkipList's node (FRSkipList::Node), one per tower level.
+//
+// Field order is cache-conscious: the members a search touches on every
+// hop (succ, key, tower_root, kind) are declared first so they pack into
+// the node's first cache line — for a root, also the first line of the
+// tower's block. Recovery (backlink) and root-only bookkeeping follow.
+// The pool hands out 64-byte-aligned blocks in whole lines, so adjacent
+// blocks never share a line (the false-sharing padding the head tower
+// needs comes from the allocator, not from inflating every node with
+// alignas(64)).
+template <typename Key, typename T>
+struct alignas(8) TowerNode {
+  enum class Kind : unsigned char { kHead, kInterior, kTail };
+
+  sync::SuccField<TowerNode> succ;
+  Key key;
+  TowerNode* tower_root;  // immutable; == this for root nodes
+  TowerNode* down;        // immutable after construction
+  Kind kind;
+  int level;           // 1-based; immutable
+  int planned_height;  // slots in this node's block (roots: the coin-flip
+                       // height; sentinels: 1); 0 for upper nodes
+  T value;  // meaningful in root nodes only
+  std::atomic<TowerNode*> backlink{nullptr};
+
+  // Tower-retirement bookkeeping, meaningful on ROOT nodes only.
+  //
+  // Per-node retirement at unlink time would be unsound here: a node
+  // unlinked at level v stays reachable through the `down` pointer of its
+  // still-linked level v+1 sibling, so a reader pinned AFTER the unlink
+  // could still dereference it. Instead the whole tower is retired in one
+  // step when its last linked node is unlinked: any reader that can reach
+  // any tower node (by list traversal, backlink, or down-descent) was
+  // necessarily pinned before that single retire point, so one grace
+  // period covers every node of the tower.
+  //
+  // tower_alive counts nodes that are linked or about to be linked (the
+  // inserter increments before attempting to link, and pre-publishes
+  // tower_top, so the count can only reach zero when no link attempt is
+  // in flight and every linked node has been unlinked). The unlinker or
+  // abandoner that drops it to zero retires the tower's block, whose
+  // deleter walks tower_top -> down -> ... -> root destroying each node.
+  std::atomic<int> tower_alive{1};
+  std::atomic<TowerNode*> tower_top{nullptr};
+
+  TowerNode(Kind k, int lvl, Key key_arg, T value_arg, TowerNode* down_arg,
+            TowerNode* root_arg)
+      : key(std::move(key_arg)),
+        tower_root(root_arg == nullptr ? this : root_arg),
+        down(down_arg),
+        kind(k),
+        level(lvl),
+        planned_height(0),
+        value(std::move(value_arg)) {
+    if (root_arg == nullptr) tower_top.store(this,
+                                             std::memory_order_relaxed);
+  }
+};
+
+inline constexpr Sites kSkipSites{
+    .insert_cas = chaos::Site::kSkipInsertCas,
+    .flag_cas = chaos::Site::kSkipFlagCas,
+    .mark_cas = chaos::Site::kSkipMarkCas,
+    .unlink_cas = chaos::Site::kSkipUnlinkCas,
+    .backlink_step = chaos::Site::kSkipBacklinkStep,
+    .help_flagged = chaos::Site::kSkipHelpFlagged,
+    .help_marked = chaos::Site::kSkipHelpMarked,
+};
+
+}  // namespace fr
+
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
           typename Reclaimer = reclaim::EpochReclaimer>
-class FRSkipList {
+class FRSkipList
+    : private fr::Core<FRSkipList<Key, T, Compare, Reclaimer>,
+                       fr::TowerNode<Key, T>, Key, Compare, fr::kSkipSites> {
   // Levels, counting level 1 (the list of every key).
   static constexpr int kMaxLevel = 24;
 
@@ -86,79 +161,36 @@ class FRSkipList {
   using key_type = Key;
   using mapped_type = T;
   using key_compare = Compare;
-
-  struct Node;
+  using Node = fr::TowerNode<Key, T>;
 
  private:
-  using Succ = sync::SuccField<Node>;
-  using View = sync::SuccView<Node>;
+  using Core = fr::Core<FRSkipList, Node, Key, Compare, fr::kSkipSites>;
+  using View = typename Core::View;
+  using FlagStatus = typename Core::FlagStatus;
+  using InsertResult = typename Core::InsertResult;
+  friend Core;
+
+  using Core::comp_;
+  using Core::delete_node;
+  using Core::help_flagged;
+  using Core::insert_node;
+  using Core::node_eq;
+  using Core::node_le;
+  using Core::node_lt;
+  using Core::try_flag;
 
  public:
+  using typename Core::ValidationReport;
+
   // Towers occupy levels 1..kMaxTowerHeight; the head reaches one level
   // higher so the top level is always an empty express lane.
   static constexpr int kMaxTowerHeight = kMaxLevel - 1;
-
-  // Field order is cache-conscious: the members a search touches on every
-  // hop (succ, key, tower_root, kind) are declared first so they pack into
-  // the node's first cache line — for a root, also the first line of the
-  // tower's block. Recovery (backlink) and root-only bookkeeping follow.
-  // The pool hands out 64-byte-aligned blocks in whole lines, so adjacent
-  // blocks never share a line (the false-sharing padding the head tower
-  // needs comes from the allocator, not from inflating every node with
-  // alignas(64)).
-  struct alignas(8) Node {
-    enum class Kind : unsigned char { kHead, kInterior, kTail };
-
-    Succ succ;
-    Key key;
-    Node* tower_root;  // immutable; == this for root nodes
-    Node* down;        // immutable after construction
-    Kind kind;
-    int level;           // 1-based; immutable
-    int planned_height;  // slots in this node's block (roots: the coin-flip
-                         // height; sentinels: 1); 0 for upper nodes
-    T value;  // meaningful in root nodes only
-    std::atomic<Node*> backlink{nullptr};
-
-    // Tower-retirement bookkeeping, meaningful on ROOT nodes only.
-    //
-    // Per-node retirement at unlink time would be unsound here: a node
-    // unlinked at level v stays reachable through the `down` pointer of its
-    // still-linked level v+1 sibling, so a reader pinned AFTER the unlink
-    // could still dereference it. Instead the whole tower is retired in one
-    // step when its last linked node is unlinked: any reader that can reach
-    // any tower node (by list traversal, backlink, or down-descent) was
-    // necessarily pinned before that single retire point, so one grace
-    // period covers every node of the tower.
-    //
-    // tower_alive counts nodes that are linked or about to be linked (the
-    // inserter increments before attempting to link, and pre-publishes
-    // tower_top, so the count can only reach zero when no link attempt is
-    // in flight and every linked node has been unlinked). The unlinker or
-    // abandoner that drops it to zero retires the tower's block, whose
-    // deleter walks tower_top -> down -> ... -> root destroying each node.
-    std::atomic<int> tower_alive{1};
-    std::atomic<Node*> tower_top{nullptr};
-
-    Node(Kind k, int lvl, Key key_arg, T value_arg, Node* down_arg,
-         Node* root_arg)
-        : key(std::move(key_arg)),
-          tower_root(root_arg == nullptr ? this : root_arg),
-          down(down_arg),
-          kind(k),
-          level(lvl),
-          planned_height(0),
-          value(std::move(value_arg)) {
-      if (root_arg == nullptr) tower_top.store(this,
-                                               std::memory_order_relaxed);
-    }
-  };
 
   FRSkipList() : FRSkipList(Compare{}, Reclaimer{}) {}
   explicit FRSkipList(Reclaimer reclaimer)
       : FRSkipList(Compare{}, std::move(reclaimer)) {}
   FRSkipList(Compare comp, Reclaimer reclaimer)
-      : comp_(std::move(comp)), reclaimer_(std::move(reclaimer)) {
+      : Core(std::move(comp)), reclaimer_(std::move(reclaimer)) {
     // Sentinels come from the pool too: every head level lands in its own
     // cache line (the pool hands out whole lines), so concurrent traffic
     // on adjacent head levels cannot false-share.
@@ -198,9 +230,7 @@ class FRSkipList {
   enum class InsertStatus { kInserted, kDuplicate, kNoMemory };
 
   bool insert(const Key& k, T value) {
-    return insert_impl(k, std::move(value),
-                       tls_rng().tower_height(kMaxTowerHeight)) ==
-           InsertStatus::kInserted;
+    return insert_checked(k, std::move(value)) == InsertStatus::kInserted;
   }
 
   InsertStatus insert_checked(const Key& k, T value) {
@@ -219,15 +249,10 @@ class FRSkipList {
     [[maybe_unused]] auto guard = reclaimer_.guard();
     // prev.key < k <= del.key on level 1.
     auto [prev, del] = search_to_level<false>(k, 1);
-    bool erased = false;
-    if (node_eq(del, k)) {
-      erased = delete_node(prev, del);
-      if (erased) {
-        // Delete_SL: re-search down to level 2 to physically delete the
-        // rest of the now-superfluous tower, top-down.
-        search_to_level<true>(k, 2);
-      }
-    }
+    const bool erased = node_eq(del, k) && delete_node(prev, del);
+    // Delete_SL: re-search down to level 2 to physically delete the rest of
+    // the now-superfluous tower, top-down.
+    if (erased) search_to_level<true>(k, 2);
     stats::tls().op_erase.inc();
     return erased;
   }
@@ -254,12 +279,8 @@ class FRSkipList {
 
   // Count of regular root nodes. O(n); approximate under concurrency.
   std::size_t size() const {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
     std::size_t n = 0;
-    for (Node* p = head_[1]->succ.load().right; p->kind != Node::Kind::kTail;
-         p = p->succ.load().right) {
-      if (!p->succ.load().mark) ++n;
-    }
+    for_each([&](const Key&, const T&) { ++n; });
     return n;
   }
 
@@ -321,49 +342,29 @@ class FRSkipList {
 
   // ---- Invariant validation & census (tests / E6; quiescent only) ------
 
-  struct ValidationReport {
-    bool ok = true;
-    std::size_t node_count = 0;  // across all levels
-    std::string error;
-  };
-
+  // The paper's INV 1-5 on every level (fr::Core::validate_level), plus the
+  // tower structure. node_count counts nodes across all levels.
   ValidationReport validate() const {
     ValidationReport rep;
-    std::size_t roots = 0;
     for (int v = 1; v <= kMaxLevel; ++v) {
-      const Node* prev = head_[v];
-      const Node* curr = prev->succ.load().right;
-      if (prev->succ.load().mark || prev->succ.load().flag)
-        return fail(rep, "head marked or flagged");
-      while (curr->kind != Node::Kind::kTail) {
-        const View cv = curr->succ.load();
-        if (cv.mark) return fail(rep, "linked node marked at quiescence");
-        if (cv.flag) return fail(rep, "linked node flagged at quiescence");
-        if (prev->kind == Node::Kind::kInterior &&
-            !comp_(prev->key, curr->key))
-          return fail(rep, "INV1 violated: keys not strictly sorted");
-        if (curr->level != v) return fail(rep, "node on wrong level");
+      auto tower_error = [&](const Node* n) -> const char* {
+        if (n->level != v) return "node on wrong level";
         if (v == 1) {
-          ++roots;
-          if (curr->tower_root != curr || curr->down != nullptr)
-            return fail(rep, "root node vertical structure broken");
-        } else {
-          if (curr->down == nullptr || curr->down->level != v - 1)
-            return fail(rep, "down pointer broken");
-          if (!keys_equal(curr->down->key, curr->key))
-            return fail(rep, "tower keys differ across levels");
-          if (curr->tower_root->succ.load().mark)
-            return fail(rep, "superfluous node linked at quiescence");
+          if (n->tower_root != n || n->down != nullptr)
+            return "root node vertical structure broken";
+          return nullptr;
         }
-        ++rep.node_count;
-        prev = curr;
-        curr = cv.right;
-        if (curr == nullptr) return fail(rep, "level does not reach tail");
-      }
+        if (n->down == nullptr || n->down->level != v - 1)
+          return "down pointer broken";
+        if (!node_eq(n->down, n->key)) return "tower keys differ across levels";
+        if (n->tower_root->succ.load().mark)
+          return "superfluous node linked at quiescence";
+        return nullptr;
+      };
+      if (!this->validate_level(head_[v], rep, tower_error)) break;
     }
     // Every upper node's tower_root must itself be linked at level 1; since
     // all linked roots are unmarked here, tower_root unmarked was checked.
-    (void)roots;
     return rep;
   }
 
@@ -402,8 +403,6 @@ class FRSkipList {
   Node* tail() const noexcept { return tail_; }
 
  private:
-  enum class InsertResult { kInserted, kDuplicate };
-
   // Insert_SL with an explicit tower height (public insert draws it from
   // the coin-flip rng; tests may pin it).
   InsertStatus insert_impl(const Key& k, T value, const int tower_height) {
@@ -475,41 +474,6 @@ class FRSkipList {
     return InsertStatus::kInserted;
   }
 
-  // ---- Chaos instrumentation -------------------------------------------
-  // Same contract as FRList::chaos_cas: zero-cost passthrough when chaos
-  // is off; when on, an armed forced failure returns a view matching no
-  // caller pattern so the caller re-reads real state and recovers.
-  static View chaos_cas([[maybe_unused]] chaos::Site site, Succ& field,
-                        View expected, View desired) {
-#if LF_CHAOS
-    chaos::point(site);
-    if (chaos::force_cas_fail(site)) {
-      stats::tls().cas_attempt.inc();  // a failed attempt is still a step
-      return View{nullptr, true, false};
-    }
-#endif
-    return field.cas(expected, desired);
-  }
-
-  // ---- ordering helpers (sentinels = -inf / +inf) -----------------------
-  bool node_lt(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-  bool node_le(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return !comp_(k, n->key);
-  }
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
-  }
-  bool keys_equal(const Key& a, const Key& b) const {
-    return !comp_(a, b) && !comp_(b, a);
-  }
-
   static Xoshiro256& tls_rng() {
     thread_local Xoshiro256 rng(
         0x9e3779b97f4a7c15ULL ^
@@ -567,12 +531,9 @@ class FRSkipList {
       // so the postcondition of either mode is preserved.
       while (next->kind == Node::Kind::kInterior && node_le(next, k) &&
              next->tower_root->succ.load().mark) {
-        auto [new_curr, status, flagged] = try_flag_node(curr, next);
+        auto [new_curr, status, won] = try_flag(curr, next);
         curr = new_curr;
-        if (status == FlagStatus::kIn) {
-          (void)flagged;
-          help_flagged(curr, next);
-        }
+        if (status == FlagStatus::kIn) help_flagged(curr, next);
         next = curr->succ.load().right;
         LF_PREFETCH(next);
         c.next_update.inc();
@@ -589,20 +550,9 @@ class FRSkipList {
     return {curr, next};
   }
 
-  // ---- level-local deletion machinery (Figures 3-5, per level) ----------
-
-  void help_marked(Node* prev, Node* del) const {
-    LF_CHAOS_POINT(kSkipHelpMarked);
-    stats::tls().help_marked.inc();
-    Node* next = del->succ.load().right;
-    const View result =
-        chaos_cas(chaos::Site::kSkipUnlinkCas, prev->succ,
-                  View{del, false, true}, View{next, false, false});
-    if (result == View{del, false, true}) {
-      stats::tls().pdelete_cas.inc();
-      release_tower_ref(del->tower_root);
-    }
-  }
+  // The core's disposal hook: unlinking a tower node drops one reference
+  // on its tower, which the last one retires (see Node docs).
+  void on_unlinked(Node* del) const { release_tower_ref(del->tower_root); }
 
   // Take a reference on a tower for an upcoming link attempt; fails (and
   // must abort the attempt) if the tower is already fully unlinked, since a
@@ -623,117 +573,6 @@ class FRSkipList {
     if (root->tower_alive.fetch_sub(1, std::memory_order_acq_rel) != 1)
       return;
     reclaimer_.retire_with(root, &destroy_tower);
-  }
-
-  void help_flagged(Node* prev, Node* del) const {
-    LF_CHAOS_POINT(kSkipHelpFlagged);
-    stats::tls().help_flagged.inc();
-    del->backlink.store(prev, std::memory_order_release);
-    if (!del->succ.load().mark) try_mark(del);
-    help_marked(prev, del);
-  }
-
-  void try_mark(Node* del) const {
-    do {
-      Node* next = del->succ.load().right;
-      const View result =
-          chaos_cas(chaos::Site::kSkipMarkCas, del->succ,
-                    View{next, false, false}, View{next, true, false});
-      if (result == View{next, false, false}) {
-        stats::tls().mark_cas.inc();
-      } else if (result.flag && !result.mark) {
-        help_flagged(del, result.right);
-      }
-    } while (!del->succ.load().mark);
-  }
-
-  enum class FlagStatus { kIn, kDeleted };
-
-  // TryFlagNode: flag target's predecessor on target's level. Returns the
-  // updated predecessor, whether target is still in the list, and whether
-  // THIS call placed the flag.
-  std::tuple<Node*, FlagStatus, bool> try_flag_node(Node* prev,
-                                                    Node* target) const {
-    auto& c = stats::tls();
-    sync::Backoff backoff;
-    for (;;) {
-      if (prev->succ.load() == View{target, false, true}) {
-        return {prev, FlagStatus::kIn, false};
-      }
-      const View result =
-          chaos_cas(chaos::Site::kSkipFlagCas, prev->succ,
-                    View{target, false, false}, View{target, false, true});
-      if (result == View{target, false, false}) {
-        c.flag_cas.inc();
-        return {prev, FlagStatus::kIn, true};
-      }
-      if (result == View{target, false, true}) {
-        return {prev, FlagStatus::kIn, false};
-      }
-      // Lost a C&S to real contention: back off briefly before recovering
-      // (failure path only — no counted steps, no fast-path cost).
-      backoff.pause();
-      std::uint64_t chain = 0;
-      while (prev->succ.load().mark) {
-        LF_CHAOS_POINT(kSkipBacklinkStep);
-        c.backlink_traversal.inc();
-        ++chain;
-        prev = prev->backlink.load(std::memory_order_acquire);
-      }
-      if (chain > 0) stats::chain_hist_tls().record(chain);
-      auto [new_prev, del] = search_right<false>(target->key, prev);
-      if (del != target) return {new_prev, FlagStatus::kDeleted, false};
-      prev = new_prev;
-    }
-  }
-
-  // DeleteNode: the three-step deletion of one node on its level. Returns
-  // true iff this operation's flag initiated the deletion (the caller may
-  // then report success for the dictionary-level Delete).
-  bool delete_node(Node* prev, Node* del) const {
-    auto [flag_prev, status, flagged] = try_flag_node(prev, del);
-    if (status == FlagStatus::kIn) help_flagged(flag_prev, del);
-    return flagged;
-  }
-
-  // InsertNode: the Insert retry loop (Figure 5 lines 5-22) on one level.
-  std::pair<Node*, InsertResult> insert_node(Node* node, Node* prev,
-                                             Node* next) const {
-    auto& c = stats::tls();
-    const Key& k = node->key;
-    if (node_eq(prev, k)) return {prev, InsertResult::kDuplicate};
-    sync::Backoff backoff;
-    for (;;) {
-      const View prev_succ = prev->succ.load();
-      if (prev_succ.flag) {
-        help_flagged(prev, prev_succ.right);
-      } else {
-        node->succ.store_unsynchronized(View{next, false, false});
-        const View result =
-            chaos_cas(chaos::Site::kSkipInsertCas, prev->succ,
-                      View{next, false, false}, View{node, false, false});
-        if (result == View{next, false, false}) {
-          c.insert_cas.inc();
-          return {prev, InsertResult::kInserted};
-        }
-        if (result.flag && !result.mark) {
-          help_flagged(prev, result.right);
-        }
-        // Failed insertion C&S under contention: back off before the
-        // recovery walk + re-search (failure path only; see try_flag_node).
-        backoff.pause();
-        std::uint64_t chain = 0;
-        while (prev->succ.load().mark) {
-          LF_CHAOS_POINT(kSkipBacklinkStep);
-          c.backlink_traversal.inc();
-          ++chain;
-          prev = prev->backlink.load(std::memory_order_acquire);
-        }
-        if (chain > 0) stats::chain_hist_tls().record(chain);
-      }
-      std::tie(prev, next) = search_right<true>(k, prev);
-      if (node_eq(prev, k)) return {prev, InsertResult::kDuplicate};
-    }
   }
 
   // ---- Tower blocks ------------------------------------------------------
@@ -800,13 +639,6 @@ class FRSkipList {
     mem::pool_deallocate(root, bytes);
   }
 
-  static ValidationReport fail(ValidationReport& rep, const char* msg) {
-    rep.ok = false;
-    rep.error = msg;
-    return rep;
-  }
-
-  Compare comp_;
   mutable Reclaimer reclaimer_;
   std::array<Node*, kMaxLevel + 1> head_{};  // head_[1..kMaxLevel]; [0] unused
   Node* tail_;

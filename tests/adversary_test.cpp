@@ -81,6 +81,22 @@ TEST(Adversary, FRRecoveryCostIsSizeIndependent) {
   EXPECT_LT(large, small * 3 + 2);  // flat, not ~16x like a linear cost
 }
 
+TEST(Adversary, FRRecoveryCostIsExactlyTwoStepsPerFailedCas) {
+  // Each interference costs the inserter its failed C&S plus one backlink
+  // hop to the new last node, whose successor is the tail, so the
+  // re-search advances nowhere: exactly two essential steps, at any size
+  // and any number of inserters.
+  for (const int q : {2, 4}) {
+    for (const std::uint64_t n : {64u, 1024u}) {
+      FR list;
+      const auto res =
+          lf::workload::run_adversarial_schedule(list, q, n, n / 2);
+      EXPECT_EQ(res.recovery_steps_per_failed_cas(), 2.0)
+          << "q=" << q << " n=" << n;
+    }
+  }
+}
+
 TEST(Adversary, HarrisRecoveryCostGrowsWithSize) {
   auto steps_per_failure = [](std::uint64_t n) {
     Harris list;

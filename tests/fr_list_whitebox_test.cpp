@@ -3,6 +3,11 @@
 // the paper's design that the black-box API cannot observe.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <string>
+#include <type_traits>
+
 #include "lf/core/fr_list.h"
 #include "lf/instrument/counters.h"
 #include "lf/reclaim/leaky.h"
@@ -133,6 +138,32 @@ TEST(FRListWhitebox, InsertCountsOneCas) {
   EXPECT_EQ(delta.insert_cas, 1u);
   EXPECT_EQ(delta.cas_success, 1u);
   EXPECT_EQ(delta.cas_failures(), 0u);
+}
+
+// Stores node's successor word with both tag bits set. pack() asserts INV5,
+// so store_unsynchronized cannot write it in a Debug build; SuccField is
+// standard-layout with the atomic word as its only data member, so the two
+// are pointer-interconvertible and the word can be written directly.
+void store_marked_and_flagged(Node* node) {
+  using Field = lf::sync::SuccField<Node>;
+  static_assert(std::is_standard_layout_v<Field>);
+  auto& word = *reinterpret_cast<std::atomic<std::uintptr_t>*>(&node->succ);
+  word.store(reinterpret_cast<std::uintptr_t>(node->succ.load().right) |
+             Field::kMarkBit | Field::kFlagBit);
+}
+
+TEST(FRListWhitebox, ValidateReportsInv5) {
+  LeakyList list;
+  for (long k = 1; k <= 3; ++k) list.insert(k, k);
+  Node* n2 = list.head()->succ.load().right->succ.load().right;
+  ASSERT_EQ(n2->key, 2);
+  const View saved = n2->succ.load();
+  store_marked_and_flagged(n2);
+  const auto rep = list.validate();
+  EXPECT_FALSE(rep.ok);
+  EXPECT_NE(rep.error.find("INV5"), std::string::npos) << rep.error;
+  n2->succ.store_unsynchronized(saved);
+  EXPECT_TRUE(list.validate().ok);
 }
 
 // ---- backlink recovery (the paper's key mechanism) ----------------------

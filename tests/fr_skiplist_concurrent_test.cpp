@@ -171,6 +171,40 @@ TEST(FRSkipListConcurrent, MixedChurnKeepsInvariants) {
   EXPECT_EQ(census.towers, s.size());
 }
 
+// The core's step accounting under real parallelism: a deletion is one
+// flag, one mark and one unlink C&S, and every node still linked was
+// linked by one insertion C&S, so at quiescence the counters balance
+// against the nodes validate() finds (on every level, tower nodes
+// included).
+TEST(FRSkipListConcurrent, ParallelChurnBalancesStepCounters) {
+  IntSkip s;
+  const auto before = lf::stats::aggregate();
+  std::barrier start(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      lf::Xoshiro256 rng(1700 + t);
+      start.arrive_and_wait();
+      for (int i = 0; i < 20000; ++i) {
+        const long k = static_cast<long>(rng.below(256));
+        if (rng.below(2) == 0) {
+          s.insert(k, k);
+        } else {
+          s.erase(k);
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  const auto delta = lf::stats::aggregate() - before;
+  const auto rep = s.validate();
+  ASSERT_TRUE(rep.ok) << rep.error;
+  EXPECT_GT(delta.pdelete_cas, 0u);
+  EXPECT_EQ(delta.flag_cas, delta.mark_cas);
+  EXPECT_EQ(delta.mark_cas, delta.pdelete_cas);
+  EXPECT_EQ(delta.insert_cas - delta.pdelete_cas, rep.node_count);
+}
+
 TEST(FRSkipListConcurrent, EpochReclamationFreesTowers) {
   lf::reclaim::EpochDomain domain;
   {

@@ -5,7 +5,11 @@
 // construction.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <new>
+#include <string>
+#include <type_traits>
 
 #include "lf/core/fr_skiplist.h"
 #include "lf/instrument/counters.h"
@@ -109,6 +113,33 @@ TEST(FRSkipListWhitebox, ValidateCountsMatchCensus) {
     nodes_from_census += static_cast<std::size_t>(h) * cnt;
   EXPECT_EQ(rep.node_count, nodes_from_census);
   EXPECT_EQ(census.towers, 5000u);
+}
+
+// Stores node's successor word with both tag bits set. pack() asserts INV5,
+// so store_unsynchronized cannot write it in a Debug build; SuccField is
+// standard-layout with the atomic word as its only data member, so the two
+// are pointer-interconvertible and the word can be written directly.
+void store_marked_and_flagged(Skip::Node* node) {
+  using Field = lf::sync::SuccField<Skip::Node>;
+  static_assert(std::is_standard_layout_v<Field>);
+  auto& word = *reinterpret_cast<std::atomic<std::uintptr_t>*>(&node->succ);
+  word.store(reinterpret_cast<std::uintptr_t>(node->succ.load().right) |
+             Field::kMarkBit | Field::kFlagBit);
+}
+
+TEST(FRSkipListWhitebox, ValidateReportsInv5) {
+  Skip s;
+  for (long k = 1; k <= 3; ++k) s.insert_with_height(k, k, 2);
+  Skip::Node* upper = s.head(2)->succ.load().right->succ.load().right;
+  ASSERT_EQ(upper->key, 2);
+  ASSERT_EQ(upper->level, 2);
+  const auto saved = upper->succ.load();
+  store_marked_and_flagged(upper);
+  const auto rep = s.validate();
+  EXPECT_FALSE(rep.ok);
+  EXPECT_NE(rep.error.find("INV5"), std::string::npos) << rep.error;
+  upper->succ.store_unsynchronized(saved);
+  EXPECT_TRUE(s.validate().ok);
 }
 
 TEST(FRSkipListWhitebox, TopHintNeverExceedsTallestTower) {
