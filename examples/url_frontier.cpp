@@ -81,15 +81,22 @@ int main() {
   UrlFrontier frontier;
   std::atomic<std::uint64_t> fetched{0};
   std::atomic<std::uint64_t> discovered{0};
+  // URLs added and not yet fully fetched (queued, or held by a fetcher
+  // that has not added its outlinks yet). Zero means the frontier is empty
+  // and no fetcher can refill it: the crawl is over.
+  std::atomic<std::uint64_t> pending{0};
   std::atomic<bool> stop{false};
 
   // Seed crawl.
   for (int i = 0; i < 100; ++i)
     frontier.add(0, "https://seed.example/" + std::to_string(i));
   discovered += 100;
+  pending += 100;
 
   // Fetchers: take the most urgent URL; fetching it "discovers" outlinks
-  // at lower urgency (a classic BFS-ish frontier).
+  // at lower urgency (a classic BFS-ish frontier). A fetch discovers one
+  // outlink on average, so the frontier often dies out before the fetch
+  // cap; `pending` reaching zero then stops the fetchers.
   std::vector<std::thread> fetchers;
   for (int t = 0; t < 4; ++t) {
     fetchers.emplace_back([&, t] {
@@ -97,17 +104,22 @@ int main() {
       while (!stop.load(std::memory_order_acquire)) {
         auto url = frontier.take();
         if (!url.has_value()) {
+          if (pending.load() == 0) break;
           std::this_thread::yield();
           continue;
         }
         const auto n = fetched.fetch_add(1, std::memory_order_relaxed);
-        // "Parse": discover 0-2 outlinks with priority 1-3.
+        // "Parse": discover 0-2 outlinks with priority 1-3. Each is counted
+        // pending before it is added, and this URL stops being pending only
+        // after, so `pending` never reads zero while work remains.
         const auto outlinks = rng.below(3);
         for (std::uint64_t i = 0; i < outlinks; ++i) {
+          pending.fetch_add(1);
           frontier.add(static_cast<int>(1 + rng.below(3)),
                        *url + "/child" + std::to_string(i));
           discovered.fetch_add(1, std::memory_order_relaxed);
         }
+        pending.fetch_sub(1);
         if (n >= 5'000) stop.store(true, std::memory_order_release);
       }
     });

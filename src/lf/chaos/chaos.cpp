@@ -27,7 +27,7 @@ constexpr const char* kSiteNames[kSiteCount] = {
     "list/search_step",  "list/insert_cas",  "list/flag_cas",
     "list/mark_cas",     "list/unlink_cas",  "list/backlink_step",
     "list/help_flagged", "list/help_marked", "list/finger_validate",
-    "list/finger_fallback", "list/finger_publish", "list/finger_replace",
+    "list/finger_fallback", "list/finger_replace",
     "skip/search_step",
     "skip/insert_cas",   "skip/flag_cas",    "skip/mark_cas",
     "skip/unlink_cas",   "skip/backlink_step", "skip/help_flagged",
@@ -37,7 +37,7 @@ constexpr const char* kSiteNames[kSiteCount] = {
     "base/mark_cas",     "base/unlink_cas",  "epoch/pin",
     "epoch/retire",      "epoch/advance",    "epoch/eject",
     "epoch/eject_ack",   "hazard/retire",
-    "hazard/scan",       "hazard/finger_reacquire", "hazard/finger_hop",
+    "hazard/scan",
     "pool/alloc",        "pool/segment",
     "pool/free",         "test/op_boundary",
 };

@@ -64,13 +64,13 @@ enum class Site : int {
   kListMarkCas,         // try_mark: marking C&S (deletion step 2)
   kListUnlinkCas,       // help_marked: physical-deletion C&S (step 3)
   kListBacklinkStep,    // walk_backlinks: one hop along a backlink chain
+                        // (C&S recovery and finger recovery alike)
   kListHelpFlagged,     // help_flagged entry
   kListHelpMarked,      // help_marked entry
   kListFingerValidate,  // finger_start: cached hint qualified, about to be
                         // recovered/used (thread holds a validated finger)
   kListFingerFallback,  // finger_start: no usable hint, search starts at head
-  kListFingerPublish,   // save_finger: about to publish the way set
-  kListFingerReplace,   // save_finger: LFU-aging replacement picking a
+  kListFingerReplace,   // search_entry: LFU-aging replacement picking a
                         // victim way (no in-place refresh matched)
   // FRSkipList (core/fr_skiplist.h)
   kSkipSearchStep,
@@ -102,10 +102,6 @@ enum class Site : int {
                   // re-pin (entry, before the registry lock)
   kHazardRetire,  // HazardDomain::retire_erased
   kHazardScan,    // HazardDomain::scan_record entry
-  kHazardFingerReacquire,  // HazardDomain::reacquire_finger entry (reuse of
-                           // a retained finger, before the slot-match check)
-  kHazardFingerHop,        // finger recovery walk: before publishing one
-                           // backlink hop into the hop slot
   // Segment pool (mem/pool.*)
   kPoolAlloc,    // pool_allocate entry
   kPoolSegment,  // segment carve from the global allocator

@@ -168,14 +168,6 @@ class FRList
   // concurrent container's destructor. Frees all nodes still linked;
   // physically deleted nodes were already handed to the reclaimer.
   ~FRList() {
-    if constexpr (FingerPol::kPublishes) {
-      // Other threads' retained hazard slots may still point into this
-      // list, and a concurrent scan would WALK them (dereferencing nodes
-      // we are about to free directly). Null every slot carrying this
-      // instance's tag first; the call excludes in-flight chain walks, so
-      // afterwards no scanner can touch our nodes.
-      reclaimer_.finger_invalidate(finger_id_);
-    }
     Node* n = head_;
     while (n != nullptr) {
       Node* next = n->succ.load().right;
@@ -393,51 +385,34 @@ class FRList
   // ---- Finger (search hint) layer — see sync/finger.h and DESIGN.md §10 --
   //
   // Each thread remembers, per list instance, a small set-associative cache
-  // of recent search results: kWays ways, each holding the n1 node a search
-  // returned together with the bracket of keys it serves ([n1.key,
-  // n2.key]) and the reclaimer's validity token. The next top-level search
-  // probes for the way whose bracket contains the new key — a hot-set
-  // repeat lands in its own way even when the hot keys are positionally
-  // scattered — falling back to the way with the closest key still left of
-  // k (any unmarked node with key < k is a valid start), and to the head
-  // when no way validates. A finger that was marked in the meantime is
-  // recovered through its backlink chain — the exact recovery a failed C&S
-  // performs. Replacement is least-frequently-hit with aging
-  // (sync::finger_victim_pick); a bracket hit refreshes its own way in
-  // place and bumps its frequency counter. The cache itself is the shared
-  // sync::FingerCache; this class adds the token filter, the hazard
-  // publish protocol and its own backlink recovery. Only the public entry
-  // points use fingers; the two-phase adversary hooks (insert_locate /
-  // insert_try_once / erase_begin) keep their head starts so the paper's
-  // lower-bound schedules stay reproducible.
-  //
-  // Publishing policies (FingerPol::kPublishes — hazard pointers) replace
-  // the token proof with publish-then-revalidate: the save additionally
-  // publishes every way into the thread's retained hazard slots (way i in
-  // entry i; the refreshed way republishes a provably live node, the others
-  // are kept only if still continuously protected), reuse re-acquires the
-  // probed way by slot match before the first dereference, and every
-  // backlink hop of a recovery walk is published into the hop slot before
-  // it is followed (reclaim/hazard.h, DESIGN.md §10).
+  // of recent search results: sync::kFingerCacheWays ways, each holding the
+  // n1 node a search returned together with the bracket of keys it serves
+  // ([n1.key, n2.key]) and the reclaimer's validity token. The next
+  // top-level search probes for the way whose bracket contains the new key
+  // — a hot-set repeat lands in its own way even when the hot keys are
+  // positionally scattered — falling back to the way with the closest key
+  // still left of k (any unmarked node with key < k is a valid start), and
+  // to the head when no way validates. A finger that was marked in the
+  // meantime is recovered through its backlink chain — the exact recovery a
+  // failed C&S performs (fr::Core::walk_backlinks). Replacement is
+  // least-frequently-hit with aging (sync::finger_victim_pick); a bracket
+  // hit refreshes its own way in place and bumps its frequency counter. The
+  // cache itself is the shared sync::FingerCache; this class adds the token
+  // filter and the recovery. Only the public entry points use fingers; the
+  // two-phase adversary hooks (insert_locate / insert_try_once /
+  // erase_begin) keep their head starts so the paper's lower-bound
+  // schedules stay reproducible.
 
   using FingerPol = sync::FingerPolicy<Reclaimer>;
   using FingerCache =
       sync::FingerCache<Node, Key, chaos::Site::kListFingerReplace>;
   using FingerSet = typename FingerCache::Set;
-  static constexpr int kWays = FingerCache::kWays;
 
-  // Type-erased backlink-chain step for HazardDomain's chain-protecting
-  // scan: from a published finger, scanners protect every node the owning
-  // thread's recovery walk could dereference. Returns null at the first
-  // unmarked node (the chain's end; unmarked nodes are never unlinked, so
-  // they are alive regardless).
-  static void* finger_chain_walker(void* p) {
-    Node* n = static_cast<Node*>(p);
-    if (!n->succ.load().mark) return nullptr;
-    return n->backlink.load(std::memory_order_acquire);
-  }
-
-  // The head-or-finger search every public operation starts with.
+  // The head-or-finger search every public operation starts with. The
+  // result is saved under the token of the CURRENT pin (everything
+  // reachable in this operation stays dereferenceable while that token
+  // revalidates); the bracket way that served this search is refreshed in
+  // place unless a way already caches the same node (FingerCache::Set::save).
   template <bool Closed>
   std::pair<Node*, Node*> search_entry(const Key& k) const {
     auto& cache = FingerCache::of(finger_id_);
@@ -445,46 +420,8 @@ class FRList
     const auto [start, bracket] =
         finger_start<Closed>(k, cache.find(finger_id_), token);
     auto out = search_right<Closed>(k, start != nullptr ? start : head_);
-    save_finger(cache.claim(finger_id_), token, out, bracket);
+    cache.claim(finger_id_).save(out.first, out.second, token, bracket);
     return out;
-  }
-
-  // Save this search's result into the way cache, under the token of the
-  // CURRENT pin (everything reachable in this operation stays
-  // dereferenceable while that token revalidates). The bracket way that
-  // served this search is refreshed in place unless a way already caches
-  // the same node (FingerCache::Set::save).
-  void save_finger(FingerSet& set, std::uint64_t token,
-                   const std::pair<Node*, Node*>& out, int bracket) const {
-    const int w = set.save(out.first, out.second, token, bracket);
-    if constexpr (FingerPol::kPublishes) {
-      // Publish-while-alive: out.first was found unmarked (hence still
-      // linked, hence unreclaimed) under the current guard, so way w's
-      // publication starts from a provably live node — the invariant the
-      // scan-side chain-protection argument rests on. (The head sentinel
-      // is published too; it is never retired, and uniformity is simpler.)
-      // The OTHER ways were not revalidated by this operation, so each is
-      // kept only if its retained slot still holds it — continuous
-      // protection — and dropped (entry nulled, way killed) otherwise;
-      // republishing the same pointer into the same slot keeps the
-      // protection gapless.
-      LF_CHAOS_POINT(kListFingerPublish);
-      void* nodes[kWays];
-      for (int i = 0; i < kWays; ++i) {
-        auto& wi = set.way[i];
-        if (wi.node == nullptr) {
-          nodes[i] = nullptr;
-        } else if (i == w ||
-                   reclaimer_.finger_reacquire(wi.node, finger_id_, i)) {
-          nodes[i] = wi.node;
-        } else {
-          nodes[i] = nullptr;
-          wi.node = nullptr;
-        }
-      }
-      reclaimer_.finger_publish(nodes, kWays, &finger_chain_walker,
-                                finger_id_);
-    }
   }
 
   // Returns {start, way}: a validated start node with key < k (Closed:
@@ -504,36 +441,9 @@ class FRList
                      [token](const auto& e) { return e.proof == token; });
       for (const int i : {probe.bracket, probe.fallback}) {
         if (i < 0) continue;
-        auto& e = set->way[i];
-        // Publishing policies must re-acquire the retained hazard entry
-        // BEFORE the first dereference: a slot mismatch means protection
-        // was not continuous (evicted by another structure's save on this
-        // thread, or invalidated), so the cached pointer may be freed
-        // memory — kill the way without touching it.
-        if constexpr (FingerPol::kPublishes) {
-          if (!reclaimer_.finger_reacquire(e.node, finger_id_, i)) {
-            e.node = nullptr;
-            continue;
-          }
-        }
         LF_CHAOS_POINT(kListFingerValidate);
-        Node* start = e.node;
-        std::uint64_t chain = 0;
-        while (start->succ.load().mark) {
-          Node* back = start->backlink.load(std::memory_order_acquire);
-          if (back == nullptr) break;  // defensive; marked => backlink set
-          if constexpr (FingerPol::kPublishes) {
-            // Publish the hop before dereferencing it (its liveness is
-            // already guaranteed by the chain-protecting scan while the
-            // finger entry is held; see reclaim/hazard.h).
-            LF_CHAOS_POINT(kHazardFingerHop);
-            reclaimer_.finger_protect_hop(back);
-          }
-          c.backlink_traversal.inc();
-          ++chain;
-          start = back;
-        }
-        if (chain > 0) stats::chain_hist_tls().record(chain);
+        Node* start = set->way[i].node;
+        this->walk_backlinks(start);
         if (!start->succ.load().mark) {
           set->hit(i);
           c.finger_hit.inc();

@@ -57,8 +57,8 @@ namespace lf::stats {
 //   quarantine_free      quarantine nodes freed after recovery (every
 //                        ejected reader acknowledged or was declared dead)
 //   orphan_adopt         stalled-thread resources adopted by a survivor:
-//                        epoch limbo buckets, hazard retire lists/finger
-//                        entries, pool freelist blocks (one inc per record)
+//                        epoch limbo buckets, hazard retire lists, pool
+//                        freelist blocks (one inc per record)
 //
 // The finger_* counters are bookkeeping for the hint layer (sync/finger.h),
 // NOT steps of the paper's cost model: essential_steps() must never include

@@ -108,10 +108,6 @@ class EpochDomain {
   // period. This is the hook FRSkipList's flat tower blocks use to return
   // to the pool only once no pinned reader can still hold a pointer into
   // them (FRSkipList::destroy_tower) — the epoch-integrated recycle path.
-  // It is also how the two-stage epoch→hazard handoff (hazard.h Handoff)
-  // composes with the quarantine: a quarantined record keeps its deleter,
-  // so draining it still runs Handoff::pass and the hazard scan's final
-  // protection check before anything is freed.
   void retire_with(void* object, void (*deleter)(void*)) {
     retire_erased(object, deleter);
   }

@@ -108,11 +108,6 @@ HazardDomain::ThreadSlots* HazardDomain::acquire_record() {
 
 void HazardDomain::release_record(ThreadSlots* rec) {
   rec->clear_all();
-  // Stale finger metadata must not outlive the slots: a later adopter of
-  // this record republishes before any scan could walk from it (the slot
-  // itself is already null, which is what scanners gate on).
-  rec->finger_walker_.store(nullptr, std::memory_order_release);
-  rec->finger_tag_.store(0, std::memory_order_release);
   std::lock_guard lock(registry_mu_);
   if (rec->retired_ != nullptr) {
     RetiredNode* tail = rec->retired_;
@@ -128,26 +123,13 @@ void HazardDomain::release_record(ThreadSlots* rec) {
 }
 
 bool HazardDomain::adopt_stalled(std::thread::id tid) {
-  // Entirely under the registry lock: mutually exclusive with scan stage 2
-  // and invalidate_fingers, so no scanner can be mid-walk from the fingers
-  // we null. The caller's park/death contract (see hazard.h) excludes the
-  // owner itself.
+  // Under the registry lock, like every other move of a retire list. The
+  // caller's park/death contract (see hazard.h) excludes the owner itself.
   std::lock_guard lock(registry_mu_);
   for (ThreadSlots* rec : records_) {
     if (!rec->in_use_ || rec->owner_id_ != tid) continue;
-    // Seqlock write side, as in publish_finger: a torn observation makes a
-    // scanner skip this record's chain walk, which is exactly right while
-    // its fingers are being retired.
-    rec->finger_seq_.fetch_add(1, std::memory_order_relaxed);
-    for (int i = 0; i < kFingerEntries; ++i)
-      rec->hp_[kFingerSlot + i].value.store(nullptr,
-                                            std::memory_order_seq_cst);
-    rec->hp_[kFingerHopSlot].value.store(nullptr, std::memory_order_seq_cst);
-    rec->finger_walker_.store(nullptr, std::memory_order_release);
-    rec->finger_tag_.store(0, std::memory_order_release);
-    rec->finger_seq_.fetch_add(1, std::memory_order_release);
-    // The Michael-list slots [0, kMichaelListSlots) stay published: a
-    // resumable victim may still dereference them (bounded retention).
+    // The slots stay published: a resumable victim may still dereference
+    // them (bounded retention).
     if (rec->retired_ != nullptr) {
       RetiredNode* tail = rec->retired_;
       while (tail->next != nullptr) tail = tail->next;
@@ -161,67 +143,6 @@ bool HazardDomain::adopt_stalled(std::thread::id tid) {
     return true;
   }
   return false;
-}
-
-// ---- Retained-finger slot protocol ----------------------------------------
-
-void HazardDomain::publish_finger(void* const* nodes, int n,
-                                  ChainWalker walker, std::uint64_t tag) {
-  ThreadSlots& rec = slots();
-  // Seqlock write side: odd seq marks the (slots, walker, tag) tuple as
-  // mid-rewrite so a concurrent scanner never pairs a pointer from one
-  // publish with the walker of another (type confusion on the walk).
-  rec.finger_seq_.fetch_add(1, std::memory_order_relaxed);
-  for (int i = 0; i < kFingerEntries; ++i)
-    rec.hp_[kFingerSlot + i].value.store(i < n ? nodes[i] : nullptr,
-                                         std::memory_order_seq_cst);
-  rec.finger_walker_.store(walker, std::memory_order_release);
-  rec.finger_tag_.store(tag, std::memory_order_release);
-  // A finished recovery walk's hop publication is dead once the new fingers
-  // are in place; dropping it here keeps the hop slot's lifetime one
-  // operation, so structure destructors only need to invalidate the finger
-  // entries.
-  rec.hp_[kFingerHopSlot].value.store(nullptr, std::memory_order_release);
-  rec.finger_seq_.fetch_add(1, std::memory_order_release);
-}
-
-bool HazardDomain::reacquire_finger(const void* node, std::uint64_t tag,
-                                    int idx) {
-  LF_CHAOS_POINT(kHazardFingerReacquire);
-  ThreadSlots& rec = slots();
-  // Owner-only fields: both reads are of this thread's own last publish.
-  // The only concurrent writer is invalidate_fingers, which can only null
-  // the slot for OUR tag from OUR structure's destructor — excluded while
-  // an operation is in flight (destruction requires quiescence) — or fail
-  // its C&S for any other tag. Slot still == node under our tag means the
-  // publication was never evicted: continuous protection since a moment the
-  // node was provably alive, hence it is still dereferenceable. No branch
-  // of this check dereferences `node`.
-  return rec.hp_[kFingerSlot + idx].value.load(std::memory_order_seq_cst) ==
-             node &&
-         rec.finger_tag_.load(std::memory_order_relaxed) == tag;
-}
-
-void HazardDomain::invalidate_fingers(std::uint64_t tag) {
-  // Under the registry lock, so it cannot interleave with a scan's chain
-  // walk: once this returns, no scanner holds (or can re-read) a finger
-  // into the dying structure, and the caller may free nodes directly.
-  std::lock_guard lock(registry_mu_);
-  for (ThreadSlots* rec : records_) {
-    if (rec->finger_tag_.load(std::memory_order_acquire) != tag) continue;
-    for (int i = 0; i < kFingerEntries; ++i) {
-      void* p = rec->hp_[kFingerSlot + i].value.load(std::memory_order_seq_cst);
-      if (p == nullptr) continue;
-      // C&S, not a blind store: the owning thread may concurrently
-      // republish the slot for a DIFFERENT (live) structure; losing that
-      // race must not clobber the fresh publication. (If an
-      // address-recycled node makes the C&S succeed against a fresh
-      // publish, the victim thread's next reuse simply misses —
-      // reacquire_finger fails closed.)
-      rec->hp_[kFingerSlot + i].value.compare_exchange_strong(
-          p, nullptr, std::memory_order_seq_cst);
-    }
-  }
 }
 
 std::uint64_t HazardDomain::scan_threshold() const noexcept {
@@ -267,20 +188,7 @@ void HazardDomain::scan_record(ThreadSlots& rec) {
     }
   }
 
-  // Stage 2: snapshot every published hazard pointer, and for each record
-  // with a published retained finger, walk the backlink chain of every
-  // finger entry (one per cache way) and protect every node on them. The
-  // chain walks cover exactly the nodes the owning thread's next
-  // finger_start may dereference during a recovery walk. The walk
-  // dereferences retired-but-unfreed nodes, which is safe here because
-  // (a) stage 2 runs under the registry lock, so chain walks are mutually
-  // exclusive with each other and with invalidate_fingers, and (b) any node
-  // on a published finger's chain was spared by every earlier scan's stage
-  // 2 (it was on the chain then too — backlinks are write-once and the
-  // chain is fully formed before its leftmost node reaches this domain's
-  // retired lists) or had not yet left the epoch stage (the epoch bridge:
-  // a finger published under a pin only sees chain nodes handed to this
-  // domain after that pin ended). Full argument: DESIGN.md §10.
+  // Stage 2: snapshot every published hazard pointer.
   std::vector<void*> protected_ptrs;
   {
     std::lock_guard lock(registry_mu_);
@@ -289,29 +197,6 @@ void HazardDomain::scan_record(ThreadSlots& rec) {
       for (const auto& slot : r->hp_) {
         void* p = slot.value.load(std::memory_order_seq_cst);
         if (p != nullptr) protected_ptrs.push_back(p);
-      }
-      // Seqlock read side (write side: publish_finger). On any sign of a
-      // concurrent republish, skip the walk: the old chain is abandoned
-      // (the owner only walks from its CURRENT finger) and the new
-      // finger's chain cannot hold anything in a retired list yet.
-      const std::uint64_t seq =
-          r->finger_seq_.load(std::memory_order_acquire);
-      if ((seq & 1) != 0) continue;
-      void* fingers[kFingerEntries];
-      for (int i = 0; i < kFingerEntries; ++i)
-        fingers[i] =
-            r->hp_[kFingerSlot + i].value.load(std::memory_order_seq_cst);
-      ChainWalker walker = r->finger_walker_.load(std::memory_order_acquire);
-      if (r->finger_seq_.load(std::memory_order_acquire) != seq) continue;
-      if (walker == nullptr) continue;
-      // The fingers themselves are already in the snapshot; protect the
-      // rest of each way's backlink chain (walker returns null at the first
-      // unmarked node, and backlink chains are acyclic — strictly
-      // leftward).
-      for (int i = 0; i < kFingerEntries; ++i) {
-        if (fingers[i] == nullptr) continue;
-        for (void* p = walker(fingers[i]); p != nullptr; p = walker(p))
-          protected_ptrs.push_back(p);
       }
     }
   }

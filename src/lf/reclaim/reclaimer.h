@@ -14,15 +14,11 @@
 //                       node retired in epoch r can only be reached by an
 //                       operation already pinned when r began, and such an
 //                       operation blocks the 2-epoch grace period.
-//   * HazardReclaimer — layered epoch + hazard pointers (reclaim/hazard.h).
-//                       The epoch pin covers in-operation traversal (so the
-//                       FR backlink walks stay safe without per-pointer
-//                       validation), while retained hazard slots protect
-//                       cross-operation finger hints that must survive
-//                       epoch advances. Raw per-pointer protect/validate
-//                       (Michael's SMR) remains what MichaelListHP uses
-//                       directly, whose find() was designed for that
-//                       discipline.
+//   * HazardDomain    — Michael's hazard pointers (reclaim/hazard.h), used
+//                       raw by the MichaelListHP baseline, whose find() was
+//                       designed for per-pointer protect/validate. It is not
+//                       a policy for the FR structures: their backlink walks
+//                       reach nodes no per-pointer check can vouch for.
 //
 // A policy provides:
 //   Guard guard()            RAII critical-section token. All loads of
@@ -46,9 +42,9 @@ concept reclaimer_for = requires(R r, Node* n) {
 // Extended policy for structures with pooled / non-trivially-freed memory
 // (flat towers, pool-recycled nodes): retirement carries an explicit
 // deleter that runs after the grace period, so the structure controls how
-// the block returns to its arena. Epoch, Leaky, and HazardReclaimer provide
-// it; the raw HazardDomain used by MichaelListHP keeps the narrower
-// interface (that list owns its nodes individually).
+// the block returns to its arena. Epoch and Leaky provide it; the raw
+// HazardDomain used by MichaelListHP keeps the narrower interface (that
+// list owns its nodes individually).
 template <typename R>
 concept deferred_reclaimer = requires(R r, void* p, void (*d)(void*)) {
   { r.guard() };

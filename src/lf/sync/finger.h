@@ -46,24 +46,10 @@
 //                    Strictly-equal tokens are required: one epoch of slack
 //                    would admit a node freed exactly at e + 2.
 //
-//   HazardReclaimer  the layered epoch + hazard-pointer policy
-//                    (reclaim/hazard.h). The token is a constant — tokens
-//                    cannot prove anything here, because the cached pointer
-//                    outlives every pin. Instead the policy PUBLISHES
-//                    (kPublishes below): at save time the structure stores
-//                    the finger into the thread's retained hazard slot, and
-//                    reuse re-acquires it by slot match (publish-then-
-//                    revalidate): if the slot still holds exactly the cached
-//                    pointer under the structure's instance tag, protection
-//                    was continuous since a moment the node was provably
-//                    alive, so it is still dereferenceable; any mismatch
-//                    fails closed to a head start without dereferencing.
-//                    (The list retains one slot per cache way; only FRList
-//                    supports this policy — FRSkipList has no finger.)
-//                    A marked finger recovers through its backlink chain
-//                    with each hop published into the hop slot, and the
-//                    domain's scan protects the whole published chain
-//                    (reclaim/hazard.cpp::scan_record, DESIGN.md §10).
+// Hazard pointers get no policy: a token cannot outlive the pin it was
+// taken under, and per-pointer validation proves nothing on a backlink walk
+// (DESIGN.md §10), so the FR structures reclaim with epochs or leak, and
+// the hazard domain serves only the MichaelListHP baseline.
 //
 // The reference-counted variants (core/*_rc.h) do not use tokens; they
 // validate by re-acquiring a count on the node and checking a per-node
@@ -90,28 +76,18 @@
 
 #include "lf/chaos/chaos.h"
 #include "lf/reclaim/epoch.h"
-#include "lf/reclaim/hazard.h"
 #include "lf/reclaim/leaky.h"
 
 namespace lf::sync {
 
 // Set associativity of the per-(thread, instance) finger cache: how many
-// bracket-keyed ways each structure (or skip-list level) keeps. Matches the
-// hazard domain's retained-entry budget so a publishing policy can retain
-// every way in its own slot (static_asserted in its policy below).
+// bracket-keyed ways each structure (or skip-list level) keeps.
 inline constexpr int kFingerCacheWays = 4;
 
 // Reclaimer-specific validity proof for FRList. token() is called while the
 // calling thread holds the reclaimer's guard, both when saving a finger and
 // when attempting to reuse one; a saved entry is dereferenceable iff its
 // saved token equals the current one.
-//
-// kPublishes marks policies whose proof is NOT token-based but slot-based:
-// the structure must additionally call the reclaimer's finger_publish /
-// finger_reacquire / finger_protect_hop / finger_invalidate hooks (the
-// token still participates so the shared save/validate plumbing stays
-// uniform; publishing policies use a constant token that always matches and
-// let the slot re-acquisition be the real proof).
 //
 // Only the in-tree reclaimers have a policy: FRList does not compile with
 // any other.
@@ -120,7 +96,6 @@ struct FingerPolicy;
 
 template <>
 struct FingerPolicy<reclaim::LeakyReclaimer> {
-  static constexpr bool kPublishes = false;
   static std::uint64_t token(reclaim::LeakyReclaimer&) noexcept {
     return 1;  // nodes are immortal: every saved finger stays valid
   }
@@ -128,25 +103,10 @@ struct FingerPolicy<reclaim::LeakyReclaimer> {
 
 template <>
 struct FingerPolicy<reclaim::EpochReclaimer> {
-  static constexpr bool kPublishes = false;
   static std::uint64_t token(reclaim::EpochReclaimer& r) {
     // +1 keeps 0 free as the "empty entry" value even if a domain ever
     // started at epoch 0 (the default domain starts at kBuckets).
     return r.pinned_epoch() + 1;
-  }
-};
-
-template <>
-struct FingerPolicy<reclaim::HazardReclaimer> {
-  static constexpr bool kPublishes = true;
-  static_assert(kFingerCacheWays <= reclaim::HazardReclaimer::kFingerEntries,
-                "every cache way needs its own retained hazard entry");
-  static std::uint64_t token(reclaim::HazardReclaimer&) noexcept {
-    // Constant: the epoch pin expires between operations and per-pointer
-    // validation proves nothing for a cross-operation pointer, so no token
-    // can carry the proof. The retained-slot match in finger_reacquire is
-    // the actual validity argument (see reclaim/hazard.h).
-    return 1;
   }
 };
 
@@ -209,7 +169,7 @@ inline constexpr std::size_t kFingerTlsSlots = 8;
 // returned together with the bracket of keys it serves ([n1.key, n2.key],
 // cached so probing never touches a node) and the structure's validity
 // proof. Nothing here dereferences a cached node: validating a probed way
-// (token, hazard slot or count + stamp) and recovering a marked one through
+// (token, or count + stamp) and recovering a marked one through
 // its backlinks is the structure's job. Node must have `kind` (Kind::kHead
 // / kTail sentinels) and `key`; the save reads them from nodes the caller
 // holds.

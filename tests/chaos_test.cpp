@@ -36,7 +36,6 @@
 #include "lf/instrument/counters.h"
 #include "lf/mem/pool.h"
 #include "lf/reclaim/epoch.h"
-#include "lf/reclaim/hazard.h"
 #include "lf/reclaim/leaky.h"
 #include "lf/util/random.h"
 
@@ -310,22 +309,6 @@ TEST_F(ChaosTest, CrashInEpochRetireDoesNotBlockSurvivors) {
   run_crash_site<lf::FRList<long, long>>(Site::kEpochRetire);
 }
 
-// Hazard-finger rows: publish / re-acquire / hop are new crash edges in the
-// publish-then-revalidate protocol. None of these sites fires while the
-// domain's registry lock is held, so a victim parked there can never block
-// a survivor's scan — parking it mid-publication (slot written, seqlock
-// possibly odd) at worst makes scanners skip that record's chain walk,
-// which only defers reclamation.
-TEST_F(ChaosTest, CrashMatrixFRListHazardFinger) {
-  using List =
-      lf::FRList<long, long, std::less<long>, lf::reclaim::HazardReclaimer>;
-  for (Site site : {Site::kListFingerValidate, Site::kListFingerFallback,
-                    Site::kListFingerPublish, Site::kListFingerReplace,
-                    Site::kHazardFingerReacquire, Site::kHazardFingerHop}) {
-    run_crash_site<List>(site);
-  }
-}
-
 // ---- Stalled-thread resilience rows (DESIGN.md §11) -----------------------
 //
 // The rows above demonstrate lock-freedom of the OPERATIONS with a victim
@@ -498,105 +481,6 @@ TEST_F(ChaosTest, VictimParkedInRetireIsAdoptedAndBacklogDrains) {
   EXPECT_FALSE(dog.stalled());
   dog.stop();
 }
-
-TEST_F(ChaosTest, HazardFingerVictimAdoptedThenFailsClosedOnResume) {
-  // Combined epoch + hazard resilience: the victim parks entering
-  // reacquire_finger — epoch-pinned AND holding published finger hazard
-  // pointers. The epoch side neutralizes the pin (quarantine guards the
-  // frees); the hazard side adopts the fingers, so the victim's resumed
-  // reacquire finds its slots nulled and must FAIL CLOSED into a fallback
-  // search with a fresh publish. ASan checks both halves.
-  using lf::reclaim::EpochDomain;
-  using lf::reclaim::HazardDomain;
-  using List =
-      lf::FRList<long, long, std::less<long>, lf::reclaim::HazardReclaimer>;
-  EpochDomain epoch_domain;
-  HazardDomain hazard_domain;
-  EpochDomain::ResilienceOptions ro;
-  ro.neutralize = true;
-  ro.blame_threshold = 4;
-  epoch_domain.set_resilience(ro);
-  List set{lf::reclaim::HazardReclaimer(epoch_domain, hazard_domain)};
-
-  std::atomic<long> net{0};
-  for (long k = 0; k < 16; k += 2) {
-    if (set.insert(k, k)) net.fetch_add(1);
-  }
-  constexpr int kWorkers = 4;
-  constexpr int kOps = 3000;
-  chaos::arm_crash(Site::kHazardFingerReacquire, 1);
-
-  lf::harness::Watchdog::Options wopts;
-  wopts.stall_timeout = 60s;
-  wopts.poll_interval = 100ms;
-  lf::harness::Watchdog dog(kWorkers, wopts);
-  std::barrier start(kWorkers);
-  std::atomic<bool> victim_done{false};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kWorkers; ++t) {
-    workers.emplace_back([&, t] {
-      chaos::set_thread_tag(t);
-      chaos::set_thread_role(t == 0 ? chaos::Role::kVictim
-                                    : chaos::Role::kSurvivor);
-      lf::Xoshiro256 rng(0xdead + static_cast<std::uint64_t>(t) * 7919);
-      start.arrive_and_wait();
-      for (int i = 0; i < kOps; ++i) {
-        const long k = static_cast<long>(rng.below(16));
-        if (rng.below(2) == 0) {
-          if (set.insert(k, k)) net.fetch_add(1);
-        } else {
-          if (set.erase(k)) net.fetch_sub(1);
-        }
-        dog.beat(t);
-      }
-      dog.mark_done(t);
-      chaos::set_thread_role(chaos::Role::kDefault);
-      if (t == 0) victim_done.store(true, std::memory_order_release);
-    });
-  }
-  const std::thread::id victim_id = workers[0].get_id();
-  // Finger reuse needs a prior publish on the same slot, so the site can in
-  // principle go unvisited; tolerate that like the finger matrix rows do.
-  while (!chaos::parked() && !victim_done.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(2ms);
-  }
-  const bool parked = chaos::parked();
-  if (parked) dog.mark_parked(0);
-  for (int t = 1; t < kWorkers; ++t)
-    workers[static_cast<std::size_t>(t)].join();
-
-  if (parked) {
-    // Drive the advancer until the parked epoch pin is ejected.
-    lf::Xoshiro256 rng(0x5eed);
-    const auto deadline = std::chrono::steady_clock::now() + 60s;
-    while (epoch_domain.ejected_count() == 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      const long k = static_cast<long>(rng.below(16));
-      if (rng.below(2) == 0) {
-        if (set.insert(k, k)) net.fetch_add(1);
-      } else {
-        if (set.erase(k)) net.fetch_sub(1);
-      }
-    }
-    EXPECT_EQ(epoch_domain.ejected_count(), 1u);
-    // Scavenge the parked thread's retained fingers and retired list.
-    EXPECT_TRUE(hazard_domain.adopt_stalled(victim_id));
-    chaos::release_parked();
-  }
-  workers[0].join();
-
-  EXPECT_EQ(epoch_domain.ejected_count(), 0u);
-  epoch_domain.drain();
-  hazard_domain.scan();
-  EXPECT_EQ(epoch_domain.quarantine_depth(), 0u);
-  EXPECT_EQ(set.size(), static_cast<std::size_t>(net.load()));
-  const auto rep = set.validate();
-  EXPECT_TRUE(rep.ok) << rep.error;
-  EXPECT_FALSE(dog.stalled());
-  dog.stop();
-}
-
-// ---- Allocation-failure injection ----------------------------------------
 
 TEST_F(ChaosTest, ListInsertSurfacesAllocFailureCleanly) {
   using List = lf::FRList<long, long>;

@@ -258,26 +258,27 @@ TEST(EpochResilience, StallReportNamesTheStragglerAndGauges) {
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 
-TEST(EpochResilience, HazardAdoptStalledScavengesFingersAndRetired) {
+TEST(EpochResilience, HazardAdoptStalledScavengesRetiredKeepsMichaelSlots) {
   const auto before = lf::stats::aggregate();
-  lf::reclaim::EpochDomain epoch;
   lf::reclaim::HazardDomain hazard;
 
   constexpr int kNodes = 5;
   std::mutex mu;
   std::condition_variable cv;
   bool parked = false, release = false;
-  auto* finger_node = new Tracked;
+  auto* p = new Tracked;
   std::thread victim([&] {
-    // Publish a retained finger and retire some nodes, then park — the
-    // stand-in for a thread that died between operations holding a finger.
-    void* entries[1] = {finger_node};
-    hazard.publish_finger(entries, 1, nullptr, /*tag=*/42);
+    // Protect p in a Michael-list slot, retire it and kNodes more nodes,
+    // then park: the stand-in for a thread stalled mid-traversal.
+    hazard.slots().set(0, p);
+    hazard.retire(p);
     for (int i = 0; i < kNodes; ++i) hazard.retire(new Tracked);
     std::unique_lock lk(mu);
     parked = true;
     cv.notify_all();
     cv.wait(lk, [&] { return release; });
+    lk.unlock();
+    hazard.slots().clear(0);  // resumed: done with p
   });
   {
     std::unique_lock lk(mu);
@@ -288,13 +289,12 @@ TEST(EpochResilience, HazardAdoptStalledScavengesFingersAndRetired) {
   EXPECT_FALSE(hazard.adopt_stalled(std::this_thread::get_id()));
   EXPECT_TRUE(hazard.adopt_stalled(victim.get_id()));
 
-  // The victim's fingers no longer protect anything and its retired list
-  // was orphaned: one scan from a survivor frees everything, including
-  // the de-protected finger target once it is retired too.
-  hazard.retire(finger_node);
+  // The victim's retired list was orphaned, so one scan from a survivor
+  // frees it, except p: the victim's slots stay published, since it may
+  // dereference them on resume (hazard.h's bounded retention).
   hazard.scan();
-  EXPECT_EQ(Tracked::live.load(), 0);
-  EXPECT_EQ(hazard.retired_count(), 0u);
+  EXPECT_EQ(Tracked::live.load(), 1);
+  EXPECT_EQ(hazard.retired_count(), 1u);
 
   {
     std::lock_guard lk(mu);
@@ -302,9 +302,12 @@ TEST(EpochResilience, HazardAdoptStalledScavengesFingersAndRetired) {
     cv.notify_all();
   }
   victim.join();
+  hazard.scan();
+  EXPECT_EQ(Tracked::live.load(), 0);
+  EXPECT_EQ(hazard.retired_count(), 0u);
 
   const auto delta = lf::stats::aggregate() - before;
-  EXPECT_GE(delta.orphan_adopt, static_cast<std::uint64_t>(kNodes));
+  EXPECT_GE(delta.orphan_adopt, static_cast<std::uint64_t>(kNodes + 1));
 }
 
 TEST(EpochResilience, TeardownWhileParkedPinnedAbandonsSlot) {

@@ -38,17 +38,11 @@
 #include "lf/core/fr_skiplist.h"
 #include "lf/core/fr_skiplist_rc.h"
 #include "lf/instrument/counters.h"
-#include "lf/reclaim/hazard.h"
 #include "lf/reclaim/leaky.h"
 
 namespace {
 
 using lf::stats::aggregate;
-using lf::reclaim::EpochDomain;
-using lf::reclaim::HazardDomain;
-using lf::reclaim::HazardReclaimer;
-
-using HPList = lf::FRList<long, long, std::less<long>, HazardReclaimer>;
 
 // ---- Fast path: repeated searches take zero traversal steps ---------------
 
@@ -82,13 +76,6 @@ TEST(Finger, RepeatedFindIsFreeFRListRC) {
 TEST(Finger, RepeatedFindIsFreeFRSkipListRC) {
   lf::FRSkipListRC<long, long> s;
   expect_repeat_find_is_free(s);
-}
-
-// Hazard rows: publish-then-revalidate must preserve the zero-step fast
-// path — re-acquisition is a slot comparison, not a traversal.
-TEST(Finger, RepeatedFindIsFreeFRListHazard) {
-  HPList list;
-  expect_repeat_find_is_free(list);
 }
 
 // ---- Multi-way hot set: k fingers serve k hot keys at once ----------------
@@ -160,11 +147,11 @@ TEST(Finger, HotWaySurvivesColdMissStream) {
 
 // ---- No finger: zero finger traffic ---------------------------------------
 
-// The finger-free FRSkipList, under both reclaimers, must never move the
-// counters.
+// The finger-free FRSkipList, under both reclaimers (epoch and leaky), must
+// never move the counters.
 TEST(Finger, FingerOffKeepsCountersAtZero) {
   lf::FRSkipList<long, long> s;
-  lf::FRSkipList<long, long, std::less<long>, HazardReclaimer> hs;
+  lf::FRSkipList<long, long, std::less<long>, lf::reclaim::LeakyReclaimer> hs;
   const auto before = aggregate();
   for (long k = 0; k < 64; ++k) {
     s.insert(k, k);
@@ -296,134 +283,6 @@ TEST(Finger, RecycledWayRejectedWhileOtherWaysSurvive) {
   EXPECT_EQ(delta.finger_miss, 1u);
   EXPECT_TRUE(list.contains(99));
   EXPECT_TRUE(list.validate_counts());
-}
-
-// ---- Validation under hazard pointers (publish-then-revalidate) -----------
-
-// Backlink recovery with reclamation racing it: another thread erases the
-// fingered node and churns far past the scan threshold, so hazard scans run
-// while this thread's retained slot still names the node. The chain-
-// protecting scan must spare the node and its backlink chain; the next
-// search re-acquires the slot and recovers through the backlink — the
-// deterministic Leaky-row behavior, now with real reclamation in flight.
-TEST(Finger, HazardDeletedFingerRecoversThroughBacklink) {
-  HazardDomain hdom;  // must outlive edom: its drain feeds the hazard stage
-  EpochDomain edom;
-  HazardReclaimer rec(edom, hdom);
-  HPList list(rec);
-  for (long k : {10, 20, 30}) ASSERT_TRUE(list.insert(k, k));
-  ASSERT_TRUE(list.find(20).has_value());  // publishes finger -> node 20
-  std::thread eraser([&] {
-    ASSERT_TRUE(list.erase(20));
-    for (int r = 0; r < 64; ++r) {
-      for (long k = 100; k < 140; ++k) ASSERT_TRUE(list.insert(k, k));
-      for (long k = 100; k < 140; ++k) ASSERT_TRUE(list.erase(k));
-    }
-    edom.drain();  // push every grace-expired node into the hazard stage
-    hdom.scan();   // must spare node 20: the main thread's slot names it
-  });
-  eraser.join();
-  const auto before = aggregate();
-  EXPECT_FALSE(list.find(20).has_value());
-  const auto delta = aggregate() - before;
-  EXPECT_EQ(delta.finger_hit, 1u);  // recovered, not abandoned
-  EXPECT_GE(delta.backlink_traversal, 1u);
-  EXPECT_EQ(delta.finger_miss, 0u);
-  EXPECT_TRUE(list.validate().ok);
-}
-
-// The grown retained-slot budget, end to end: TWO ways' nodes are erased
-// and real reclamation runs (drain + scan) while both publications are
-// live. The scan must chain-walk EVERY published entry — not just the
-// first — sparing both nodes and both backlink chains; each next search
-// then re-acquires its own way and recovers through its own backlink. A
-// scan that only walked entry 0 would free node 40 and this test would be
-// a use-after-free under ASan.
-TEST(Finger, HazardScanSparesAllPublishedWays) {
-  HazardDomain hdom;
-  EpochDomain edom;
-  HazardReclaimer rec(edom, hdom);
-  HPList list(rec);
-  for (long k : {10, 20, 30, 40, 50}) ASSERT_TRUE(list.insert(k, k));
-  ASSERT_TRUE(list.find(20).has_value());  // way A -> node 20, published
-  ASSERT_TRUE(list.find(40).has_value());  // way B -> node 40, published
-  std::thread eraser([&] {
-    ASSERT_TRUE(list.erase(20));
-    ASSERT_TRUE(list.erase(40));
-    for (int r = 0; r < 64; ++r) {
-      for (long k = 100; k < 140; ++k) ASSERT_TRUE(list.insert(k, k));
-      for (long k = 100; k < 140; ++k) ASSERT_TRUE(list.erase(k));
-    }
-    edom.drain();  // both victims reach the hazard stage
-    hdom.scan();   // must spare nodes 20 AND 40: both entries are retained
-  });
-  eraser.join();
-  const auto before = aggregate();
-  EXPECT_FALSE(list.find(20).has_value());
-  EXPECT_FALSE(list.find(40).has_value());
-  const auto delta = aggregate() - before;
-  EXPECT_EQ(delta.finger_hit, 2u);  // both recovered via their backlinks
-  EXPECT_EQ(delta.finger_miss, 0u);
-  EXPECT_GE(delta.backlink_traversal, 2u);
-  EXPECT_TRUE(list.validate().ok);
-}
-
-// The ASan tripwire for publish-then-revalidate: a finger whose slot
-// publication was EVICTED (another structure's save on the same thread)
-// points at memory that a scan is then free to reclaim. The next reuse
-// attempt passes every deref-free check (instance, token, cached key) and
-// must be rejected by the slot-match re-acquisition WITHOUT touching the
-// freed node — under ASan a single dereference fails the whole suite.
-TEST(Finger, HazardEvictedFingerRejectedAfterReclamation) {
-  HazardDomain hdom;
-  EpochDomain edom;
-  HazardReclaimer rec(edom, hdom);
-  HPList a(rec);
-  HPList b(rec);  // consecutive instance ids: distinct TLS finger ways
-  for (long k : {10, 20, 30}) ASSERT_TRUE(a.insert(k, k));
-  ASSERT_TRUE(b.insert(5, 5));
-  ASSERT_TRUE(a.find(20).has_value());  // a's finger -> node 20, published
-  // A helper erases 20: the retirement is filed by another thread while the
-  // main thread's TLS entry for `a` keeps naming the node.
-  std::thread helper([&] { ASSERT_TRUE(a.erase(20)); });
-  helper.join();
-  // One retained slot per (thread, domain): b's save evicts a's
-  // publication. From here the cached pointer has no protection.
-  ASSERT_TRUE(b.find(5).has_value());
-  edom.drain();  // grace over: node 20 reaches the hazard stage
-  hdom.scan();   // no slot names it -> genuinely freed
-  const auto before = aggregate();
-  EXPECT_FALSE(a.find(20).has_value());
-  const auto delta = aggregate() - before;
-  EXPECT_EQ(delta.finger_miss, 1u);  // rejected by slot mismatch
-  EXPECT_EQ(delta.finger_hit, 0u);
-  EXPECT_TRUE(a.validate().ok);
-}
-
-// What the retained slot buys over the epoch token: churn that advances the
-// epoch many times (the exact scenario of ReclaimedFingerFallsBackToHead
-// above, where the strict-token epoch policy must miss) does NOT invalidate
-// a hazard finger, because the churning structure has no finger and never
-// evicts the slot.
-TEST(Finger, HazardFingerSurvivesEpochAdvance) {
-  using ChurnList =
-      lf::FRSkipList<long, long, std::less<long>, HazardReclaimer>;
-  HazardDomain hdom;
-  EpochDomain edom;
-  HazardReclaimer rec(edom, hdom);
-  HPList a(rec);
-  ChurnList b(rec);
-  for (long k = 0; k < 16; ++k) ASSERT_TRUE(a.insert(k, k));
-  ASSERT_TRUE(a.find(7).has_value());  // publishes the finger
-  for (int r = 0; r < 40; ++r) {
-    for (long k = 0; k < 64; ++k) ASSERT_TRUE(b.insert(k, k));
-    for (long k = 0; k < 64; ++k) ASSERT_TRUE(b.erase(k));
-  }
-  const auto before = aggregate();
-  EXPECT_TRUE(a.find(7).has_value());
-  const auto delta = aggregate() - before;
-  EXPECT_EQ(delta.finger_hit, 1u);  // slot match — epochs are irrelevant
-  EXPECT_EQ(delta.finger_miss, 0u);
 }
 
 // ---- Isolation: hints are per-instance, ids never reused ------------------

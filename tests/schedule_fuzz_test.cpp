@@ -133,19 +133,10 @@ TEST(SkipListLayoutFuzz, ExactCountsUnderYields) {
 }
 
 // The finger-free structure holds the same exact-count guarantees under
-// yields, and the finger counters stay at zero: FRSkipList has no finger
-// under either reclaimer. (FRList, FRListRC and FRSkipListRC always carry
-// their finger.)
+// yields, and the finger counters stay at zero: FRSkipList has no finger.
+// (FRList, FRListRC and FRSkipListRC always carry their finger.)
 TEST(ScheduleFuzz, FingerOffVariantsExactCountsUnderYields) {
   const auto before = lf::stats::aggregate();
-  {
-    lf::FRSkipList<long, long, std::less<long>, lf::reclaim::HazardReclaimer>
-        s;
-    std::atomic<long> net{0};
-    fuzz_churn(s, 404, 5000, 64, net);
-    EXPECT_EQ(s.size(), static_cast<std::size_t>(net.load()));
-    EXPECT_TRUE(s.validate().ok);
-  }
   {
     lf::FRSkipList<long, long> s;
     std::atomic<long> net{0};

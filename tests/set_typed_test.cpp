@@ -30,10 +30,6 @@ class SetContract : public ::testing::Test {};
 using Implementations = ::testing::Types<
     lf::FRList<long, long>,            // the paper's list
     lf::FRSkipList<long, long>,        // the paper's skip list
-    lf::FRList<long, long, std::less<long>,
-               lf::reclaim::HazardReclaimer>,      // hazard-finger policy
-    lf::FRSkipList<long, long, std::less<long>,
-                   lf::reclaim::HazardReclaimer>,  // two-stage retirement
     lf::FRListNoFlag<long, long>,      // flag-bit ablation
     lf::FRListRC<long, long>,          // Valois refcounting (Section 5)
     lf::FRSkipListRC<long, long>,      // refcounted skip list (Section 5)
