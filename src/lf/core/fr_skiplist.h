@@ -10,8 +10,7 @@
 // tail. Every node has:
 //
 //     key, succ = (right, mark, flag), backlink   — as in FRList
-//     down        one level lower in the same tower (null for roots)
-//     tower_root  the tower's root node (== itself for roots)
+//     level       its level; down() and root() are slot arithmetic
 //     value       meaningful in root nodes only
 //
 // Insertion builds the tower bottom-up and is linearized when the root node
@@ -28,10 +27,10 @@
 // it just added (if any), and still reports success (its root made it in).
 //
 // Departures from the paper's presentation, all noted in DESIGN.md:
-//   * The head tower is preallocated at full height (kMaxLevel), so the
-//     paper's `up` pointers for growing the head are unnecessary. A
-//     top-level hint makes searches start just above the tallest live
-//     tower, which is what the adaptive head bought.
+//   * The head tower is preallocated at full height (kMaxLevel), as one
+//     block like any tower, so the paper's `up` pointers for growing the
+//     head are unnecessary. A top-level hint makes searches start just
+//     above the tallest live tower, which is what the adaptive head bought.
 //   * One shared tail sentinel serves every level (its succ is never
 //     modified, so per-level tail nodes would be indistinguishable).
 //   * The detailed pseudocode for the skip-list routines lives in
@@ -51,7 +50,6 @@
 // records the per-level chained and global-heap placements this replaced.
 #pragma once
 
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -81,32 +79,31 @@ namespace fr {
 // FRSkipList's node (FRSkipList::Node), one per tower level.
 //
 // Field order is cache-conscious: the members a search touches on every
-// hop (succ, key, tower_root, kind) are declared first so they pack into
-// the node's first cache line — for a root, also the first line of the
-// tower's block. Recovery (backlink) and root-only bookkeeping follow.
-// The pool hands out 64-byte-aligned blocks in whole lines, so adjacent
-// blocks never share a line (the false-sharing padding the head tower
-// needs comes from the allocator, not from inflating every node with
-// alignas(64)).
+// hop (succ, key, kind, and level for root()) are declared first so they
+// pack into the node's first cache line — for a root, also the first line
+// of the tower's block. Recovery (backlink) and root-only bookkeeping
+// follow. The node stores no `down` or root pointer (see slot()), so with
+// 8-byte keys and values it is exactly one line: a height-h tower is h
+// lines, and each head level has a line of its own. The pool hands out
+// 64-byte-aligned blocks in whole lines, so adjacent blocks never share a
+// line without inflating every node with alignas(64).
 template <typename Key, typename T>
 struct alignas(8) TowerNode {
   enum class Kind : unsigned char { kHead, kInterior, kTail };
 
   sync::SuccField<TowerNode> succ;
   Key key;
-  TowerNode* tower_root;  // immutable; == this for root nodes
-  TowerNode* down;        // immutable after construction
   Kind kind;
   int level;           // 1-based; immutable
   int planned_height;  // slots in this node's block (roots: the coin-flip
-                       // height; sentinels: 1); 0 for upper nodes
+                       // height; head: kMaxLevel; tail: 1); 0 for upper nodes
   T value;  // meaningful in root nodes only
   std::atomic<TowerNode*> backlink{nullptr};
 
   // Tower-retirement bookkeeping, meaningful on ROOT nodes only.
   //
   // Per-node retirement at unlink time would be unsound here: a node
-  // unlinked at level v stays reachable through the `down` pointer of its
+  // unlinked at level v stays reachable by descending from its
   // still-linked level v+1 sibling, so a reader pinned AFTER the unlink
   // could still dereference it. Instead the whole tower is retired in one
   // step when its last linked node is unlinked: any reader that can reach
@@ -119,22 +116,30 @@ struct alignas(8) TowerNode {
   // tower_top, so the count can only reach zero when no link attempt is
   // in flight and every linked node has been unlinked). The unlinker or
   // abandoner that drops it to zero retires the tower's block, whose
-  // deleter walks tower_top -> down -> ... -> root destroying each node.
+  // deleter destroys the nodes from tower_top's level down to the root.
   std::atomic<int> tower_alive{1};
   std::atomic<TowerNode*> tower_top{nullptr};
 
-  TowerNode(Kind k, int lvl, Key key_arg, T value_arg, TowerNode* down_arg,
-            TowerNode* root_arg)
+  TowerNode(Kind k, int lvl, Key key_arg, T value_arg)
       : key(std::move(key_arg)),
-        tower_root(root_arg == nullptr ? this : root_arg),
-        down(down_arg),
         kind(k),
         level(lvl),
         planned_height(0),
         value(std::move(value_arg)) {
-    if (root_arg == nullptr) tower_top.store(this,
-                                             std::memory_order_relaxed);
+    if (lvl == 1) tower_top.store(this, std::memory_order_relaxed);
   }
+
+  // The level-v slot of this node's block, (v - level) slots away: a tower
+  // is one block with level v at slot v-1, so this is the paper's `down`
+  // and root links, written once. The slot may not hold a constructed
+  // node yet (the tower build places upper nodes into it).
+  TowerNode* slot(int v) const {
+    auto* self = reinterpret_cast<char*>(const_cast<TowerNode*>(this));
+    return reinterpret_cast<TowerNode*>(
+        self + static_cast<std::ptrdiff_t>(sizeof(TowerNode)) * (v - level));
+  }
+  TowerNode* down() const { return slot(level - 1); }  // level >= 2 only
+  TowerNode* root() const { return slot(1); }
 };
 
 inline constexpr Sites kSkipSites{
@@ -191,30 +196,30 @@ class FRSkipList
       : FRSkipList(Compare{}, std::move(reclaimer)) {}
   FRSkipList(Compare comp, Reclaimer reclaimer)
       : Core(std::move(comp)), reclaimer_(std::move(reclaimer)) {
-    // Sentinels come from the pool too: every head level lands in its own
-    // cache line (the pool hands out whole lines), so concurrent traffic
-    // on adjacent head levels cannot false-share.
-    tail_ = make_sentinel(Node::Kind::kTail, 0, nullptr);
-    Node* below = nullptr;
-    for (int v = 1; v <= kMaxLevel; ++v) {
-      head_[v] = make_sentinel(Node::Kind::kHead, v, below);
-      head_[v]->succ.store_unsynchronized(View{tail_, false, false});
-      below = head_[v];
-    }
+    // The sentinels are tower blocks too: the tail one slot, the head
+    // kMaxLevel slots with head(v) at slot v-1, so down() descends it like
+    // any tower.
+    tail_ = make_root(Node::Kind::kTail, Key{}, T{}, 1);
+    head_ = make_root(Node::Kind::kHead, Key{}, T{}, kMaxLevel);
+    for (int v = 2; v <= kMaxLevel; ++v)
+      ::new (head_->slot(v)) Node(Node::Kind::kHead, v, Key{}, T{});
+    head_->tower_top.store(head(kMaxLevel), std::memory_order_relaxed);
+    for (int v = 1; v <= kMaxLevel; ++v)
+      head(v)->succ.store_unsynchronized(View{tail_, false, false});
     top_hint_.store(1, std::memory_order_relaxed);
   }
 
   // Destruction requires quiescence. Each level-1 node is a tower root
   // owning one block for its whole tower.
   ~FRSkipList() {
-    Node* n = head_[1]->succ.load().right;
+    Node* n = head_->succ.load().right;
     while (n->kind != Node::Kind::kTail) {
       Node* next = n->succ.load().right;
       destroy_tower(n);
       n = next;
     }
-    for (int v = 1; v <= kMaxLevel; ++v) free_unpublished(head_[v]);
-    free_unpublished(tail_);
+    destroy_tower(head_);
+    destroy_tower(tail_);
   }
 
   FRSkipList(const FRSkipList&) = delete;
@@ -289,7 +294,7 @@ class FRSkipList
   template <typename Fn>
   void for_each(Fn&& fn) const {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    for (Node* p = head_[1]->succ.load().right; p->kind != Node::Kind::kTail;
+    for (Node* p = head_->succ.load().right; p->kind != Node::Kind::kTail;
          p = p->succ.load().right) {
       if (!p->succ.load().mark) fn(p->key, p->value);
     }
@@ -329,7 +334,7 @@ class FRSkipList
   // accessor priority queues need (see lf/extras/priority_queue.h).
   std::optional<std::pair<Key, T>> first() const {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    for (Node* p = head_[1]->succ.load().right; p->kind != Node::Kind::kTail;
+    for (Node* p = head_->succ.load().right; p->kind != Node::Kind::kTail;
          p = p->succ.load().right) {
       if (!p->succ.load().mark) return std::make_pair(p->key, p->value);
     }
@@ -349,22 +354,19 @@ class FRSkipList
     for (int v = 1; v <= kMaxLevel; ++v) {
       auto tower_error = [&](const Node* n) -> const char* {
         if (n->level != v) return "node on wrong level";
-        if (v == 1) {
-          if (n->tower_root != n || n->down != nullptr)
-            return "root node vertical structure broken";
-          return nullptr;
-        }
-        if (n->down == nullptr || n->down->level != v - 1)
-          return "down pointer broken";
-        if (!node_eq(n->down, n->key)) return "tower keys differ across levels";
-        if (n->tower_root->succ.load().mark)
+        if (v > n->root()->planned_height) return "node outside its block";
+        if (v == 1) return nullptr;
+        if (n->down()->level != v - 1) return "down slot broken";
+        if (!node_eq(n->down(), n->key))
+          return "tower keys differ across levels";
+        if (n->root()->succ.load().mark)
           return "superfluous node linked at quiescence";
         return nullptr;
       };
-      if (!this->validate_level(head_[v], rep, tower_error)) break;
+      if (!this->validate_level(head(v), rep, tower_error)) break;
     }
-    // Every upper node's tower_root must itself be linked at level 1; since
-    // all linked roots are unmarked here, tower_root unmarked was checked.
+    // Every upper node's root must itself be linked at level 1; since all
+    // linked roots are unmarked here, root() unmarked was checked.
     return rep;
   }
 
@@ -381,9 +383,9 @@ class FRSkipList
     TowerCensus out;
     std::unordered_map<const Node*, int> height;
     for (int v = 1; v <= kMaxLevel; ++v) {
-      for (const Node* p = head_[v]->succ.load().right;
+      for (const Node* p = head(v)->succ.load().right;
            p->kind != Node::Kind::kTail; p = p->succ.load().right) {
-        auto [it, fresh] = height.emplace(p->tower_root, v);
+        auto [it, fresh] = height.emplace(p->root(), v);
         if (!fresh && v > it->second) it->second = v;
       }
     }
@@ -399,7 +401,7 @@ class FRSkipList
     return out;
   }
 
-  Node* head(int level) const { return head_[level]; }
+  Node* head(int level) const { return head_->slot(level); }
   Node* tail() const noexcept { return tail_; }
 
  private:
@@ -414,7 +416,8 @@ class FRSkipList
     }
     Node* root = nullptr;
     try {
-      root = make_root(k, std::move(value), tower_height);
+      root = make_root(Node::Kind::kInterior, k, std::move(value),
+                       tower_height);
     } catch (const std::bad_alloc&) {
       stats::tls().op_insert.inc();
       return InsertStatus::kNoMemory;  // nothing linked, nothing leaked
@@ -427,7 +430,7 @@ class FRSkipList
       if (result == InsertResult::kDuplicate) {
         if (curr_v == 1) {
           // Never published; nobody else can hold it.
-          free_unpublished(root);
+          destroy_tower(root);
           stats::tls().op_insert.inc();
           return InsertStatus::kDuplicate;
         }
@@ -436,7 +439,7 @@ class FRSkipList
         // (never linked): roll tower_top back to the highest linked node,
         // destroy it in place (its slot dies with the block) and release
         // the reference taken before the attempt.
-        root->tower_top.store(node->down, std::memory_order_release);
+        root->tower_top.store(node->down(), std::memory_order_release);
         node->~Node();
         release_tower_ref(root);
         break;
@@ -451,7 +454,6 @@ class FRSkipList
       raise_top_hint(curr_v);
       if (curr_v == tower_height) break;  // tower complete
       ++curr_v;
-      Node* below = node;
       LF_CHAOS_POINT(kSkipTowerBuild);
       // Announce the upcoming link BEFORE attempting it (see Node docs):
       // while tower_alive includes this node, nobody can retire the tower,
@@ -459,8 +461,8 @@ class FRSkipList
       // (count reached zero), it must NOT be resurrected: stop building.
       if (!acquire_tower_ref(root)) break;
       try {
-        node = ::new (upper_slot(root, curr_v))
-            Node(Node::Kind::kInterior, curr_v, k, T{}, below, root);
+        node = ::new (root->slot(curr_v))
+            Node(Node::Kind::kInterior, curr_v, k, T{});
       } catch (const std::bad_alloc&) {
         // Out of memory above a linked root: give back the announced
         // reference and stop with a truncated (still valid) tower.
@@ -498,11 +500,11 @@ class FRSkipList
     int curr_v = top_hint_.load(std::memory_order_relaxed) + 1;
     if (curr_v > kMaxLevel) curr_v = kMaxLevel;
     if (curr_v < v) curr_v = v;
-    Node* curr = head_[curr_v];
+    Node* curr = head(curr_v);
     Node* next = nullptr;
     while (curr_v > v) {
       std::tie(curr, next) = search_right<false>(k, curr);
-      curr = curr->down;
+      curr = curr->down();
       --curr_v;
     }
     return search_right<Closed>(k, curr);
@@ -514,8 +516,13 @@ class FRSkipList
   // "SearchRight deletes the superfluous nodes along its way, performing
   // all three deletion steps if necessary, whereas SearchFrom physically
   // deletes only those nodes that are already logically deleted."
+  //
+  // Forced inline: left to its heuristics GCC outlines the descent's
+  // search_right<false> from search_to_level<true>, which costs find ~10%
+  // (EXPERIMENTS.md E11).
   template <bool Closed>
-  std::pair<Node*, Node*> search_right(const Key& k, Node* curr) const {
+  [[gnu::always_inline]] std::pair<Node*, Node*> search_right(
+      const Key& k, Node* curr) const {
     auto& c = stats::tls();
     auto advances = [&](const Node* n) {
       return Closed ? node_le(n, k) : node_lt(n, k);
@@ -530,7 +537,7 @@ class FRSkipList
       // the tower's upper nodes, and removal never moves curr rightward,
       // so the postcondition of either mode is preserved.
       while (next->kind == Node::Kind::kInterior && node_le(next, k) &&
-             next->tower_root->succ.load().mark) {
+             next->root()->succ.load().mark) {
         auto [new_curr, status, won] = try_flag(curr, next);
         curr = new_curr;
         if (status == FlagStatus::kIn) help_flagged(curr, next);
@@ -552,7 +559,7 @@ class FRSkipList
 
   // The core's disposal hook: unlinking a tower node drops one reference
   // on its tower, which the last one retires (see Node docs).
-  void on_unlinked(Node* del) const { release_tower_ref(del->tower_root); }
+  void on_unlinked(Node* del) const { release_tower_ref(del->root()); }
 
   // Take a reference on a tower for an upcoming link attempt; fails (and
   // must abort the attempt) if the tower is already fully unlinked, since a
@@ -578,9 +585,10 @@ class FRSkipList
   // ---- Tower blocks ------------------------------------------------------
   //
   // A tower is one pool block of planned_height node slots: the root at
-  // slot 0, level v at slot v-1. Upper nodes are constructed in their slot
-  // lazily as the build climbs, so a block may hold fewer nodes than slots;
-  // tower_top -> down -> ... -> root chains exactly the constructed ones.
+  // slot 0, level v at slot v-1 (Node::slot). Upper nodes are constructed
+  // in their slot lazily as the build climbs, so a block may hold fewer
+  // nodes than slots; the slots from the root up to tower_top's level hold
+  // exactly the constructed ones.
 
   static std::size_t tower_bytes(int height) {
     return sizeof(Node) * static_cast<std::size_t>(height);
@@ -588,12 +596,12 @@ class FRSkipList
 
   // Allocates the block and constructs the root in slot 0. If the root's
   // construction throws (e.g. copying the key), the block goes back too.
-  static Node* make_root(const Key& k, T value, int planned_height) {
+  static Node* make_root(typename Node::Kind kind, const Key& k, T value,
+                         int planned_height) {
     void* block = mem::pool_allocate(tower_bytes(planned_height));
     Node* root;
     try {
-      root = ::new (block) Node(Node::Kind::kInterior, 1, k, std::move(value),
-                                nullptr, nullptr);
+      root = ::new (block) Node(kind, 1, k, std::move(value));
     } catch (...) {
       mem::pool_deallocate(block, tower_bytes(planned_height));
       throw;
@@ -602,45 +610,21 @@ class FRSkipList
     return root;
   }
 
-  // Address of the level-`level` slot of root's block (levels are 1-based).
-  static void* upper_slot(Node* root, int level) {
-    return reinterpret_cast<char*>(root) +
-           sizeof(Node) * static_cast<std::size_t>(level - 1);
-  }
-
-  // The tower's one deleter: destroys every constructed node top-down
-  // (abandoned slots were already destroyed and dropped from the chain),
-  // then frees the block once.
+  // The tower's one deleter, also for an unpublished root and the
+  // sentinels: destroys every constructed node top-down (abandoned slots
+  // were already destroyed and dropped below tower_top), then frees the
+  // block once.
   static void destroy_tower(void* p) {
     Node* root = static_cast<Node*>(p);
     const std::size_t bytes = tower_bytes(root->planned_height);
-    Node* n = root->tower_top.load(std::memory_order_acquire);
-    while (n != nullptr) {
-      Node* below = n->down;
-      n->~Node();
-      n = below;
-    }
+    for (int v = root->tower_top.load(std::memory_order_acquire)->level;
+         v >= 1; --v)
+      root->slot(v)->~Node();
     mem::pool_deallocate(p, bytes);
   }
 
-  // Sentinels are one-slot blocks, so free_unpublished frees them too.
-  static Node* make_sentinel(typename Node::Kind kind, int level, Node* down) {
-    Node* n = ::new (mem::pool_allocate(tower_bytes(1)))
-        Node(kind, level, Key{}, T{}, down, nullptr);
-    n->planned_height = 1;
-    return n;
-  }
-
-  // A block nobody else can reach (an unpublished root, or a sentinel at
-  // destruction): destroy the node and free the block at once.
-  static void free_unpublished(Node* root) {
-    const std::size_t bytes = tower_bytes(root->planned_height);
-    root->~Node();
-    mem::pool_deallocate(root, bytes);
-  }
-
   mutable Reclaimer reclaimer_;
-  std::array<Node*, kMaxLevel + 1> head_{};  // head_[1..kMaxLevel]; [0] unused
+  Node* head_;  // head(1), the root of the head tower's block
   Node* tail_;
   std::atomic<int> top_hint_;
 

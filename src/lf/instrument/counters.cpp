@@ -11,8 +11,9 @@ namespace {
 // is never touched on the counting fast path.
 struct Registry {
   std::mutex mu;
-  std::unordered_set<const StepCounters*> live;
+  std::unordered_set<StepCounters*> live;
   Snapshot drained;
+  Histogram drained_chain_hist;
 
   static Registry& instance() {
     static Registry r;  // leaked-on-exit semantics are fine and avoid
@@ -32,6 +33,7 @@ StepCounters::~StepCounters() {
   auto& reg = Registry::instance();
   std::lock_guard lock(reg.mu);
   reg.drained += read();
+  reg.drained_chain_hist.merge(chain_hist);
   reg.live.erase(this);
 }
 
@@ -48,63 +50,21 @@ Snapshot aggregate() {
   return total;
 }
 
-namespace {
-
-// Registry for the thread-local chain-length histograms. Unlike the scalar
-// counters, histograms are only read/merged at quiescent points, so plain
-// (mutex-protected at register/drain time, owner-written otherwise) storage
-// suffices.
-struct ChainHistSlot {
-  Histogram hist;
-
-  ChainHistSlot();
-  ~ChainHistSlot();
-};
-
-struct ChainHistRegistry {
-  std::mutex mu;
-  std::unordered_set<ChainHistSlot*> live;
-  Histogram drained;
-
-  static ChainHistRegistry& instance() {
-    static ChainHistRegistry r;
-    return r;
-  }
-};
-
-ChainHistSlot::ChainHistSlot() {
-  auto& reg = ChainHistRegistry::instance();
-  std::lock_guard lock(reg.mu);
-  reg.live.insert(this);
-}
-
-ChainHistSlot::~ChainHistSlot() {
-  auto& reg = ChainHistRegistry::instance();
-  std::lock_guard lock(reg.mu);
-  reg.drained.merge(hist);
-  reg.live.erase(this);
-}
-
-}  // namespace
-
-Histogram& chain_hist_tls() {
-  thread_local ChainHistSlot slot;
-  return slot.hist;
-}
+Histogram& chain_hist_tls() { return tls().chain_hist; }
 
 Histogram aggregate_chain_hist() {
-  auto& reg = ChainHistRegistry::instance();
+  auto& reg = Registry::instance();
   std::lock_guard lock(reg.mu);
-  Histogram total = reg.drained;
-  for (ChainHistSlot* slot : reg.live) total.merge(slot->hist);
+  Histogram total = reg.drained_chain_hist;
+  for (const StepCounters* block : reg.live) total.merge(block->chain_hist);
   return total;
 }
 
 void reset_chain_hist() {
-  auto& reg = ChainHistRegistry::instance();
+  auto& reg = Registry::instance();
   std::lock_guard lock(reg.mu);
-  reg.drained = Histogram{};
-  for (ChainHistSlot* slot : reg.live) slot->hist = Histogram{};
+  reg.drained_chain_hist = Histogram{};
+  for (StepCounters* block : reg.live) block->chain_hist = Histogram{};
 }
 
 }  // namespace lf::stats

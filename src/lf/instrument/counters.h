@@ -18,6 +18,7 @@
 #include <cstdint>
 
 #include "lf/util/align.h"
+#include "lf/util/histogram.h"
 
 namespace lf::stats {
 
@@ -171,6 +172,9 @@ struct alignas(kCacheLineSize) StepCounters {
 #define LF_DECL(name) Counter name;
   LF_STEP_COUNTER_FIELDS(LF_DECL)
 #undef LF_DECL
+  // Backlink-chain lengths (see chain_hist_tls). Owner-written and read
+  // only at quiescent points, so it needs no atomics.
+  Histogram chain_hist;
 
   StepCounters();
   ~StepCounters();
@@ -187,20 +191,15 @@ struct alignas(kCacheLineSize) StepCounters {
 };
 
 // The calling thread's counter block. First use registers the block in the
-// global registry; thread exit folds its totals into the drained accumulator
-// so aggregate() never loses counts.
+// global registry; thread exit folds its totals (and its chain histogram)
+// into the drained accumulators so aggregate() and aggregate_chain_hist()
+// never lose counts.
 StepCounters& tls();
 
 // Sum over all live threads plus everything drained from exited threads.
 // Exact when no counted code is executing concurrently (the normal benchmark
 // usage: snapshot, run workers to join, snapshot again, subtract).
 Snapshot aggregate();
-
-}  // namespace lf::stats
-
-#include "lf/util/histogram.h"
-
-namespace lf::stats {
 
 // Thread-local histogram of backlink-chain lengths: every time an operation
 // recovers from a failed C&S by walking a backlink chain, the length of that

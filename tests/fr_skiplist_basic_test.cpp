@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "lf/core/fr_skiplist.h"
+#include "lf/instrument/counters.h"
+#include "lf/reclaim/epoch.h"
 #include "lf/util/random.h"
 
 namespace {
@@ -80,7 +82,7 @@ TEST(FRSkipListBasic, EraseCleansWholeTower) {
 TEST(FRSkipListBasic, VerticalTowerStructure) {
   IntSkip s;
   for (long k = 0; k < 1000; ++k) s.insert(k, k * 2);
-  const auto rep = s.validate();  // checks down/tower_root/level coherence
+  const auto rep = s.validate();  // checks down slot/block/level coherence
   ASSERT_TRUE(rep.ok) << rep.error;
   // With 1000 geometric towers, some must be taller than one level.
   EXPECT_GT(rep.node_count, 1000u);
@@ -110,16 +112,52 @@ TEST(FRSkipListBasic, TopHintTracksTallTowers) {
   EXPECT_LE(s.top_level_hint(), IntSkip::kMaxTowerHeight);
 }
 
+// std::string keys also make sizeof(Node) a size that is not a multiple of
+// 64, so towers of every height exercise slot offsets that no cache-line
+// rounding hides (ASan catches an off-by-one slot).
 TEST(FRSkipListBasic, StringKeys) {
-  lf::FRSkipList<std::string, int> s;
-  EXPECT_TRUE(s.insert("mango", 1));
-  EXPECT_TRUE(s.insert("kiwi", 2));
-  EXPECT_TRUE(s.insert("apple", 3));
-  EXPECT_EQ(s.keys(),
-            (std::vector<std::string>{"apple", "kiwi", "mango"}));
-  EXPECT_TRUE(s.erase("kiwi"));
-  EXPECT_FALSE(s.contains("kiwi"));
-  EXPECT_TRUE(s.validate().ok);
+  using StringSkip = lf::FRSkipList<std::string, int>;
+  constexpr int kMaxHeight = StringSkip::kMaxTowerHeight;
+  lf::reclaim::EpochDomain domain;
+  const auto before = lf::stats::aggregate();
+  {
+    StringSkip s{lf::reclaim::EpochReclaimer(domain)};
+    EXPECT_TRUE(s.insert("mango", 1));
+    EXPECT_TRUE(s.insert("kiwi", 2));
+    EXPECT_TRUE(s.insert("apple", 3));
+    EXPECT_EQ(s.keys(),
+              (std::vector<std::string>{"apple", "kiwi", "mango"}));
+    EXPECT_TRUE(s.erase("kiwi"));
+    EXPECT_FALSE(s.contains("kiwi"));
+    EXPECT_TRUE(s.validate().ok);
+
+    // Too long for the small-string buffer, so every key owns heap memory.
+    auto key = [](int h) {
+      return "tower-" + std::to_string(100 + h) + std::string(32, '.');
+    };
+    for (int h = 1; h <= kMaxHeight; ++h) {
+      ASSERT_EQ(s.insert_with_height(key(h), h, h),
+                StringSkip::InsertStatus::kInserted);
+    }
+    for (int h = 1; h <= kMaxHeight; h += 2) ASSERT_TRUE(s.erase(key(h)));
+    for (int h = 1; h <= kMaxHeight; h += 2) {
+      ASSERT_EQ(s.insert_with_height(key(h), h, h),
+                StringSkip::InsertStatus::kInserted);
+    }
+    const auto rep = s.validate();
+    EXPECT_TRUE(rep.ok) << rep.error;
+    const auto census = s.census();
+    EXPECT_EQ(census.towers, static_cast<std::size_t>(kMaxHeight) + 2);
+    EXPECT_EQ(census.incomplete, 0u);
+    for (int h = 1; h <= kMaxHeight; ++h) {
+      EXPECT_GE(census.height_counts.count(h), 1u) << "height " << h;
+      EXPECT_EQ(*s.find(key(h)), h);
+    }
+  }
+  domain.drain();
+  const auto delta = lf::stats::aggregate() - before;
+  EXPECT_GE(delta.node_retired, 1u + (kMaxHeight + 1) / 2);
+  EXPECT_EQ(delta.node_retired, delta.node_freed);
 }
 
 TEST(FRSkipListBasic, DifferentialAgainstStdMap) {

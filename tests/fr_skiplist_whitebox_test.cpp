@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <new>
+#include <set>
 #include <string>
 #include <type_traits>
 
@@ -190,31 +191,61 @@ TEST(FRSkipListWhitebox, SearchHasNoSideEffectsOnCleanList) {
   EXPECT_EQ(delta.help_flagged, 0u);
 }
 
-// Each tower is one block: verify the advertised address arithmetic
-// actually holds for linked towers (root at offset 0, level v at offset
-// (v-1)*sizeof(Node)) — the property the cache-locality claims rest on.
+// Each tower is one block and down()/root() are derived from the slot a
+// node sits in, so the offset from root() is (level-1) nodes by
+// construction. What can still break is the block itself: every upper
+// node's root() must be a linked level-1 root with the same key, and the
+// node must lie inside the root's planned_height slots.
 TEST(FlatTowerLayout, UpperNodesLiveInsideTheRootBlock) {
   Skip s;
   for (long k = 0; k < 500; ++k) s.insert(k, k);
+  std::set<const Skip::Node*> roots;
+  for (auto* p = s.head(1)->succ.load().right;
+       p->kind != Skip::Node::Kind::kTail; p = p->succ.load().right) {
+    roots.insert(p);
+    // Roots come from the pool: 64-byte aligned, every time.
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
+  }
   std::size_t towers_checked = 0;
-  for (int v = 2; v <= 23; ++v) {
+  for (int v = 2; v <= Skip::kMaxTowerHeight; ++v) {
     for (auto* p = s.head(v)->succ.load().right;
          p->kind != Skip::Node::Kind::kTail; p = p->succ.load().right) {
-      const auto* root = p->tower_root;
-      const auto off = reinterpret_cast<const char*>(p) -
-                       reinterpret_cast<const char*>(root);
-      EXPECT_EQ(off, static_cast<std::ptrdiff_t>(sizeof(Skip::Node)) *
-                         (p->level - 1));
-      EXPECT_LT(p->level, root->planned_height + 1);
+      const auto* root = p->root();
+      EXPECT_EQ(roots.count(root), 1u) << "level " << v;
+      EXPECT_EQ(root->key, p->key);
+      EXPECT_LE(p->level, root->planned_height);
       ++towers_checked;
     }
   }
   EXPECT_GT(towers_checked, 0u);
-  // Roots come from the pool: 64-byte aligned, every time.
-  for (auto* p = s.head(1)->succ.load().right;
-       p->kind != Skip::Node::Kind::kTail; p = p->succ.load().right) {
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
+}
+
+// The memory figures (one line per tower level, h lines per tower) rest on
+// the node being exactly one cache line for 8-byte keys and values; a new
+// field would silently add a line per level.
+TEST(FlatTowerLayout, TowerNodeIsOneCacheLine) {
+  using U64Node = lf::FRSkipList<std::uint64_t, std::uint64_t>::Node;
+  EXPECT_EQ(sizeof(U64Node), 64u);
+  EXPECT_EQ(alignof(U64Node), 8u);
+  EXPECT_EQ(sizeof(Skip::Node), 64u);
+  EXPECT_EQ(alignof(Skip::Node), 8u);
+}
+
+// The head tower is one block like any tower: head(v) sits at slot v-1,
+// and an empty list costs two pool requests (head block and tail block),
+// both freed when it is destroyed.
+TEST(FlatTowerLayout, HeadTowerIsOneBlock) {
+  const lf::mem::PoolTotals before = lf::mem::pool_totals();
+  {
+    Skip s;
+    for (int v = 1; v <= Skip::kMaxTowerHeight + 1; ++v) {
+      EXPECT_EQ(s.head(v), s.head(1) + (v - 1)) << "level " << v;
+      EXPECT_EQ(s.head(v)->level, v);
+    }
   }
+  const lf::mem::PoolTotals delta = lf::mem::pool_totals() - before;
+  EXPECT_EQ(delta.requests, 2u);
+  EXPECT_EQ(delta.freed_blocks, 2u);
 }
 
 // A key whose copy constructor throws std::bad_alloc on the Nth copy after
