@@ -46,7 +46,7 @@ using lf::reclaim::EpochDomain;
 constexpr int kWorkers = 3;
 constexpr long kKeySpace = 256;
 constexpr std::uint32_t kBlameThreshold = 16;  // the documented default
-constexpr std::uint64_t kSoftCap = 1u << 16;
+constexpr std::uint64_t kSoftCap = EpochDomain::kQuarantineSoftCap;
 
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
@@ -71,7 +71,6 @@ Row run_one(int stall_ms) {
   EpochDomain::ResilienceOptions ro;
   ro.neutralize = true;
   ro.blame_threshold = kBlameThreshold;
-  ro.quarantine_soft_cap = kSoftCap;
   domain.set_resilience(ro);
   List set{lf::reclaim::EpochReclaimer(domain)};
   for (long k = 0; k < kKeySpace; k += 2) set.insert(k, k);

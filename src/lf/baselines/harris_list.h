@@ -27,6 +27,7 @@
 #include <utility>
 
 #include "lf/chaos/chaos.h"
+#include "lf/core/key_order.h"
 #include "lf/instrument/counters.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/reclaimer.h"
@@ -84,7 +85,7 @@ class HarrisList {
     Node* left;
     Node* right;
     std::tie(left, right) = search(k);
-    if (node_eq(right, k)) {
+    if (node_eq(right, k, comp_)) {
       // Duplicate detected before allocating: this path costs no
       // allocator traffic at all.
       stats::tls().op_insert.inc();
@@ -103,7 +104,7 @@ class HarrisList {
       }
       stats::tls().restart.inc();  // Harris: restart from the head
       std::tie(left, right) = search(k);
-      if (node_eq(right, k)) {
+      if (node_eq(right, k, comp_)) {
         delete node;  // never published; lost to a mid-retry duplicate
         stats::tls().op_insert.inc();
         return false;
@@ -116,7 +117,7 @@ class HarrisList {
     bool erased = false;
     for (;;) {
       auto [left, right] = search(k);
-      if (!node_eq(right, k)) break;  // not found
+      if (!node_eq(right, k, comp_)) break;  // not found
       const View right_succ = right->succ.load();
       if (right_succ.mark) {
         stats::tls().restart.inc();
@@ -155,7 +156,7 @@ class HarrisList {
     auto [left, right] = search(k);
     (void)left;
     std::optional<T> out;
-    if (node_eq(right, k)) out.emplace(right->value);
+    if (node_eq(right, k, comp_)) out.emplace(right->value);
     stats::tls().op_search.inc();
     return out;
   }
@@ -165,7 +166,7 @@ class HarrisList {
     auto [left, right] = search(k);
     (void)left;
     stats::tls().op_search.inc();
-    return node_eq(right, k);
+    return node_eq(right, k, comp_);
   }
 
   std::size_t size() const {
@@ -191,7 +192,7 @@ class HarrisList {
   bool insert_locate(const Key& k, T value, InsertCursor& cur) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
     auto [left, right] = search(k);
-    if (node_eq(right, k)) return false;
+    if (node_eq(right, k, comp_)) return false;
     cur.key = k;
     cur.left = left;
     cur.right = right;
@@ -216,7 +217,7 @@ class HarrisList {
       }
       stats::tls().restart.inc();  // the whole search repeats from head
       std::tie(left, right) = search(cur.key);
-      if (node_eq(right, cur.key)) {
+      if (node_eq(right, cur.key, comp_)) {
         delete cur.node;
         break;
       }
@@ -246,7 +247,7 @@ class HarrisList {
     }
     c.restart.inc();  // recovery = restart: re-search the whole list
     auto [left, right] = search(cur.key);
-    if (node_eq(right, cur.key)) {
+    if (node_eq(right, cur.key, comp_)) {
       delete cur.node;
       cur.node = nullptr;
       c.op_insert.inc();
@@ -260,16 +261,6 @@ class HarrisList {
   Node* head() const noexcept { return head_; }
 
  private:
-  bool node_lt(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
-  }
-
   // Harris's search: returns adjacent (left, right) with left unmarked,
   // left.key < k <= right.key, unlinking any marked chain between them.
   // Restarts from the head whenever a C&S fails or adjacency is lost.
@@ -291,7 +282,7 @@ class HarrisList {
         c.curr_update.inc();
         if (t->kind == Node::Kind::kTail) break;
         t_succ = t->succ.load();
-        if (!t_succ.mark && !node_lt(t, k)) break;
+        if (!t_succ.mark && !node_lt(t, k, comp_)) break;
       }
       right = t;
       // Phase 2: already adjacent?

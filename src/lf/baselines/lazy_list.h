@@ -18,6 +18,7 @@
 #include <optional>
 #include <utility>
 
+#include "lf/core/key_order.h"
 #include "lf/instrument/counters.h"
 #include "lf/reclaim/epoch.h"
 
@@ -60,7 +61,7 @@ class LazyList {
         stats::tls().restart.inc();
         continue;
       }
-      if (node_eq(curr, k)) break;  // duplicate
+      if (node_eq(curr, k, comp_)) break;  // duplicate
       Node* node = new Node(Node::Kind::kInterior, k, std::move(value));
       node->next.store(curr, std::memory_order_relaxed);
       pred->next.store(node, std::memory_order_release);
@@ -81,7 +82,7 @@ class LazyList {
         stats::tls().restart.inc();
         continue;
       }
-      if (!node_eq(curr, k)) break;  // absent
+      if (!node_eq(curr, k, comp_)) break;  // absent
       curr->marked.store(true, std::memory_order_release);  // logical
       pred->next.store(curr->next.load(std::memory_order_relaxed),
                        std::memory_order_release);          // physical
@@ -98,25 +99,27 @@ class LazyList {
     [[maybe_unused]] auto guard = domain_.guard();
     auto& c = stats::tls();
     Node* curr = head_;
-    while (node_lt(curr, k)) {
+    while (node_lt(curr, k, comp_)) {
       curr = curr->next.load(std::memory_order_acquire);
       c.curr_update.inc();
     }
     stats::tls().op_search.inc();
-    return node_eq(curr, k) && !curr->marked.load(std::memory_order_acquire);
+    return node_eq(curr, k, comp_) &&
+           !curr->marked.load(std::memory_order_acquire);
   }
 
   std::optional<T> find(const Key& k) const {
     [[maybe_unused]] auto guard = domain_.guard();
     auto& c = stats::tls();
     Node* curr = head_;
-    while (node_lt(curr, k)) {
+    while (node_lt(curr, k, comp_)) {
       curr = curr->next.load(std::memory_order_acquire);
       c.curr_update.inc();
     }
     stats::tls().op_search.inc();
     std::optional<T> out;
-    if (node_eq(curr, k) && !curr->marked.load(std::memory_order_acquire))
+    if (node_eq(curr, k, comp_) &&
+        !curr->marked.load(std::memory_order_acquire))
       out.emplace(curr->value);
     return out;
   }
@@ -147,22 +150,12 @@ class LazyList {
         : kind(k), key(std::move(key_arg)), value(std::move(value_arg)) {}
   };
 
-  bool node_lt(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
-  }
-
   // Unlocked optimistic traversal: pred.key < k <= curr.key.
   std::pair<Node*, Node*> locate(const Key& k) const {
     auto& c = stats::tls();
     Node* pred = head_;
     Node* curr = pred->next.load(std::memory_order_acquire);
-    while (node_lt(curr, k)) {
+    while (node_lt(curr, k, comp_)) {
       pred = curr;
       curr = curr->next.load(std::memory_order_acquire);
       c.curr_update.inc();

@@ -26,6 +26,7 @@
 #include <tuple>
 #include <utility>
 
+#include "lf/core/key_order.h"
 #include "lf/instrument/counters.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/hazard.h"
@@ -174,16 +175,6 @@ class MichaelList {
   }
 
  private:
-  bool node_lt(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
-  }
-
   // Michael's Find: returns (prev, curr, found) with prev unmarked,
   // prev.right == curr, prev.key < k <= curr.key; unlinks each marked node
   // it meets, restarting from head when any C&S fails.
@@ -208,7 +199,8 @@ class MichaelList {
         c.next_update.inc();
         continue;
       }
-      if (!node_lt(curr, k)) return {prev, curr, node_eq(curr, k)};
+      if (!node_lt(curr, k, comp_))
+        return {prev, curr, node_eq(curr, k, comp_)};
       prev = curr;
       curr = curr_succ.right;
       c.curr_update.inc();
@@ -366,16 +358,6 @@ class MichaelListHP {
   }
 
  private:
-  bool node_lt(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
-  }
-
   // Hazard-slot usage: the traversal keeps two published references live
   // (0 = curr, 1 = prev); the third of Michael's three references (next) is
   // protected transitively by the validation that prev still links to curr.
@@ -420,7 +402,8 @@ class MichaelListHP {
         c.next_update.inc();
         continue;
       }
-      if (!node_lt(curr, k)) return {prev, curr, node_eq(curr, k)};
+      if (!node_lt(curr, k, comp_))
+        return {prev, curr, node_eq(curr, k, comp_)};
       prev = curr;
       // Not a protect() site: curr is already protected by slot 0 at this
       // moment, so copying it into slot 1 transfers an existing guarantee —

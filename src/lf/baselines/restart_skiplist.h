@@ -31,6 +31,7 @@
 #include <utility>
 
 #include "lf/chaos/chaos.h"
+#include "lf/core/key_order.h"
 #include "lf/instrument/counters.h"
 #include "lf/sync/succ_field.h"
 #include "lf/util/random.h"
@@ -210,7 +211,7 @@ class RestartSkipList {
           curr_succ = curr->next[lv].load();
           c.next_update.inc();
         }
-        if (node_lt(curr, k)) {
+        if (node_lt(curr, k, comp_)) {
           pred = curr;
           curr = curr_succ.right;
           c.curr_update.inc();
@@ -220,7 +221,7 @@ class RestartSkipList {
       }
     }
     stats::tls().op_search.inc();
-    return node_eq(curr, k) && !curr->next[0].load().mark;
+    return node_eq(curr, k, comp_) && !curr->next[0].load().mark;
   }
 
   std::size_t size() const {
@@ -233,16 +234,6 @@ class RestartSkipList {
   }
 
  private:
-  bool node_lt(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
-  }
-
   static Xoshiro256& tls_rng() {
     thread_local Xoshiro256 rng(
         0xd1b54a32d192ed03ULL ^
@@ -284,7 +275,7 @@ class RestartSkipList {
           curr_succ = curr->next[lv].load();
           c.next_update.inc();
         }
-        if (node_lt(curr, k)) {
+        if (node_lt(curr, k, comp_)) {
           pred = curr;
           curr = curr_succ.right;
           c.curr_update.inc();
@@ -295,7 +286,7 @@ class RestartSkipList {
       preds[lv] = pred;
       succs[lv] = curr;
     }
-    return node_eq(succs[0], k);
+    return node_eq(succs[0], k, comp_);
   }
 
   Compare comp_;

@@ -21,6 +21,7 @@
 #include <utility>
 
 #include "lf/chaos/chaos.h"
+#include "lf/core/key_order.h"
 #include "lf/instrument/counters.h"
 #include "lf/sync/backoff.h"
 #include "lf/sync/succ_field.h"
@@ -65,25 +66,6 @@ class Core {
   enum class InsertResult { kInserted, kDuplicate };
 
   explicit Core(Compare comp) : comp_(std::move(comp)) {}
-
-  // ---- ordering helpers ---------------------------------------------------
-  // Sentinels hold no real keys; kHead compares below and kTail above every
-  // key, realizing the paper's -inf/+inf dummy keys for any key type.
-
-  bool node_lt(const Node* n, const Key& k) const {  // n.key < k
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-  bool node_le(const Node* n, const Key& k) const {  // n.key <= k
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return !comp_(k, n->key);
-  }
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
-  }
 
   // ---- quiescent validation -------------------------------------------------
 
@@ -269,7 +251,7 @@ class Core {
   std::pair<Node*, InsertResult> insert_node(Node* node, Node* prev,
                                              Node* next) const {
     sync::Backoff backoff;
-    while (!node_eq(prev, node->key)) {
+    while (!node_eq(prev, node->key, comp_)) {
       if (insert_step(node, prev, next, backoff)) {
         return {prev, InsertResult::kInserted};
       }

@@ -146,9 +146,6 @@ class FRList
   using Core::help_marked;
   using Core::insert_node;
   using Core::insert_step;
-  using Core::node_eq;
-  using Core::node_le;
-  using Core::node_lt;
   using Core::try_flag;
 
  public:
@@ -194,7 +191,7 @@ class FRList
   InsertStatus insert_checked(const Key& k, T value) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
     auto [prev, next] = search_entry<true>(k);
-    if (node_eq(prev, k)) {
+    if (node_eq(prev, k, comp_)) {
       stats::tls().op_insert.inc();
       return InsertStatus::kDuplicate;  // DUPLICATE_KEY
     }
@@ -216,7 +213,7 @@ class FRList
     [[maybe_unused]] auto guard = reclaimer_.guard();
     // SearchFrom(k - eps): prev.key < k <= del.key, per Delete line 1.
     auto [prev, del] = search_entry<false>(k);
-    const bool erased = node_eq(del, k) && delete_node(prev, del);
+    const bool erased = node_eq(del, k, comp_) && delete_node(prev, del);
     stats::tls().op_erase.inc();
     return erased;
   }
@@ -227,7 +224,7 @@ class FRList
     auto [curr, next] = search_entry<true>(k);
     (void)next;
     std::optional<T> out;
-    if (node_eq(curr, k)) out.emplace(curr->value);
+    if (node_eq(curr, k, comp_)) out.emplace(curr->value);
     stats::tls().op_search.inc();
     return out;
   }
@@ -237,7 +234,7 @@ class FRList
     auto [curr, next] = search_entry<true>(k);
     (void)next;
     stats::tls().op_search.inc();
-    return node_eq(curr, k);
+    return node_eq(curr, k, comp_);
   }
 
   // ---- Snapshot / diagnostic helpers -----------------------------------
@@ -300,7 +297,7 @@ class FRList
   bool insert_locate(const Key& k, T value, InsertCursor& cur) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
     auto [prev, next] = search_right<true>(k, head_);
-    if (node_eq(prev, k)) return false;
+    if (node_eq(prev, k, comp_)) return false;
     cur.key = k;
     cur.prev = prev;
     cur.next = next;
@@ -332,7 +329,7 @@ class FRList
       stats::tls().op_insert.inc();
       return TryResult::kInserted;
     }
-    if (!node_eq(cur.prev, cur.key)) return TryResult::kRetry;
+    if (!node_eq(cur.prev, cur.key, comp_)) return TryResult::kRetry;
     delete cur.node;  // never published; plain delete is safe
     cur.node = nullptr;
     stats::tls().op_insert.inc();
@@ -358,7 +355,7 @@ class FRList
   bool erase_begin(const Key& k, StalledErase& out) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
     auto [prev, del] = search_right<false>(k, head_);
-    if (!node_eq(del, k)) return false;
+    if (!node_eq(del, k, comp_)) return false;
     auto [flag_prev, status, won] = try_flag(prev, del);
     const bool in = status == FlagStatus::kIn;
     out.prev = in ? flag_prev : nullptr;
@@ -467,7 +464,7 @@ class FRList
   std::pair<Node*, Node*> search_right(const Key& k, Node* curr) const {
     auto& c = stats::tls();
     auto advances = [&](const Node* n) {
-      return Closed ? node_le(n, k) : node_lt(n, k);
+      return Closed ? node_le(n, k, comp_) : node_lt(n, k, comp_);
     };
     Node* next = curr->succ.load().right;
     LF_PREFETCH(next);

@@ -34,6 +34,7 @@
 #include <tuple>
 #include <utility>
 
+#include "lf/core/key_order.h"
 #include "lf/instrument/counters.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/reclaimer.h"
@@ -91,7 +92,7 @@ class FRListNoFlag {
     [[maybe_unused]] auto guard = reclaimer_.guard();
     auto [prev, next] = search_from<true>(k, head_);
     bool inserted = false;
-    if (!node_eq(prev, k)) {
+    if (!node_eq(prev, k, comp_)) {
       Node* node = new Node(Node::Kind::kInterior, k, std::move(value));
       for (;;) {
         node->succ.store_unsynchronized(View{next, false, false});
@@ -104,7 +105,7 @@ class FRListNoFlag {
         }
         recover(prev);
         std::tie(prev, next) = search_from<true>(k, prev);
-        if (node_eq(prev, k)) {
+        if (node_eq(prev, k, comp_)) {
           delete node;
           break;
         }
@@ -118,7 +119,7 @@ class FRListNoFlag {
     [[maybe_unused]] auto guard = reclaimer_.guard();
     auto [prev, del] = search_from<false>(k, head_);
     bool erased = false;
-    if (node_eq(del, k)) {
+    if (node_eq(del, k, comp_)) {
       // Logical deletion: publish the best-effort backlink hint, then mark.
       for (;;) {
         const View del_succ = del->succ.load();
@@ -157,7 +158,7 @@ class FRListNoFlag {
     auto [curr, next] = search_from<true>(k, head_);
     (void)next;
     std::optional<T> out;
-    if (node_eq(curr, k)) out.emplace(curr->value);
+    if (node_eq(curr, k, comp_)) out.emplace(curr->value);
     stats::tls().op_search.inc();
     return out;
   }
@@ -167,7 +168,7 @@ class FRListNoFlag {
     auto [curr, next] = search_from<true>(k, head_);
     (void)next;
     stats::tls().op_search.inc();
-    return node_eq(curr, k);
+    return node_eq(curr, k, comp_);
   }
 
   std::size_t size() const {
@@ -194,7 +195,7 @@ class FRListNoFlag {
   bool insert_locate(const Key& k, T value, InsertCursor& cur) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
     auto [prev, next] = search_from<true>(k, head_);
-    if (node_eq(prev, k)) return false;
+    if (node_eq(prev, k, comp_)) return false;
     cur.key = k;
     cur.prev = prev;
     cur.next = next;
@@ -218,7 +219,7 @@ class FRListNoFlag {
       }
       recover(prev);
       std::tie(prev, next) = search_from<true>(cur.key, prev);
-      if (node_eq(prev, cur.key)) {
+      if (node_eq(prev, cur.key, comp_)) {
         delete cur.node;
         break;
       }
@@ -248,7 +249,7 @@ class FRListNoFlag {
   bool erase_locate(const Key& k, EraseCursor& cur) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
     auto [prev, del] = search_from<false>(k, head_);
-    if (!node_eq(del, k)) return false;
+    if (!node_eq(del, k, comp_)) return false;
     cur.key = k;
     cur.prev = prev;
     cur.del = del;
@@ -289,21 +290,6 @@ class FRListNoFlag {
   }
 
  private:
-  bool node_lt(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-  bool node_le(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return !comp_(k, n->key);
-  }
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
-  }
-
   // Walk the backlink chain from a marked node to an unmarked one. Without
   // flags the chain may pass through OTHER marked nodes — the growth the
   // paper's flag bit forbids. Instrumented for E7.
@@ -324,7 +310,7 @@ class FRListNoFlag {
   std::pair<Node*, Node*> search_from(const Key& k, Node* curr) const {
     auto& c = stats::tls();
     auto advances = [&](const Node* n) {
-      return Closed ? node_le(n, k) : node_lt(n, k);
+      return Closed ? node_le(n, k, comp_) : node_lt(n, k, comp_);
     };
     Node* next = curr->succ.load().right;
     for (;;) {

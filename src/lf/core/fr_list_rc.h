@@ -57,9 +57,6 @@ class FRListRC
   using Core::finger_try_hold;
   using Core::help_marked;
   using Core::insert_node;
-  using Core::node_eq;
-  using Core::node_le;
-  using Core::node_lt;
   using Core::release;
   using Core::safe_read_succ;
   using Core::walk_backlinks;
@@ -84,7 +81,7 @@ class FRListRC
     auto [prev, next] = search_right<true>(k, finger_entry<true>(k));
     save_finger(prev, next);
     bool inserted = false;
-    if (!node_eq(prev, k)) {
+    if (!node_eq(prev, k, comp_)) {
       Node* node = allocate(Node::Kind::kInterior, k, std::move(value));
       auto [last_prev, result] = insert_node(node, prev, next);
       release(last_prev);
@@ -104,7 +101,7 @@ class FRListRC
   bool erase(const Key& k) {
     auto [prev, del] = search_right<false>(k, finger_entry<false>(k));
     save_finger(prev, del);
-    const bool erased = node_eq(del, k) && delete_node(prev, del);
+    const bool erased = node_eq(del, k, comp_) && delete_node(prev, del);
     release(prev);
     release(del);
     stats::tls().op_erase.inc();
@@ -115,7 +112,7 @@ class FRListRC
     auto [curr, next] = search_right<true>(k, finger_entry<true>(k));
     save_finger(curr, next);
     std::optional<T> out;
-    if (node_eq(curr, k)) out.emplace(curr->value);
+    if (node_eq(curr, k, comp_)) out.emplace(curr->value);
     release(curr);
     release(next);
     stats::tls().op_search.inc();
@@ -221,7 +218,7 @@ class FRListRC
   std::pair<Node*, Node*> search_right(const Key& k, Node* curr) const {
     auto& c = stats::tls();
     auto advances = [&](const Node* n) {
-      return Closed ? node_le(n, k) : node_lt(n, k);
+      return Closed ? node_le(n, k, comp_) : node_lt(n, k, comp_);
     };
     Node* next = safe_read_succ(curr);
     while (advances(next)) {

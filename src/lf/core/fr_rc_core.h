@@ -57,6 +57,7 @@
 #include <tuple>
 #include <utility>
 
+#include "lf/core/key_order.h"
 #include "lf/instrument/counters.h"
 #include "lf/sync/succ_field.h"
 
@@ -345,23 +346,6 @@ class Core {
     return true;
   }
 
-  // ---- ordering helpers ---------------------------------------------------
-
-  bool node_lt(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-  bool node_le(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return !comp_(k, n->key);
-  }
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
-  }
-
   // ---- the FR steps on one level, counted ---------------------------------
 
   // prev flagged, del = its successor (both counted by the caller).
@@ -485,7 +469,7 @@ class Core {
     const Key& k = node->key;
     Node* prev = acquire(prev_in);
     Node* next = acquire(next_in);
-    while (!node_eq(prev, k)) {
+    while (!node_eq(prev, k, comp_)) {
       const View prev_succ = prev->succ.load();
       if (prev_succ.flag) {
         help_flagged_at(prev);

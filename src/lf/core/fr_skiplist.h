@@ -179,9 +179,6 @@ class FRSkipList
   using Core::delete_node;
   using Core::help_flagged;
   using Core::insert_node;
-  using Core::node_eq;
-  using Core::node_le;
-  using Core::node_lt;
   using Core::try_flag;
 
  public:
@@ -254,7 +251,7 @@ class FRSkipList
     [[maybe_unused]] auto guard = reclaimer_.guard();
     // prev.key < k <= del.key on level 1.
     auto [prev, del] = search_to_level<false>(k, 1);
-    const bool erased = node_eq(del, k) && delete_node(prev, del);
+    const bool erased = node_eq(del, k, comp_) && delete_node(prev, del);
     // Delete_SL: re-search down to level 2 to physically delete the rest of
     // the now-superfluous tower, top-down.
     if (erased) search_to_level<true>(k, 2);
@@ -267,7 +264,7 @@ class FRSkipList
     auto [curr, next] = search_to_level<true>(k, 1);
     (void)next;
     std::optional<T> out;
-    if (node_eq(curr, k)) out.emplace(curr->value);
+    if (node_eq(curr, k, comp_)) out.emplace(curr->value);
     stats::tls().op_search.inc();
     return out;
   }
@@ -277,7 +274,7 @@ class FRSkipList
     auto [curr, next] = search_to_level<true>(k, 1);
     (void)next;
     stats::tls().op_search.inc();
-    return node_eq(curr, k);
+    return node_eq(curr, k, comp_);
   }
 
   // ---- Snapshot / diagnostics ------------------------------------------
@@ -317,7 +314,7 @@ class FRSkipList
     (void)prev;
     for (Node* p = curr; p->kind != Node::Kind::kTail;
          p = p->succ.load().right) {
-      if (!node_lt(p, hi)) break;  // p.key >= hi
+      if (!node_lt(p, hi, comp_)) break;  // p.key >= hi
       if (!p->succ.load().mark) fn(p->key, p->value);
     }
   }
@@ -357,7 +354,7 @@ class FRSkipList
         if (v > n->root()->planned_height) return "node outside its block";
         if (v == 1) return nullptr;
         if (n->down()->level != v - 1) return "down slot broken";
-        if (!node_eq(n->down(), n->key))
+        if (!node_eq(n->down(), n->key, comp_))
           return "tower keys differ across levels";
         if (n->root()->succ.load().mark)
           return "superfluous node linked at quiescence";
@@ -410,7 +407,7 @@ class FRSkipList
   InsertStatus insert_impl(const Key& k, T value, const int tower_height) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
     auto [prev, next] = search_to_level<true>(k, 1);
-    if (node_eq(prev, k)) {
+    if (node_eq(prev, k, comp_)) {
       stats::tls().op_insert.inc();
       return InsertStatus::kDuplicate;  // DUPLICATE_KEY
     }
@@ -525,7 +522,7 @@ class FRSkipList
       const Key& k, Node* curr) const {
     auto& c = stats::tls();
     auto advances = [&](const Node* n) {
-      return Closed ? node_le(n, k) : node_lt(n, k);
+      return Closed ? node_le(n, k, comp_) : node_lt(n, k, comp_);
     };
     Node* next = curr->succ.load().right;
     LF_PREFETCH(next);
@@ -536,7 +533,7 @@ class FRSkipList
       // erase cleanup descends with exactly that key and must still remove
       // the tower's upper nodes, and removal never moves curr rightward,
       // so the postcondition of either mode is preserved.
-      while (next->kind == Node::Kind::kInterior && node_le(next, k) &&
+      while (next->kind == Node::Kind::kInterior && node_le(next, k, comp_) &&
              next->root()->succ.load().mark) {
         auto [new_curr, status, won] = try_flag(curr, next);
         curr = new_curr;

@@ -105,9 +105,6 @@ class FRSkipListRC
   using Core::finger_try_hold;
   using Core::help_flagged;
   using Core::insert_node;
-  using Core::node_eq;
-  using Core::node_le;
-  using Core::node_lt;
   using Core::release;
   using Core::safe_read_succ;
   using Core::try_flag;
@@ -135,7 +132,7 @@ class FRSkipListRC
 
   bool insert(const Key& k, T value) {
     auto [prev, next] = search_to_level<true>(k, 1);
-    if (node_eq(prev, k)) {
+    if (node_eq(prev, k, comp_)) {
       release(prev);
       release(next);
       stats::tls().op_insert.inc();
@@ -192,7 +189,7 @@ class FRSkipListRC
   bool erase(const Key& k) {
     auto [prev, del] = search_to_level<false>(k, 1);
     bool erased = false;
-    if (node_eq(del, k)) {
+    if (node_eq(del, k, comp_)) {
       erased = delete_node(prev, del);
       if (erased) {
         // Tower cleanup: full head descent (min_finger_level = kMaxLevel),
@@ -211,7 +208,7 @@ class FRSkipListRC
   std::optional<T> find(const Key& k) const {
     auto [curr, next] = search_to_level<true>(k, 1);
     std::optional<T> out;
-    if (node_eq(curr, k)) out.emplace(curr->value);
+    if (node_eq(curr, k, comp_)) out.emplace(curr->value);
     release(curr);
     release(next);
     stats::tls().op_search.inc();
@@ -373,13 +370,13 @@ class FRSkipListRC
   std::pair<Node*, Node*> search_right(const Key& k, Node* curr) const {
     auto& c = stats::tls();
     auto advances = [&](const Node* n) {
-      return Closed ? node_le(n, k) : node_lt(n, k);
+      return Closed ? node_le(n, k, comp_) : node_lt(n, k, comp_);
     };
     Node* next = safe_read_succ(curr);
     for (;;) {
       // Superfluous-tower removal (root marked), trigger key <= k in both
       // modes — see fr_skiplist.h for why.
-      while (next->kind == Node::Kind::kInterior && node_le(next, k) &&
+      while (next->kind == Node::Kind::kInterior && node_le(next, k, comp_) &&
              next->tower_root->succ.load().mark) {
         auto [new_curr, status, won] = try_flag(curr, next);  // eats curr
         (void)won;

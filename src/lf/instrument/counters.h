@@ -57,9 +57,10 @@ namespace lf::stats {
 //                        because an ejection was outstanding at free time
 //   quarantine_free      quarantine nodes freed after recovery (every
 //                        ejected reader acknowledged or was declared dead)
-//   orphan_adopt         stalled-thread resources adopted by a survivor:
-//                        epoch limbo buckets, hazard retire lists, pool
-//                        freelist blocks (one inc per record)
+//   orphan_adopt         items a survivor adopted from a stalled thread:
+//                        retired nodes from its epoch limbo lists or hazard
+//                        retire list, blocks from its pool freelists (one
+//                        inc per item, not per record)
 //
 // The finger_* counters are bookkeeping for the hint layer (sync/finger.h),
 // NOT steps of the paper's cost model: essential_steps() must never include

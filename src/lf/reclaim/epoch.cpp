@@ -4,26 +4,11 @@
 #include <cassert>
 #include <cstdio>
 #include <sstream>
-#include <unordered_map>
 
 #include "lf/chaos/chaos.h"
 
 namespace lf::reclaim {
 namespace {
-
-// Domain id -> live domain. Used by thread-exit cleanup to avoid touching a
-// destroyed domain. Heap-allocated and never destroyed so it is valid during
-// late TLS teardown regardless of static destruction order.
-struct DomainIdMap {
-  std::mutex mu;
-  std::unordered_map<std::uint64_t, EpochDomain*> map;
-  std::atomic<std::uint64_t> next_id{1};
-};
-
-DomainIdMap& id_map() {
-  static DomainIdMap* m = new DomainIdMap;
-  return *m;
-}
 
 // Slots a dying domain could not delete because their owner thread was
 // still pinned (contract violation, diagnosed in ~EpochDomain). Immortal
@@ -46,7 +31,7 @@ AbandonedSlots& abandoned() {
 // (epoch << kEpochShift) | ejected | active; it and `heartbeat` are the only
 // fields other threads read on hot paths; `resilient` is owner-read and set
 // under the registry lock; everything else is owner-only (or
-// registry-lock-protected during acquire/release/adopt).
+// registry-lock-protected during thread exit and adoption).
 struct EpochDomain::ThreadState {
   CacheAligned<std::atomic<std::uint64_t>> state;
   // Bumped on every outermost pin of an armed slot (and on ejection
@@ -58,79 +43,54 @@ struct EpochDomain::ThreadState {
   // read from the domain) so a Guard outliving its domain — the abandoned
   // slot path — never dereferences the dead domain in ~Guard.
   std::atomic<bool> resilient{false};
-  std::thread::id owner_id{};
-  RetiredNode* limbo[kBuckets] = {};
+  RetiredList limbo[kBuckets];
   std::uint64_t limbo_epoch[kBuckets] = {};  // epoch the bucket was filed under
   std::uint64_t retire_since_scan = 0;
   std::uint32_t pin_depth = 0;
-  bool in_use = false;
 };
 
-EpochDomain::EpochDomain() : domain_id_(id_map().next_id.fetch_add(1)) {
+EpochDomain::EpochDomain() {
   global_epoch_->store(kBuckets, std::memory_order_relaxed);  // start > grace
-  retired_live_->store(0, std::memory_order_relaxed);
-  std::lock_guard lock(id_map().mu);
-  id_map().map.emplace(domain_id_, this);
 }
 
 EpochDomain::~EpochDomain() {
-  {
-    // Unregister first: any thread exiting after this point skips us.
-    std::lock_guard lock(id_map().mu);
-    id_map().map.erase(domain_id_);
-  }
+  records_.close();  // first: any thread exiting after this point skips us
   drain();
   // Precondition: no thread is still operating on structures that use this
-  // domain, so every remaining limbo list is quiescent garbage.
-  RetiredNode* q = nullptr;
-  {
-    std::lock_guard lock(registry_mu_);
-    for (ThreadState* ts : slots_) {
-      for (auto*& head : ts->limbo) {
-        free_list(head, *retired_live_);
-        head = nullptr;
-      }
-      const std::uint64_t w = ts->state->load(std::memory_order_seq_cst);
-      if ((w & kActiveBit) != 0) {
-        // Diagnostic: the "domain outlives every thread" contract is
-        // violated — a thread is still pinned (typically a victim parked
-        // mid-operation). Deleting its slot would hand the parked thread a
-        // dangling pointer for its eventual unpin store, so abandon the
-        // slot to an immortal registry instead: settle any ejection (the
-        // quarantine is freed below regardless) and disarm the slot so the
-        // unpin is a plain store that never touches this dead domain.
-        if ((w & kEjectedBit) != 0) {
-          ejected_count_.fetch_sub(1, std::memory_order_seq_cst);
-        }
-        ts->resilient.store(false, std::memory_order_seq_cst);
-        ts->state->store(w & ~kEjectedBit, std::memory_order_seq_cst);
-        abandoned().count.fetch_add(1, std::memory_order_relaxed);
-        {
-          std::lock_guard alock(abandoned().mu);
-          abandoned().slots.push_back(ts);
-        }
-        std::fprintf(stderr,
-                     "lf::reclaim: EpochDomain %llu destroyed while a thread "
-                     "is still pinned (epoch %llu); slot abandoned\n",
-                     static_cast<unsigned long long>(domain_id_),
-                     static_cast<unsigned long long>(w >> kEpochShift));
-        continue;
-      }
-      delete ts;
+  // domain, so all remaining garbage is quiescent: the orphan, quarantine
+  // and limbo lists free themselves as the members and slots are destroyed.
+  // The quarantine goes unconditionally: the abandoned-slot path below
+  // covers threads parked OUTSIDE any traversal of domain-managed nodes.
+  std::lock_guard lock(records_.mutex());
+  std::erase_if(records_.slots(), [&](const auto& slot) {
+    ThreadState* ts = slot.record;
+    const std::uint64_t w = ts->state->load(std::memory_order_seq_cst);
+    if ((w & kActiveBit) == 0) return false;
+    // Diagnostic: the "domain outlives every thread" contract is violated —
+    // a thread is still pinned (typically a victim parked mid-operation).
+    // Deleting its slot would hand the parked thread a dangling pointer for
+    // its eventual unpin store, so abandon the slot to an immortal registry
+    // instead: settle any ejection (the quarantine is freed regardless) and
+    // disarm the slot so the unpin is a plain store that never touches this
+    // dead domain.
+    if ((w & kEjectedBit) != 0) {
+      ejected_count_.fetch_sub(1, std::memory_order_seq_cst);
     }
-    slots_.clear();
-    for (auto*& head : orphans_) {
-      free_list(head, *retired_live_);
-      head = nullptr;
+    ts->resilient.store(false, std::memory_order_seq_cst);
+    ts->state->store(w & ~kEjectedBit, std::memory_order_seq_cst);
+    for (RetiredList& bucket : ts->limbo) bucket.free_all();
+    abandoned().count.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::lock_guard alock(abandoned().mu);
+      abandoned().slots.push_back(ts);
     }
-    q = quarantine_;
-    quarantine_ = nullptr;
-    quarantine_depth_.store(0, std::memory_order_relaxed);
-  }
-  // Unconditional: by the teardown contract nothing can still dereference
-  // this domain's garbage (the abandoned-slot path above covers threads
-  // parked OUTSIDE any traversal of domain-managed nodes).
-  free_list(q, *retired_live_);
+    std::fprintf(stderr,
+                 "lf::reclaim: EpochDomain %llu destroyed while a thread "
+                 "is still pinned (epoch %llu); slot abandoned\n",
+                 static_cast<unsigned long long>(records_.id()),
+                 static_cast<unsigned long long>(w >> kEpochShift));
+    return true;
+  });
 }
 
 EpochDomain& EpochDomain::global() {
@@ -143,7 +103,7 @@ std::uint64_t EpochDomain::abandoned_slots() noexcept {
 }
 
 EpochDomain::Guard::Guard(EpochDomain& domain)
-    : domain_(domain), ts_(&domain.thread_state()) {
+    : domain_(domain), ts_(&domain.records_.local()) {
   outermost_ = (ts_->pin_depth++ == 0);
   if (!outermost_) return;
   LF_CHAOS_POINT(kEpochPin);  // before publishing: no lock held here
@@ -151,7 +111,7 @@ EpochDomain::Guard::Guard(EpochDomain& domain)
   // as a stalled pin, so every sign of life must move one of the two. Only
   // an armed slot beats, which keeps the locked RMW off the disarmed pin.
   // Skipping it there is sound for two reasons. First, set_resilience()
-  // sets every slot's mirror under registry_mu_, and blame rounds also run
+  // sets every slot's mirror under the registry lock, and blame rounds run
   // under that lock, so every round happens after the mirrors are set.
   // Second, an ejection needs the (word, beat) pair frozen across
   // blame_threshold advances, all of them after arming. A pin that starts
@@ -234,11 +194,9 @@ void EpochDomain::retire_erased(void* object, void (*deleter)(void*)) {
     // already past the 2-epoch grace period. Dispose of it before reusing
     // (diverts to the quarantine while an ejection is outstanding).
     dispose_list(ts.limbo[idx], /*locked=*/false);
-    ts.limbo[idx] = nullptr;
     ts.limbo_epoch[idx] = e;
   }
-  auto* rn = new RetiredNode{object, deleter, ts.limbo[idx]};
-  ts.limbo[idx] = rn;
+  ts.limbo[idx].push(object, deleter);
   retired_live_->fetch_add(1, std::memory_order_relaxed);
   stats::tls().node_retired.inc();
   if (++ts.retire_since_scan >= kAdvanceEvery) {
@@ -248,89 +206,49 @@ void EpochDomain::retire_erased(void* object, void (*deleter)(void*)) {
 }
 
 std::uint64_t EpochDomain::pinned_epoch() {
-  ThreadState& ts = thread_state();
+  ThreadState& ts = records_.local();
   assert(ts.pin_depth > 0 && "pinned_epoch() requires an active Guard");
   return ts.state->load(std::memory_order_relaxed) >> kEpochShift;
 }
 
-EpochDomain::ThreadState& EpochDomain::thread_state() {
-  struct Entry {
-    std::uint64_t domain_id;
-    ThreadState* ts;
-  };
-  struct Cache {
-    std::vector<Entry> entries;
-    ~Cache() {
-      for (const Entry& e : entries) {
-        EpochDomain* domain = nullptr;
-        {
-          std::lock_guard lock(id_map().mu);
-          auto it = id_map().map.find(e.domain_id);
-          if (it != id_map().map.end()) domain = it->second;
-        }
-        if (domain != nullptr) domain->release_slot(e.ts);
-      }
-    }
-  };
-  thread_local Cache cache;
-
-  for (const Entry& e : cache.entries)
-    if (e.domain_id == domain_id_) return *e.ts;
-  ThreadState* ts = acquire_slot();
-  cache.entries.push_back(Entry{domain_id_, ts});
-  return *ts;
-}
-
-EpochDomain::ThreadState* EpochDomain::acquire_slot() {
-  std::lock_guard lock(registry_mu_);
-  for (ThreadState* ts : slots_) {
-    if (!ts->in_use) {
-      ts->in_use = true;
-      ts->owner_id = std::this_thread::get_id();
-      ts->resilient.store(armed_, std::memory_order_relaxed);
-      return ts;
-    }
-  }
+EpochDomain::ThreadState* EpochDomain::new_record() {
   auto* ts = new ThreadState;
-  ts->in_use = true;
-  ts->owner_id = std::this_thread::get_id();
   ts->resilient.store(armed_, std::memory_order_relaxed);
-  slots_.push_back(ts);
   return ts;
 }
 
-void EpochDomain::release_slot(ThreadState* ts) {
-  std::lock_guard lock(registry_mu_);
-  assert(ts->pin_depth == 0 && "thread exited while pinned");
+void EpochDomain::on_thread_exit(ThreadState& ts) {
+  assert(ts.pin_depth == 0 && "thread exited while pinned");
+  orphan_limbo_locked(ts);
+  ts.state->store(0, std::memory_order_seq_cst);
+}
+
+std::uint64_t EpochDomain::orphan_limbo_locked(ThreadState& ts) {
+  std::uint64_t moved = 0;
   for (int b = 0; b < kBuckets; ++b) {
-    if (ts->limbo[b] == nullptr) continue;
-    RetiredNode* tail = ts->limbo[b];
-    while (tail->next != nullptr) tail = tail->next;
-    tail->next = orphans_[b];
-    orphans_[b] = ts->limbo[b];
-    orphan_epochs_[b] = std::max(orphan_epochs_[b], ts->limbo_epoch[b]);
-    ts->limbo[b] = nullptr;
-    ts->limbo_epoch[b] = 0;
+    if (ts.limbo[b].empty()) continue;
+    moved += ts.limbo[b].size();
+    orphans_[b].splice(ts.limbo[b]);
+    orphan_epochs_[b] = std::max(orphan_epochs_[b], ts.limbo_epoch[b]);
+    ts.limbo_epoch[b] = 0;
   }
-  ts->retire_since_scan = 0;
-  ts->owner_id = std::thread::id{};
-  if (blamed_slot_ == ts) {
-    blamed_slot_ = nullptr;  // the suspect exited; drop the stale blame
+  ts.retire_since_scan = 0;
+  if (blamed_slot_ == &ts) {
+    blamed_slot_ = nullptr;  // the suspect left; drop the stale blame
     blame_streak_ = 0;
   }
-  ts->state->store(0, std::memory_order_seq_cst);
-  ts->in_use = false;
+  return moved;
 }
 
 void EpochDomain::set_resilience(const ResilienceOptions& opts) {
-  std::lock_guard lock(registry_mu_);
+  std::lock_guard lock(records_.mutex());
   resilience_ = opts;
   blamed_slot_ = nullptr;
   blame_streak_ = 0;
   if (opts.neutralize && !armed_) {
     armed_ = true;  // sticky: see header
-    for (ThreadState* ts : slots_)
-      ts->resilient.store(true, std::memory_order_seq_cst);
+    for (const auto& slot : records_.slots())
+      slot.record->resilient.store(true, std::memory_order_seq_cst);
   }
 }
 
@@ -370,17 +288,17 @@ bool EpochDomain::try_advance() {
   const std::uint64_t e = global_epoch_->load(std::memory_order_seq_cst);
   bool ejected = false;
   bool advanced = false;
-  RetiredNode* q = nullptr;
   {
-    std::lock_guard lock(registry_mu_);
+    std::lock_guard lock(records_.mutex());
     ThreadState* straggler = nullptr;
     std::uint64_t straggler_word = 0;
-    for (ThreadState* ts : slots_) {
-      const std::uint64_t w = ts->state->load(std::memory_order_seq_cst);
+    for (const auto& slot : records_.slots()) {
+      const std::uint64_t w =
+          slot.record->state->load(std::memory_order_seq_cst);
       if ((w & kActiveBit) == 0) continue;
       if ((w & kEjectedBit) != 0) continue;  // neutralized: not blocking
       if ((w >> kEpochShift) != e) {
-        straggler = ts;
+        straggler = slot.record;
         straggler_word = w;
         break;
       }
@@ -396,25 +314,21 @@ bool EpochDomain::try_advance() {
       // On CAS failure someone else advanced; they handle the orphans.
       if (advanced) {
         for (int b = 0; b < kBuckets; ++b) {
-          if (orphans_[b] != nullptr && orphan_epochs_[b] + 2 <= e + 1) {
+          if (orphan_epochs_[b] + 2 <= e + 1)
             dispose_list(orphans_[b], /*locked=*/true);
-            orphans_[b] = nullptr;
-          }
         }
-        q = detach_quarantine_locked();
       }
     }
   }
   if (ejected) LF_CHAOS_POINT(kEpochEject);  // after the lock: see chaos.h
-  free_quarantine(q);
+  if (advanced) free_settled_quarantine();
   return advanced;
 }
 
 void EpochDomain::settle_ejection(ThreadState* ts, bool clear_state) {
   LF_CHAOS_POINT(kEpochEjectAck);  // entry, before the registry lock
-  RetiredNode* q = nullptr;
   {
-    std::lock_guard lock(registry_mu_);
+    std::lock_guard lock(records_.mutex());
     if (clear_state) {
       const std::uint64_t w = ts->state->load(std::memory_order_seq_cst);
       if ((w & kEjectedBit) == 0) return;  // settled by adopt_stalled
@@ -422,96 +336,62 @@ void EpochDomain::settle_ejection(ThreadState* ts, bool clear_state) {
     }
     ejected_count_.fetch_sub(1, std::memory_order_seq_cst);
     ts->heartbeat.fetch_add(1, std::memory_order_relaxed);
-    q = detach_quarantine_locked();
   }
   stats::tls().epoch_eject_ack.inc();
-  free_quarantine(q);  // outside the lock: deleters may re-enter the domain
+  free_settled_quarantine();
 }
 
 bool EpochDomain::adopt_stalled(std::thread::id tid) {
-  RetiredNode* q = nullptr;
-  bool found = false;
   {
-    std::lock_guard lock(registry_mu_);
-    for (ThreadState* ts : slots_) {
-      if (!ts->in_use || ts->owner_id != tid) continue;
-      found = true;
-      std::uint64_t adopted = 0;
-      for (int b = 0; b < kBuckets; ++b) {
-        if (ts->limbo[b] == nullptr) continue;
-        RetiredNode* tail = ts->limbo[b];
-        ++adopted;
-        while (tail->next != nullptr) {
-          tail = tail->next;
-          ++adopted;
-        }
-        tail->next = orphans_[b];
-        orphans_[b] = ts->limbo[b];
-        orphan_epochs_[b] = std::max(orphan_epochs_[b], ts->limbo_epoch[b]);
-        ts->limbo[b] = nullptr;
-        ts->limbo_epoch[b] = 0;
-      }
-      ts->retire_since_scan = 0;
-      if (adopted > 0) stats::tls().orphan_adopt.inc(adopted);
-      // The caller vouches the owner cannot run concurrently, so the slot
-      // word can be retired outright; pin_depth and slot registration are
-      // left for the owner's own unwind if it ever resumes (contract: then
-      // it must be parked outside any guarded region, i.e. state is
-      // already inactive and this store is a no-op).
-      const std::uint64_t w = ts->state->load(std::memory_order_seq_cst);
-      ts->state->store(0, std::memory_order_seq_cst);
-      if ((w & kEjectedBit) != 0) {
-        ejected_count_.fetch_sub(1, std::memory_order_seq_cst);
-        stats::tls().epoch_eject_ack.inc();
-      }
-      if (blamed_slot_ == ts) {
-        blamed_slot_ = nullptr;
-        blame_streak_ = 0;
-      }
-      ts->heartbeat.fetch_add(1, std::memory_order_relaxed);
-      break;
+    std::lock_guard lock(records_.mutex());
+    ThreadState* ts = records_.find_owner(tid);
+    if (ts == nullptr) return false;
+    stats::tls().orphan_adopt.inc(orphan_limbo_locked(*ts));
+    // The caller vouches the owner cannot run concurrently, so the slot
+    // word can be retired outright; pin_depth and slot registration are
+    // left for the owner's own unwind if it ever resumes (contract: then
+    // it must be parked outside any guarded region, i.e. state is
+    // already inactive and this store is a no-op).
+    const std::uint64_t w = ts->state->load(std::memory_order_seq_cst);
+    ts->state->store(0, std::memory_order_seq_cst);
+    if ((w & kEjectedBit) != 0) {
+      ejected_count_.fetch_sub(1, std::memory_order_seq_cst);
+      stats::tls().epoch_eject_ack.inc();
     }
-    if (found) q = detach_quarantine_locked();
+    ts->heartbeat.fetch_add(1, std::memory_order_relaxed);
   }
-  free_quarantine(q);
-  return found;
+  free_settled_quarantine();
+  return true;
 }
 
 bool EpochDomain::remediate_now() {
   std::uint32_t rounds;
   {
-    std::lock_guard lock(registry_mu_);
+    std::lock_guard lock(records_.mutex());
     // Enough failed advances to push the blame streak over the threshold,
     // plus a few successful ones to move every residue class.
     rounds = resilience_.blame_threshold + kBuckets + 2;
   }
   const std::uint64_t e0 = epoch();
   for (std::uint32_t i = 0; i < rounds; ++i) try_advance();
-  RetiredNode* q = nullptr;
-  {
-    std::lock_guard lock(registry_mu_);
-    q = detach_quarantine_locked();
-  }
-  const bool freed = q != nullptr;
-  free_quarantine(q);
+  const bool freed = free_settled_quarantine();
   return freed || epoch() != e0;
 }
 
 std::string EpochDomain::stall_report() {
   std::ostringstream os;
   const std::uint64_t e = epoch();
-  std::lock_guard lock(registry_mu_);
+  std::lock_guard lock(records_.mutex());
   os << "epoch domain: epoch=" << e << " retired_backlog=" << retired_count()
      << " quarantine_depth=" << quarantine_depth()
-     << (quarantine_depth() > resilience_.quarantine_soft_cap
-             ? " (OVER soft cap)"
-             : "")
+     << (quarantine_depth() > kQuarantineSoftCap ? " (OVER soft cap)" : "")
      << " ejected=" << ejected_count()
      << " neutralize=" << (resilience_.neutralize ? "on" : "off") << "\n";
   int i = 0;
-  for (ThreadState* ts : slots_) {
+  for (const auto& slot : records_.slots()) {
+    const ThreadState* ts = slot.record;
     const std::uint64_t w = ts->state->load(std::memory_order_seq_cst);
-    os << "  slot " << i++ << (ts->in_use ? "" : " (idle)")
+    os << "  slot " << i++ << (slot.in_use() ? "" : " (idle)")
        << " active=" << ((w & kActiveBit) != 0 ? 1 : 0)
        << " ejected=" << ((w & kEjectedBit) != 0 ? 1 : 0);
     if ((w & kActiveBit) != 0) {
@@ -527,75 +407,49 @@ std::string EpochDomain::stall_report() {
 void EpochDomain::reclaim_bucket_locally(ThreadState& ts,
                                          std::uint64_t observed_epoch) {
   for (int b = 0; b < kBuckets; ++b) {
-    if (ts.limbo[b] != nullptr && ts.limbo_epoch[b] + 2 <= observed_epoch) {
+    if (!ts.limbo[b].empty() && ts.limbo_epoch[b] + 2 <= observed_epoch)
       dispose_list(ts.limbo[b], /*locked=*/false);
-      ts.limbo[b] = nullptr;
-    }
   }
 }
 
-void EpochDomain::dispose_list(RetiredNode* head, bool locked) {
-  if (head == nullptr) return;
+void EpochDomain::dispose_list(RetiredList& list, bool locked) {
+  if (list.empty()) return;
   // seq_cst pairs with the count-increment-before-bit-CAS order in
   // note_straggler_locked: a free enabled by an ejection-driven advance
   // cannot miss the outstanding ejection (DESIGN.md §11).
   if (ejected_count_.load(std::memory_order_seq_cst) == 0) {
-    free_list(head, *retired_live_);
+    retired_live_->fetch_sub(list.free_all(), std::memory_order_relaxed);
     return;
   }
   // An ejected reader may resume and keep dereferencing anything it could
   // reach before it stalled: run no deleters, quarantine the whole list.
-  std::uint64_t n = 1;
-  RetiredNode* tail = head;
-  while (tail->next != nullptr) {
-    tail = tail->next;
-    ++n;
-  }
+  const std::uint64_t n = list.size();
   {
-    std::unique_lock<std::mutex> lock(registry_mu_, std::defer_lock);
+    std::unique_lock<std::mutex> lock(records_.mutex(), std::defer_lock);
     if (!locked) lock.lock();
-    tail->next = quarantine_;
-    quarantine_ = head;
+    quarantine_.splice(list);
   }
   quarantine_depth_.fetch_add(n, std::memory_order_relaxed);
   stats::tls().quarantine_in.inc(n);
 }
 
-EpochDomain::RetiredNode* EpochDomain::detach_quarantine_locked() {
-  if (quarantine_ == nullptr) return nullptr;
-  if (ejected_count_.load(std::memory_order_seq_cst) != 0) return nullptr;
-  RetiredNode* head = quarantine_;
-  quarantine_ = nullptr;
-  return head;
-}
-
-void EpochDomain::free_quarantine(RetiredNode* head) {
-  if (head == nullptr) return;
-  std::uint64_t n = 0;
-  for (RetiredNode* p = head; p != nullptr; p = p->next) ++n;
-  quarantine_depth_.fetch_sub(n, std::memory_order_relaxed);
-  stats::tls().quarantine_free.inc(n);
-  free_list(head, *retired_live_);
-}
-
-void EpochDomain::free_list(RetiredNode* head,
-                            std::atomic<std::uint64_t>& live) {
-  std::uint64_t n = 0;
-  while (head != nullptr) {
-    RetiredNode* next = head->next;
-    head->deleter(head->object);
-    delete head;
-    head = next;
-    ++n;
+bool EpochDomain::free_settled_quarantine() {
+  RetiredList q;
+  {
+    std::lock_guard lock(records_.mutex());
+    if (ejected_count_.load(std::memory_order_seq_cst) == 0)
+      q.splice(quarantine_);
   }
-  if (n > 0) {
-    live.fetch_sub(n, std::memory_order_relaxed);
-    stats::tls().node_freed.inc(n);
-  }
+  // Outside the lock: deleters may re-enter the domain.
+  if (q.empty()) return false;
+  quarantine_depth_.fetch_sub(q.size(), std::memory_order_relaxed);
+  stats::tls().quarantine_free.inc(q.size());
+  retired_live_->fetch_sub(q.free_all(), std::memory_order_relaxed);
+  return true;
 }
 
 void EpochDomain::drain() {
-  ThreadState& ts = thread_state();
+  ThreadState& ts = records_.local();
   assert(ts.pin_depth == 0 && "drain() called under a guard");
   // Each successful advance retires one more residue class; three passes
   // drain everything the calling thread and exited threads have retired,
@@ -605,12 +459,7 @@ void EpochDomain::drain() {
     reclaim_bucket_locally(ts,
                            global_epoch_->load(std::memory_order_seq_cst));
   }
-  RetiredNode* q = nullptr;
-  {
-    std::lock_guard lock(registry_mu_);
-    q = detach_quarantine_locked();
-  }
-  free_quarantine(q);
+  free_settled_quarantine();
 }
 
 }  // namespace lf::reclaim

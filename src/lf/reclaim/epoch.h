@@ -26,8 +26,8 @@
 //   * retire() is wait-free (thread-local list append); amortized
 //     reclamation work happens inside try_advance(), triggered every
 //     kAdvanceEvery retirements.
-//   * Threads may come and go: a thread's limbo lists are orphaned to the
-//     domain on thread exit and adopted by a later advancer.
+//   * Threads may come and go (registry.h): a thread's limbo lists are
+//     orphaned to the domain on thread exit and adopted by a later advancer.
 //
 // Stalled-thread resilience (DESIGN.md §11): plain EBR is only as live as
 // its slowest reader — a thread parked or killed while pinned stalls the
@@ -44,24 +44,23 @@
 // drain. The epoch makes progress and the backlog is bounded by the churn
 // during the stall, at the cost of deferring — never skipping — the frees.
 //
-// A domain must outlive every thread that ever pinned it; the process-wide
-// default domain (EpochDomain::global()) trivially satisfies this. Tests
-// that create their own domains join their threads first and unpin the main
-// thread's cached slot via the registry's id indirection. If a domain is
-// nevertheless destroyed while a thread is still pinned (a parked victim),
-// the destructor diagnoses the contract violation and abandons the slot to
-// an immortal registry instead of handing the victim a dangling pointer —
-// see abandoned_slots().
+// A domain must outlive every thread that still uses it; the process-wide
+// default domain (EpochDomain::global()) trivially satisfies this. A thread
+// that exits after a domain it used is gone skips it (the registry checks
+// the domain is alive), so tests may create private domains freely. If a
+// domain is nevertheless destroyed while a thread is still pinned (a parked
+// victim), the destructor diagnoses the contract violation and abandons the
+// slot to an immortal registry instead of handing the victim a dangling
+// pointer — see abandoned_slots().
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "lf/instrument/counters.h"
+#include "lf/reclaim/registry.h"
 #include "lf/util/align.h"
 
 namespace lf::reclaim {
@@ -145,12 +144,13 @@ class EpochDomain {
     // neutralization is ~(blame_threshold + 1) * kAdvanceEvery retirements
     // of survivor churn after the victim stalls.
     std::uint32_t blame_threshold = 16;
-    // Documented soft bound on quarantine_depth(): exceeded depth is still
-    // correct (nothing is freed early), but stall reports flag it. The
-    // quarantine only grows while an ejection is outstanding, so its depth
-    // is bounded by survivor churn during the stall window.
-    std::uint64_t quarantine_soft_cap = 1u << 16;
   };
+
+  // Documented soft bound on quarantine_depth(): exceeded depth is still
+  // correct (nothing is freed early), but stall reports flag it. The
+  // quarantine only grows while an ejection is outstanding, so its depth is
+  // bounded by survivor churn during the stall window.
+  static constexpr std::uint64_t kQuarantineSoftCap = 1 << 16;
 
   // Install resilience options. Arming is sticky: once a domain has been
   // armed, outermost unpins use a CAS (they must not erase a concurrent
@@ -194,12 +194,8 @@ class EpochDomain {
 
  private:
   friend class Guard;
-
-  struct RetiredNode {
-    void* object;
-    void (*deleter)(void*);
-    RetiredNode* next;
-  };
+  friend class detail::RecordRegistry<EpochDomain, ThreadState>;
+  using RetiredList = detail::RetiredList;
 
   // One limbo list per epoch residue class.
   static constexpr int kBuckets = 3;
@@ -212,19 +208,21 @@ class EpochDomain {
   static constexpr unsigned kEpochShift = 2;
 
   void retire_erased(void* object, void (*deleter)(void*));
-  ThreadState& thread_state();
-  ThreadState* acquire_slot();
-  void release_slot(ThreadState* ts);  // thread exit: orphan limbo lists
+  // Registry hooks (registry.h), registry lock held.
+  ThreadState* new_record();
+  void on_thread_exit(ThreadState& ts);
+  // Move ts's limbo lists to the orphans and forget any blame on it.
+  // Returns how many nodes moved. Lock held.
+  std::uint64_t orphan_limbo_locked(ThreadState& ts);
   bool try_advance();
   void reclaim_bucket_locally(ThreadState& ts, std::uint64_t observed_epoch);
-  static void free_list(RetiredNode* head, std::atomic<std::uint64_t>& live);
 
-  // Free `head` now if no ejection is outstanding, else splice it into the
-  // quarantine (no deleters run). `locked` = registry_mu_ already held.
-  void dispose_list(RetiredNode* head, bool locked);
-  // Detach the quarantine for freeing iff every ejection settled.
-  RetiredNode* detach_quarantine_locked();
-  void free_quarantine(RetiredNode* head);
+  // Free `list` now if no ejection is outstanding, else splice it into the
+  // quarantine (no deleters run). `locked` = registry lock already held.
+  void dispose_list(RetiredList& list, bool locked);
+  // Free the quarantine iff every ejection settled; true if it held
+  // anything. Takes the registry lock.
+  bool free_settled_quarantine();
   // Settle one outstanding ejection of `ts` (unpin ack or re-pin publish).
   void settle_ejection(ThreadState* ts, bool clear_state);
   // Blame detector; returns true when it ejected `ts`. Lock held.
@@ -236,22 +234,21 @@ class EpochDomain {
   std::atomic<std::uint64_t> ejected_count_{0};    // unsettled ejections
   std::atomic<std::uint64_t> quarantine_depth_{0};
 
-  std::mutex registry_mu_;
-  std::vector<ThreadState*> slots_;          // all ever-created slots (owned)
-  RetiredNode* orphans_[kBuckets] = {};      // limbo of exited threads
+  // Every thread's slot; its mutex is the registry lock, which also guards
+  // every field below.
+  detail::RecordRegistry<EpochDomain, ThreadState> records_{*this};
+  RetiredList orphans_[kBuckets];            // limbo of exited threads
   std::uint64_t orphan_epochs_[kBuckets] = {};
-  RetiredNode* quarantine_ = nullptr;        // deferred frees during ejection
-  ResilienceOptions resilience_;             // guarded by registry_mu_
-  bool armed_ = false;                       // sticky; guarded by registry_mu_
-  // Blame detector state (guarded by registry_mu_): the advance-blocking
-  // slot, its frozen word/heartbeat, and how many consecutive failed
-  // advances it has been blamed for.
+  RetiredList quarantine_;                   // deferred frees during ejection
+  ResilienceOptions resilience_;
+  bool armed_ = false;                       // sticky
+  // Blame detector state: the advance-blocking slot, its frozen
+  // word/heartbeat, and how many consecutive failed advances it has been
+  // blamed for.
   ThreadState* blamed_slot_ = nullptr;
   std::uint64_t blamed_word_ = 0;
   std::uint64_t blamed_beat_ = 0;
   std::uint32_t blame_streak_ = 0;
-
-  const std::uint64_t domain_id_;
 };
 
 // Policy adapter satisfying reclaimer_for<Node>, referencing a domain.

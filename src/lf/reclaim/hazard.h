@@ -12,7 +12,8 @@
 // ThreadSlots::protect(), the single audited publish-then-revalidate helper
 // (see the memory-ordering audit below). The FR structures do not use this
 // domain: their backlink walks defeat per-pointer validation (DESIGN.md
-// §10), so they reclaim with epochs or leak.
+// §10), so they reclaim with epochs or leak. A thread's slots and retire
+// list come from the registry in registry.h, shared with EpochDomain.
 //
 // ---- Memory-ordering audit: set()/clear()/protect() vs scan() -----------
 //
@@ -51,18 +52,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <thread>
-#include <vector>
 
-#include "lf/instrument/counters.h"
+#include "lf/reclaim/registry.h"
 #include "lf/util/align.h"
 
 namespace lf::reclaim {
 
 class HazardDomain {
-  struct RetiredNode;  // type-erased retired-node record; defined below
-
  public:
   // Michael's find() keeps at most three node references live at a time
   // (prev, curr, next — SPAA 2002, Section 3); MichaelListHP publishes two
@@ -72,8 +69,7 @@ class HazardDomain {
   static constexpr int kMichaelListSlots = 3;
   static constexpr int kSlotsPerThread = kMichaelListSlots;
 
-  HazardDomain();
-  ~HazardDomain();
+  HazardDomain() = default;
   HazardDomain(const HazardDomain&) = delete;
   HazardDomain& operator=(const HazardDomain&) = delete;
 
@@ -111,11 +107,7 @@ class HazardDomain {
    private:
     friend class HazardDomain;
     CacheAligned<std::atomic<void*>> hp_[kSlotsPerThread];
-
-    RetiredNode* retired_ = nullptr;
-    std::uint64_t retired_count_ = 0;
-    std::thread::id owner_id_{};  // registry-lock-protected; for adoption
-    bool in_use_ = false;
+    detail::RetiredList retired_;
   };
 
   ThreadSlots& slots();
@@ -145,26 +137,22 @@ class HazardDomain {
   bool adopt_stalled(std::thread::id tid);
 
  private:
-  struct RetiredNode {
-    void* object;
-    void (*deleter)(void*);
-    RetiredNode* next;
-  };
+  friend class detail::RecordRegistry<HazardDomain, ThreadSlots>;
 
   void retire_erased(void* object, void (*deleter)(void*));
-  ThreadSlots* acquire_record();
-  void release_record(ThreadSlots* rec);  // thread exit
+  // Registry hooks (registry.h), registry lock held.
+  ThreadSlots* new_record() { return new ThreadSlots; }
+  void on_thread_exit(ThreadSlots& rec);
   void scan_record(ThreadSlots& rec);
-  std::uint64_t scan_threshold() const noexcept;
 
   CacheAligned<std::atomic<std::uint64_t>> retired_live_;
 
-  std::mutex registry_mu_;
-  std::vector<ThreadSlots*> records_;  // owned; includes released records
-  RetiredNode* orphans_ = nullptr;
-  std::uint64_t orphan_count_ = 0;
-
-  const std::uint64_t domain_id_;
+  detail::RetiredList orphans_;  // retire lists of exited threads
+  // Every thread's slots; its mutex also guards orphans_. Declared last, so
+  // destroyed first: it leaves the live-domain map before anything a thread
+  // exit touches is gone. Destruction requires that no thread still uses
+  // the domain, so nothing is protected and every retire list is freed.
+  detail::RecordRegistry<HazardDomain, ThreadSlots> records_{*this};
 };
 
 }  // namespace lf::reclaim

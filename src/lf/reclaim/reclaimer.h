@@ -20,6 +20,9 @@
 //                       a policy for the FR structures: their backlink walks
 //                       reach nodes no per-pointer check can vouch for.
 //
+// Both domains take their per-thread records and retire lists from one
+// module, reclaim/registry.h.
+//
 // A policy provides:
 //   Guard guard()            RAII critical-section token. All loads of
 //                            shared node pointers must happen under a guard.

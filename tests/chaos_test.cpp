@@ -392,7 +392,7 @@ TEST_F(ChaosTest, PinnedVictimNeutralizedAndReclamationResumes) {
   // Graceful degradation: frees enabled by the ejection diverted into the
   // quarantine (the parked victim may still hold them) and stay bounded.
   EXPECT_GT(domain.quarantine_depth(), 0u);
-  EXPECT_LE(domain.quarantine_depth(), ro.quarantine_soft_cap);
+  EXPECT_LE(domain.quarantine_depth(), EpochDomain::kQuarantineSoftCap);
 
   // The victim resumes its traversal over nodes whose grace period elapsed
   // mid-park: only the quarantine makes that safe, and ASan verifies it.

@@ -65,7 +65,6 @@ EpochDomain::ResilienceOptions fast_resilience() {
   EpochDomain::ResilienceOptions opts;
   opts.neutralize = true;
   opts.blame_threshold = 4;
-  opts.quarantine_soft_cap = 1024;
   return opts;
 }
 

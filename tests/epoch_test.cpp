@@ -132,25 +132,34 @@ TEST(EpochDomainStress, ReadersNeverSeeFreedMemory) {
     ~Boxed() { canary.store(0xdeaddeaddeaddeadULL); }
   };
 
+  constexpr int kReaders = 3;
   EpochDomain domain;
   std::atomic<Boxed*> shared{new Boxed};
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads{0};
+  std::atomic<int> readers_started{0};  // readers done with one read
 
   std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
+      bool first = true;
       while (!stop.load(std::memory_order_acquire)) {
         auto guard = domain.guard();
         Boxed* p = shared.load(std::memory_order_acquire);
         ASSERT_EQ(p->canary.load(std::memory_order_relaxed),
                   0xfeedfacecafebeefULL);
         reads.fetch_add(1, std::memory_order_relaxed);
+        if (first) readers_started.fetch_add(1, std::memory_order_release);
+        first = false;
       }
     });
   }
 
   std::thread writer([&] {
+    // Swap only once every reader is reading: on a loaded host the writer
+    // could otherwise finish all its swaps before any reader has run.
+    while (readers_started.load(std::memory_order_acquire) < kReaders)
+      std::this_thread::yield();
     for (int i = 0; i < 3000; ++i) {
       auto* fresh = new Boxed;
       Boxed* old = shared.exchange(fresh, std::memory_order_acq_rel);
