@@ -17,201 +17,106 @@
 //
 // Like Harris's list, interference causes a restart from the head (counted
 // in stats::restart); this list exists as the second baseline the paper
-// compares against analytically in Sections 1-2.
+// compares against analytically in Sections 1-2. Insert, erase, find and
+// the two-phase hooks are mark::Core's (mark_core.h); each variant keeps
+// its search and that restart.
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <optional>
-#include <tuple>
-#include <utility>
 
+#include "lf/baselines/mark_core.h"
 #include "lf/core/key_order.h"
 #include "lf/instrument/counters.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/hazard.h"
 #include "lf/reclaim/reclaimer.h"
-#include "lf/sync/succ_field.h"
 
 namespace lf {
 
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
           typename Reclaimer = reclaim::EpochReclaimer>
-class MichaelList {
- public:
-  using key_type = Key;
-  using mapped_type = T;
-  using key_compare = Compare;
-
-  struct Node;
-
- private:
-  using Succ = sync::SuccField<Node>;
-  using View = sync::SuccView<Node>;
+class MichaelList
+    : public mark::Core<MichaelList<Key, T, Compare, Reclaimer>,
+                        mark::Node<Key, T>, Key, T, Compare, Reclaimer> {
+  using Core = mark::Core<MichaelList, mark::Node<Key, T>, Key, T, Compare,
+                          Reclaimer>;
+  friend Core;
 
  public:
-  struct alignas(8) Node {
-    enum class Kind : unsigned char { kHead, kInterior, kTail };
-
-    Kind kind;
-    Key key;
-    T value;
-    Succ succ;
-
-    Node(Kind k, Key key_arg, T value_arg)
-        : kind(k), key(std::move(key_arg)), value(std::move(value_arg)) {}
-  };
-
-  MichaelList() {
-    head_ = new Node(Node::Kind::kHead, Key{}, T{});
-    tail_ = new Node(Node::Kind::kTail, Key{}, T{});
-    head_->succ.store_unsynchronized(View{tail_, false, false});
-  }
-
-  ~MichaelList() {
-    Node* n = head_;
-    while (n != nullptr) {
-      Node* next = n->succ.load().right;
-      delete n;
-      n = next;
-    }
-  }
-
-  MichaelList(const MichaelList&) = delete;
-  MichaelList& operator=(const MichaelList&) = delete;
-
-  bool insert(const Key& k, T value) {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    Node* prev;
-    Node* curr;
-    bool found;
-    std::tie(prev, curr, found) = search(k);
-    if (found) {
-      // Duplicate detected before allocating: zero allocator traffic.
-      stats::tls().op_insert.inc();
-      return false;
-    }
-    Node* node = new Node(Node::Kind::kInterior, k, std::move(value));
-    for (;;) {
-      node->succ.store_unsynchronized(View{curr, false, false});
-      const View result =
-          prev->succ.cas(View{curr, false, false}, View{node, false, false});
-      if (result == View{curr, false, false}) {
-        stats::tls().insert_cas.inc();
-        stats::tls().op_insert.inc();
-        return true;
-      }
-      stats::tls().restart.inc();
-      std::tie(prev, curr, found) = search(k);
-      if (found) {
-        delete node;  // never published; lost to a mid-retry duplicate
-        stats::tls().op_insert.inc();
-        return false;
-      }
-    }
-  }
-
-  bool erase(const Key& k) {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    bool erased = false;
-    for (;;) {
-      auto [prev, curr, found] = search(k);
-      if (!found) break;
-      const View curr_succ = curr->succ.load();
-      if (curr_succ.mark) {
-        stats::tls().restart.inc();
-        continue;
-      }
-      const View result = curr->succ.cas(
-          View{curr_succ.right, false, false},
-          View{curr_succ.right, true, false});
-      if (result != View{curr_succ.right, false, false}) {
-        stats::tls().restart.inc();
-        continue;
-      }
-      stats::tls().mark_cas.inc();
-      erased = true;
-      const View unlink = prev->succ.cas(View{curr, false, false},
-                                         View{curr_succ.right, false, false});
-      if (unlink == View{curr, false, false}) {
-        stats::tls().pdelete_cas.inc();
-        reclaimer_.retire(curr);
-      } else {
-        search(k);  // clean up
-      }
-      break;
-    }
-    stats::tls().op_erase.inc();
-    return erased;
-  }
-
-  std::optional<T> find(const Key& k) const {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, curr, found] = search(k);
-    (void)prev;
-    std::optional<T> out;
-    if (found) out.emplace(curr->value);
-    stats::tls().op_search.inc();
-    return out;
-  }
-
-  bool contains(const Key& k) const {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, curr, found] = search(k);
-    (void)prev;
-    (void)curr;
-    stats::tls().op_search.inc();
-    return found;
-  }
-
-  std::size_t size() const {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    std::size_t n = 0;
-    for (Node* p = head_->succ.load().right; p->kind != Node::Kind::kTail;
-         p = p->succ.load().right) {
-      if (!p->succ.load().mark) ++n;
-    }
-    return n;
-  }
+  using typename Core::Node;
 
  private:
-  // Michael's Find: returns (prev, curr, found) with prev unmarked,
+  using typename Core::View;
+  using typename Core::Window;
+
+  // Michael's Find: returns (prev, curr) with prev unmarked,
   // prev.right == curr, prev.key < k <= curr.key; unlinks each marked node
   // it meets, restarting from head when any C&S fails.
-  std::tuple<Node*, Node*, bool> search(const Key& k) const {
+  Window search(const Key& k) const {
     auto& c = stats::tls();
   try_again:
-    Node* prev = head_;
+    Node* prev = this->head_;
     Node* curr = prev->succ.load().right;
     for (;;) {
-      if (curr->kind == Node::Kind::kTail) return {prev, curr, false};
+      if (curr->kind == Node::Kind::kTail) return {prev, curr};
       const View curr_succ = curr->succ.load();
       if (curr_succ.mark) {
-        const View result = prev->succ.cas(
-            View{curr, false, false}, View{curr_succ.right, false, false});
-        if (result != View{curr, false, false}) {
+        if (!this->try_unlink(prev, curr, curr_succ.right)) {
           c.restart.inc();
           goto try_again;
         }
-        c.pdelete_cas.inc();
-        reclaimer_.retire(curr);
         curr = curr_succ.right;
         c.next_update.inc();
         continue;
       }
-      if (!node_lt(curr, k, comp_))
-        return {prev, curr, node_eq(curr, k, comp_)};
+      if (!node_lt(curr, k, this->comp_)) return {prev, curr};
       prev = curr;
       curr = curr_succ.right;
       c.curr_update.inc();
     }
   }
 
-  Compare comp_;
-  mutable Reclaimer reclaimer_;
-  Node* head_;
-  Node* tail_;
+  Window recover(const Key& k, Node* /*left*/) const {
+    return this->restart(k);
+  }
 };
+
+namespace mark {
+
+// MichaelListHP's reclaimer: the hazard domain. A guard is the scope of one
+// public operation and clears every slot of the calling thread when that
+// operation ends, so no protection outlives it.
+class HazardScope {
+ public:
+  explicit HazardScope(reclaim::HazardDomain& domain) : domain_(&domain) {}
+
+  class Guard {
+   public:
+    explicit Guard(reclaim::HazardDomain::ThreadSlots& hp) : hp_(hp) {}
+    Guard(const Guard&) = delete;
+    Guard& operator=(const Guard&) = delete;
+    ~Guard() { hp_.clear_all(); }
+
+   private:
+    reclaim::HazardDomain::ThreadSlots& hp_;
+  };
+
+  Guard guard() const { return Guard(domain_->slots()); }
+
+  template <typename Node>
+  void retire(Node* node) const {
+    domain_->retire(node);
+  }
+
+  reclaim::HazardDomain::ThreadSlots& slots() const {
+    return domain_->slots();
+  }
+
+ private:
+  reclaim::HazardDomain* domain_;
+};
+
+}  // namespace mark
 
 // ---------------------------------------------------------------------------
 // MichaelListHP: the same algorithm with Michael's full hazard-pointer
@@ -220,144 +125,24 @@ class MichaelList {
 // not retired before the publication became visible).
 // ---------------------------------------------------------------------------
 template <typename Key, typename T = Key, typename Compare = std::less<Key>>
-class MichaelListHP {
- public:
-  using key_type = Key;
-  using mapped_type = T;
-  using key_compare = Compare;
-
-  struct Node;
-
- private:
-  using Succ = sync::SuccField<Node>;
-  using View = sync::SuccView<Node>;
+class MichaelListHP
+    : public mark::Core<MichaelListHP<Key, T, Compare>, mark::Node<Key, T>,
+                        Key, T, Compare, mark::HazardScope> {
+  using Core = mark::Core<MichaelListHP, mark::Node<Key, T>, Key, T, Compare,
+                          mark::HazardScope>;
+  friend Core;
 
  public:
-  struct alignas(8) Node {
-    enum class Kind : unsigned char { kHead, kInterior, kTail };
-
-    Kind kind;
-    Key key;
-    T value;
-    Succ succ;
-
-    Node(Kind k, Key key_arg, T value_arg)
-        : kind(k), key(std::move(key_arg)), value(std::move(value_arg)) {}
-  };
+  using typename Core::Node;
 
   explicit MichaelListHP(reclaim::HazardDomain& domain =
                              reclaim::HazardDomain::global())
-      : domain_(domain) {
-    head_ = new Node(Node::Kind::kHead, Key{}, T{});
-    tail_ = new Node(Node::Kind::kTail, Key{}, T{});
-    head_->succ.store_unsynchronized(View{tail_, false, false});
-  }
-
-  ~MichaelListHP() {
-    Node* n = head_;
-    while (n != nullptr) {
-      Node* next = n->succ.load().right;
-      delete n;
-      n = next;
-    }
-  }
-
-  MichaelListHP(const MichaelListHP&) = delete;
-  MichaelListHP& operator=(const MichaelListHP&) = delete;
-
-  bool insert(const Key& k, T value) {
-    auto& hp = domain_.slots();
-    Node* prev;
-    Node* curr;
-    bool found;
-    std::tie(prev, curr, found) = search(k, hp);
-    if (found) {
-      // Duplicate detected before allocating: zero allocator traffic.
-      hp.clear_all();
-      stats::tls().op_insert.inc();
-      return false;
-    }
-    Node* node = new Node(Node::Kind::kInterior, k, std::move(value));
-    for (;;) {
-      node->succ.store_unsynchronized(View{curr, false, false});
-      const View result =
-          prev->succ.cas(View{curr, false, false}, View{node, false, false});
-      if (result == View{curr, false, false}) {
-        stats::tls().insert_cas.inc();
-        hp.clear_all();
-        stats::tls().op_insert.inc();
-        return true;
-      }
-      stats::tls().restart.inc();
-      std::tie(prev, curr, found) = search(k, hp);
-      if (found) {
-        delete node;  // never published; lost to a mid-retry duplicate
-        hp.clear_all();
-        stats::tls().op_insert.inc();
-        return false;
-      }
-    }
-  }
-
-  bool erase(const Key& k) {
-    auto& hp = domain_.slots();
-    bool erased = false;
-    for (;;) {
-      auto [prev, curr, found] = search(k, hp);
-      if (!found) break;
-      const View curr_succ = curr->succ.load();
-      if (curr_succ.mark) {
-        stats::tls().restart.inc();
-        continue;
-      }
-      const View result = curr->succ.cas(
-          View{curr_succ.right, false, false},
-          View{curr_succ.right, true, false});
-      if (result != View{curr_succ.right, false, false}) {
-        stats::tls().restart.inc();
-        continue;
-      }
-      stats::tls().mark_cas.inc();
-      erased = true;
-      const View unlink = prev->succ.cas(View{curr, false, false},
-                                         View{curr_succ.right, false, false});
-      if (unlink == View{curr, false, false}) {
-        stats::tls().pdelete_cas.inc();
-        domain_.retire(curr);
-      } else {
-        search(k, hp);
-      }
-      break;
-    }
-    hp.clear_all();
-    stats::tls().op_erase.inc();
-    return erased;
-  }
-
-  std::optional<T> find(const Key& k) const {
-    auto& hp = domain_.slots();
-    auto [prev, curr, found] = search(k, hp);
-    (void)prev;
-    std::optional<T> out;
-    if (found) out.emplace(curr->value);
-    hp.clear_all();
-    stats::tls().op_search.inc();
-    return out;
-  }
-
-  bool contains(const Key& k) const { return find(k).has_value(); }
-
-  std::size_t size() const {
-    // Size is only meaningful at quiescence for this diagnostic helper.
-    std::size_t n = 0;
-    for (Node* p = head_->succ.load().right; p->kind != Node::Kind::kTail;
-         p = p->succ.load().right) {
-      if (!p->succ.load().mark) ++n;
-    }
-    return n;
-  }
+      : Core(mark::HazardScope(domain)) {}
 
  private:
+  using typename Core::View;
+  using typename Core::Window;
+
   // Hazard-slot usage: the traversal keeps two published references live
   // (0 = curr, 1 = prev); the third of Michael's three references (next) is
   // protected transitively by the validation that prev still links to curr.
@@ -367,11 +152,11 @@ class MichaelListHP {
 
   // Find with hazard protection. On return, slot 0 protects curr and
   // slot 1 protects prev, so the caller's C&S operates on protected nodes.
-  std::tuple<Node*, Node*, bool> search(
-      const Key& k, reclaim::HazardDomain::ThreadSlots& hp) const {
+  Window search(const Key& k) const {
     auto& c = stats::tls();
+    auto& hp = this->reclaimer_.slots();
   try_again:
-    Node* prev = head_;
+    Node* prev = this->head_;
     hp.set(1, prev);  // head is never retired; published for uniformity
     Node* curr = prev->succ.load().right;
     for (;;) {
@@ -387,23 +172,18 @@ class MichaelListHP {
         c.restart.inc();
         goto try_again;
       }
-      if (curr->kind == Node::Kind::kTail) return {prev, curr, false};
+      if (curr->kind == Node::Kind::kTail) return {prev, curr};
       const View curr_succ = curr->succ.load();
       if (curr_succ.mark) {
-        const View result = prev->succ.cas(
-            View{curr, false, false}, View{curr_succ.right, false, false});
-        if (result != View{curr, false, false}) {
+        if (!this->try_unlink(prev, curr, curr_succ.right)) {
           c.restart.inc();
           goto try_again;
         }
-        c.pdelete_cas.inc();
-        domain_.retire(curr);
         curr = curr_succ.right;
         c.next_update.inc();
         continue;
       }
-      if (!node_lt(curr, k, comp_))
-        return {prev, curr, node_eq(curr, k, comp_)};
+      if (!node_lt(curr, k, this->comp_)) return {prev, curr};
       prev = curr;
       // Not a protect() site: curr is already protected by slot 0 at this
       // moment, so copying it into slot 1 transfers an existing guarantee —
@@ -414,10 +194,9 @@ class MichaelListHP {
     }
   }
 
-  Compare comp_;
-  reclaim::HazardDomain& domain_;
-  Node* head_;
-  Node* tail_;
+  Window recover(const Key& k, Node* /*left*/) const {
+    return this->restart(k);
+  }
 };
 
 }  // namespace lf

@@ -87,7 +87,9 @@ enum class Site : int {
   kSkipFingerFallback,  // finger_start: no usable entry, head descent
   kSkipFingerReplace,   // save_finger: LFU-aging replacement picking a
                         // victim way (no in-place refresh matched)
-  // Baselines (harris_list.h / restart_skiplist.h) — E12 fault injection
+  // Baselines — E12 fault injection. mark::Core (baselines/mark_core.h)
+  // fires these for all four mark-only lists (HarrisList, MichaelList,
+  // MichaelListHP, FRListNoFlag); RestartSkipList fires them itself.
   kBaseInsertCas,
   kBaseMarkCas,
   kBaseUnlinkCas,

@@ -26,14 +26,19 @@
 // and walking them strictly decreases the key, so recovery terminates at an
 // unmarked node or at head). It is NOT the paper's algorithm; it exists to
 // demonstrate why the paper's algorithm is shaped the way it is.
+//
+// Insert, erase, find and the two-phase insert hooks are mark::Core's
+// (baselines/mark_core.h), the same as Harris's and Michael's lists; this
+// file keeps the backlink-recovering search, the recovery itself, the
+// backlink hint stored before marking, and the E7 erase seam.
 #pragma once
 
-#include <cassert>
+#include <atomic>
 #include <cstdint>
-#include <optional>
-#include <tuple>
+#include <functional>
 #include <utility>
 
+#include "lf/baselines/mark_core.h"
 #include "lf/core/key_order.h"
 #include "lf/instrument/counters.h"
 #include "lf/reclaim/epoch.h"
@@ -42,192 +47,37 @@
 
 namespace lf {
 
+namespace mark {
+
+// FRListNoFlag's node: mark::Node plus the backlink.
+template <typename Key, typename T>
+struct alignas(8) BacklinkNode {
+  enum class Kind : unsigned char { kHead, kInterior, kTail };
+
+  Kind kind;
+  Key key;
+  T value;
+  sync::SuccField<BacklinkNode> succ;
+  std::atomic<BacklinkNode*> backlink{nullptr};
+
+  BacklinkNode(Kind k, Key key_arg, T value_arg)
+      : kind(k), key(std::move(key_arg)), value(std::move(value_arg)) {}
+};
+
+}  // namespace mark
+
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
           typename Reclaimer = reclaim::EpochReclaimer>
-class FRListNoFlag {
- public:
-  using key_type = Key;
-  using mapped_type = T;
-  using key_compare = Compare;
-
-  struct Node;
-
- private:
-  using Succ = sync::SuccField<Node>;
-  using View = sync::SuccView<Node>;
+class FRListNoFlag
+    : public mark::Core<FRListNoFlag<Key, T, Compare, Reclaimer>,
+                        mark::BacklinkNode<Key, T>, Key, T, Compare,
+                        Reclaimer> {
+  using Core = mark::Core<FRListNoFlag, mark::BacklinkNode<Key, T>, Key, T,
+                          Compare, Reclaimer>;
+  friend Core;
 
  public:
-  struct alignas(8) Node {
-    enum class Kind : unsigned char { kHead, kInterior, kTail };
-
-    Kind kind;
-    Key key;
-    T value;
-    Succ succ;
-    std::atomic<Node*> backlink{nullptr};
-
-    Node(Kind k, Key key_arg, T value_arg)
-        : kind(k), key(std::move(key_arg)), value(std::move(value_arg)) {}
-  };
-
-  FRListNoFlag() {
-    head_ = new Node(Node::Kind::kHead, Key{}, T{});
-    tail_ = new Node(Node::Kind::kTail, Key{}, T{});
-    head_->succ.store_unsynchronized(View{tail_, false, false});
-  }
-
-  ~FRListNoFlag() {
-    Node* n = head_;
-    while (n != nullptr) {
-      Node* next = n->succ.load().right;
-      delete n;
-      n = next;
-    }
-  }
-
-  FRListNoFlag(const FRListNoFlag&) = delete;
-  FRListNoFlag& operator=(const FRListNoFlag&) = delete;
-
-  bool insert(const Key& k, T value) {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, next] = search_from<true>(k, head_);
-    bool inserted = false;
-    if (!node_eq(prev, k, comp_)) {
-      Node* node = new Node(Node::Kind::kInterior, k, std::move(value));
-      for (;;) {
-        node->succ.store_unsynchronized(View{next, false, false});
-        const View result =
-            prev->succ.cas(View{next, false, false}, View{node, false, false});
-        if (result == View{next, false, false}) {
-          stats::tls().insert_cas.inc();
-          inserted = true;
-          break;
-        }
-        recover(prev);
-        std::tie(prev, next) = search_from<true>(k, prev);
-        if (node_eq(prev, k, comp_)) {
-          delete node;
-          break;
-        }
-      }
-    }
-    stats::tls().op_insert.inc();
-    return inserted;
-  }
-
-  bool erase(const Key& k) {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, del] = search_from<false>(k, head_);
-    bool erased = false;
-    if (node_eq(del, k, comp_)) {
-      // Logical deletion: publish the best-effort backlink hint, then mark.
-      for (;;) {
-        const View del_succ = del->succ.load();
-        if (del_succ.mark) break;  // a concurrent erase won
-        del->backlink.store(prev, std::memory_order_release);
-        const View result = del->succ.cas(
-            View{del_succ.right, false, false},
-            View{del_succ.right, true, false});
-        if (result == View{del_succ.right, false, false}) {
-          stats::tls().mark_cas.inc();
-          erased = true;
-          // Best-effort physical deletion; searches clean up on failure.
-          const View unlink = prev->succ.cas(View{del, false, false},
-                                             View{del_succ.right, false, false});
-          if (unlink == View{del, false, false}) {
-            stats::tls().pdelete_cas.inc();
-            reclaimer_.retire(del);
-          } else {
-            search_from<true>(k, head_);  // sweep to unlink
-          }
-          break;
-        }
-        // The predecessor hint may have gone stale; recover and retry.
-        recover(prev);
-        auto [p2, d2] = search_from<false>(k, prev);
-        if (d2 != del) break;  // deleted (or replaced) concurrently
-        prev = p2;
-      }
-    }
-    stats::tls().op_erase.inc();
-    return erased;
-  }
-
-  std::optional<T> find(const Key& k) const {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [curr, next] = search_from<true>(k, head_);
-    (void)next;
-    std::optional<T> out;
-    if (node_eq(curr, k, comp_)) out.emplace(curr->value);
-    stats::tls().op_search.inc();
-    return out;
-  }
-
-  bool contains(const Key& k) const {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [curr, next] = search_from<true>(k, head_);
-    (void)next;
-    stats::tls().op_search.inc();
-    return node_eq(curr, k, comp_);
-  }
-
-  std::size_t size() const {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    std::size_t n = 0;
-    for (Node* p = head_->succ.load().right; p->kind != Node::Kind::kTail;
-         p = p->succ.load().right) {
-      if (!p->succ.load().mark) ++n;
-    }
-    return n;
-  }
-
-  Node* head() const noexcept { return head_; }
-
-  // ---- Two-phase insert hooks (benchmark adversary, E7) ------------------
-  // Mirror of FRList::insert_locate / insert_complete.
-  struct InsertCursor {
-    Key key{};
-    Node* prev = nullptr;
-    Node* next = nullptr;
-    Node* node = nullptr;
-  };
-
-  bool insert_locate(const Key& k, T value, InsertCursor& cur) {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, next] = search_from<true>(k, head_);
-    if (node_eq(prev, k, comp_)) return false;
-    cur.key = k;
-    cur.prev = prev;
-    cur.next = next;
-    cur.node = new Node(Node::Kind::kInterior, k, std::move(value));
-    return true;
-  }
-
-  bool insert_complete(InsertCursor& cur) {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    Node* prev = cur.prev;
-    Node* next = cur.next;
-    bool inserted = false;
-    for (;;) {
-      cur.node->succ.store_unsynchronized(View{next, false, false});
-      const View result = prev->succ.cas(View{next, false, false},
-                                         View{cur.node, false, false});
-      if (result == View{next, false, false}) {
-        stats::tls().insert_cas.inc();
-        inserted = true;
-        break;
-      }
-      recover(prev);
-      std::tie(prev, next) = search_from<true>(cur.key, prev);
-      if (node_eq(prev, cur.key, comp_)) {
-        delete cur.node;
-        break;
-      }
-    }
-    cur.node = nullptr;
-    stats::tls().op_insert.inc();
-    return inserted;
-  }
+  using typename Core::Node;
 
   // ---- Two-phase erase hooks (benchmark adversary, E7) -------------------
   //
@@ -238,8 +88,8 @@ class FRListNoFlag {
   // that seam so the E7 driver can build maximal stale-hint chains
   // deterministically. (The real FRList has no such seam to expose: its
   // flagging C&S validates the predecessor atomically, which is the whole
-  // point of the ablation.) Use with LeakyReclaimer or under external
-  // quiescence, as with the insert hooks.
+  // point of the ablation.) Use with LeakyReclaimer, under an outer epoch
+  // guard, or under external quiescence, as with the insert hooks.
   struct EraseCursor {
     Key key{};
     Node* prev = nullptr;
@@ -247,9 +97,9 @@ class FRListNoFlag {
   };
 
   bool erase_locate(const Key& k, EraseCursor& cur) {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, del] = search_from<false>(k, head_);
-    if (!node_eq(del, k, comp_)) return false;
+    [[maybe_unused]] auto guard = this->reclaimer_.guard();
+    auto [prev, del] = search(k);
+    if (!node_eq(del, k, this->comp_)) return false;
     cur.key = k;
     cur.prev = prev;
     cur.del = del;
@@ -257,32 +107,17 @@ class FRListNoFlag {
   }
 
   // Completes the deletion using the (possibly stale) located predecessor
-  // as the backlink hint — exactly what the in-line erase() does when the
-  // scheduler delays it between its search and its marking C&S.
+  // as the backlink hint — exactly what the in-line erase does when the
+  // scheduler delays it between its search and its marking C&S. There is
+  // no sweep after a failed unlink: physical deletion is deliberately left
+  // to later searches, as in a delayed erase.
   bool erase_complete(EraseCursor& cur) {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    Node* del = cur.del;
+    [[maybe_unused]] auto guard = this->reclaimer_.guard();
     bool erased = false;
-    for (;;) {
-      const View del_succ = del->succ.load();
-      if (del_succ.mark) break;  // concurrent (or earlier) erase won
-      del->backlink.store(cur.prev, std::memory_order_release);
-      const View result =
-          del->succ.cas(View{del_succ.right, false, false},
-                        View{del_succ.right, true, false});
-      if (result == View{del_succ.right, false, false}) {
-        stats::tls().mark_cas.inc();
+    while (!erased && !cur.del->succ.marked()) {
+      if (Node* next = this->try_mark(cur.prev, cur.del)) {
         erased = true;
-        const View unlink =
-            cur.prev->succ.cas(View{del, false, false},
-                               View{del_succ.right, false, false});
-        if (unlink == View{del, false, false}) {
-          stats::tls().pdelete_cas.inc();
-          reclaimer_.retire(del);
-        }
-        // No sweep here: physical deletion is deliberately left to later
-        // searches when the hint was stale, as in a delayed erase().
-        break;
+        this->try_unlink(cur.prev, cur.del, next);
       }
     }
     stats::tls().op_erase.inc();
@@ -290,10 +125,17 @@ class FRListNoFlag {
   }
 
  private:
+  using typename Core::View;
+  using typename Core::Window;
+
+  void hint_backlink(Node* del, Node* left) const {
+    del->backlink.store(left, std::memory_order_release);
+  }
+
   // Walk the backlink chain from a marked node to an unmarked one. Without
   // flags the chain may pass through OTHER marked nodes — the growth the
   // paper's flag bit forbids. Instrumented for E7.
-  void recover(Node*& prev) const {
+  void walk_backlinks(Node*& prev) const {
     auto& c = stats::tls();
     std::uint64_t chain = 0;
     while (prev->succ.load().mark) {
@@ -304,46 +146,36 @@ class FRListNoFlag {
     if (chain > 0) stats::chain_hist_tls().record(chain);
   }
 
+  // Recovery after a failed C&S: back along the backlinks, not to the head.
+  Window recover(const Key& k, Node* left) const {
+    walk_backlinks(left);
+    return search_from(k, left);
+  }
+
+  Window search(const Key& k) const { return search_from(k, this->head_); }
+
   // Search with Harris/Michael-style physical deletion of marked nodes,
   // using backlinks (not restarts) when the current node itself is marked.
-  template <bool Closed>
-  std::pair<Node*, Node*> search_from(const Key& k, Node* curr) const {
+  Window search_from(const Key& k, Node* curr) const {
     auto& c = stats::tls();
-    auto advances = [&](const Node* n) {
-      return Closed ? node_le(n, k, comp_) : node_lt(n, k, comp_);
-    };
     Node* next = curr->succ.load().right;
     for (;;) {
       while (next->kind == Node::Kind::kInterior && next->succ.load().mark) {
         if (curr->succ.load().mark) {
-          recover(curr);
-          next = curr->succ.load().right;
-          c.next_update.inc();
-          continue;
-        }
-        // next is marked, so next.right is frozen: unlink next.
-        Node* after = next->succ.load().right;
-        const View result = curr->succ.cas(View{next, false, false},
-                                           View{after, false, false});
-        if (result == View{next, false, false}) {
-          stats::tls().pdelete_cas.inc();
-          reclaimer_.retire(next);
+          walk_backlinks(curr);
+        } else {
+          // next is marked, so next.right is frozen: unlink next.
+          this->try_unlink(curr, next, next->succ.load().right);
         }
         next = curr->succ.load().right;
         c.next_update.inc();
       }
-      if (!advances(next)) break;
+      if (!node_lt(next, k, this->comp_)) return {curr, next};
       curr = next;
       c.curr_update.inc();
       next = curr->succ.load().right;
     }
-    return {curr, next};
   }
-
-  Compare comp_;
-  mutable Reclaimer reclaimer_;
-  Node* head_;
-  Node* tail_;
 };
 
 }  // namespace lf

@@ -62,7 +62,8 @@ struct AdversaryResult {
 
 // List must provide: insert(k, v), erase(k), insert_locate(k, v, cursor),
 // insert_try_once(cursor) and the InsertCursor/TryResult types — i.e.
-// FRList or HarrisList over integer keys.
+// FRList, or any of the four mark-only lists on mark::Core (HarrisList,
+// MichaelList, MichaelListHP, FRListNoFlag), over integer keys.
 template <typename List>
 AdversaryResult run_adversarial_schedule(List& list, int inserters,
                                          std::uint64_t initial_size,

@@ -5,7 +5,9 @@
 
 #include <atomic>
 #include <barrier>
+#include <cstdint>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "lf/baselines/coarse_list.h"
@@ -14,8 +16,10 @@
 #include "lf/baselines/michael_list.h"
 #include "lf/baselines/restart_skiplist.h"
 #include "lf/baselines/rwlock_skiplist.h"
+#include "lf/core/fr_list.h"
 #include "lf/core/fr_list_noflag.h"
 #include "lf/instrument/counters.h"
+#include "lf/reclaim/epoch.h"
 #include "lf/reclaim/hazard.h"
 #include "lf/reclaim/leaky.h"
 #include "lf/util/random.h"
@@ -162,6 +166,135 @@ TEST(FRListNoFlag, BacklinksStillEnableRecovery) {
   EXPECT_TRUE(list.insert(5, 55));
   EXPECT_EQ(*list.find(5), 55);
   EXPECT_EQ(list.size(), 7u);
+}
+
+// ---- E7(a): the deterministic stale-hint schedule ----------------------
+// bench_backlink_ablation's part (a), pinned. Keys 0..m are in the list and
+// an insert has located the end (predecessor = node m). Without flags, the
+// deletions of 1..m complete left to right with hints located beforehand,
+// so backlink(i) = node i-1 is already marked for i >= 2, and the insert's
+// recovery walks all m backlinks. FRList deletes the same nodes; its
+// flagged predecessors keep every backlink pointing at the live anchor, so
+// recovery is one hop. One global epoch guard spans each schedule: no node
+// is freed while a cursor still points at it.
+
+std::uint64_t noflag_stale_hint_hops(long m) {
+  using List = lf::FRListNoFlag<long, long>;
+  List list;
+  [[maybe_unused]] auto guard = lf::reclaim::EpochDomain::global().guard();
+  for (long k = 0; k <= m; ++k) list.insert(k, k);  // 0 is the anchor
+  List::InsertCursor ins;
+  EXPECT_TRUE(list.insert_locate(m + 1, m + 1, ins));
+  std::vector<List::EraseCursor> cursors(static_cast<std::size_t>(m));
+  for (long i = 1; i <= m; ++i)
+    EXPECT_TRUE(list.erase_locate(i, cursors[static_cast<std::size_t>(i - 1)]));
+  for (auto& cur : cursors) EXPECT_TRUE(list.erase_complete(cur));
+  const auto before = lf::stats::tls().read();
+  EXPECT_TRUE(list.insert_complete(ins));
+  const auto delta = lf::stats::tls().read() - before;
+  EXPECT_EQ(list.size(), 2u);  // the anchor and m + 1
+  return delta.backlink_traversal;
+}
+
+std::uint64_t fr_stale_hint_hops(long m) {
+  lf::FRList<long, long> list;
+  [[maybe_unused]] auto guard = lf::reclaim::EpochDomain::global().guard();
+  for (long k = 0; k <= m; ++k) list.insert(k, k);
+  lf::FRList<long, long>::InsertCursor cur;
+  EXPECT_TRUE(list.insert_locate(m + 1, m + 1, cur));
+  for (long i = 1; i <= m; ++i) EXPECT_TRUE(list.erase(i));
+  const auto before = lf::stats::tls().read();
+  EXPECT_TRUE(list.insert_complete(cur));
+  const auto delta = lf::stats::tls().read() - before;
+  EXPECT_EQ(list.size(), 2u);
+  return delta.backlink_traversal;
+}
+
+TEST(StaleHintSchedule, NoFlagWalksOneBacklinkPerDeletion) {
+  for (long m : {8L, 64L}) {
+    EXPECT_EQ(noflag_stale_hint_hops(m), static_cast<std::uint64_t>(m))
+        << "m = " << m;
+  }
+}
+
+TEST(StaleHintSchedule, FRListWalksOneBacklink) {
+  for (long m : {8L, 64L}) EXPECT_EQ(fr_stale_hint_hops(m), 1u) << "m = " << m;
+}
+
+// ---- The four mark-only lists (mark::Core) ------------------------------
+
+template <typename List>
+class MarkOnlyList : public ::testing::Test {};
+
+using MarkOnlyLists =
+    ::testing::Types<lf::HarrisList<long, long>, lf::MichaelList<long, long>,
+                     lf::MichaelListHP<long, long>,
+                     lf::FRListNoFlag<long, long>>;
+TYPED_TEST_SUITE(MarkOnlyList, MarkOnlyLists);
+
+// E10's one-thread identity: without interference every C&S succeeds, a
+// deletion is exactly one mark and one unlink, an insertion one insert
+// C&S, and no operation ever needs its recovery.
+TYPED_TEST(MarkOnlyList, OneThreadCasIdentity) {
+  TypeParam list;
+  lf::Xoshiro256 rng(37);
+  std::uint64_t inserted = 0;
+  std::uint64_t erased = 0;
+  const auto before = lf::stats::tls().read();
+  for (int i = 0; i < 20000; ++i) {
+    const long k = static_cast<long>(rng.below(256));
+    switch (rng.below(10)) {
+      case 0: case 1: case 2: inserted += list.insert(k, k); break;
+      case 3: case 4: case 5: erased += list.erase(k); break;
+      default: list.contains(k);
+    }
+  }
+  const auto d = lf::stats::tls().read() - before;
+  EXPECT_GT(inserted, 0u);
+  EXPECT_GT(erased, 0u);
+  EXPECT_EQ(d.flag_cas, 0u);
+  EXPECT_EQ(d.mark_cas, erased);
+  EXPECT_EQ(d.pdelete_cas, erased);
+  EXPECT_EQ(d.insert_cas, inserted);
+  EXPECT_EQ(d.cas_failures(), 0u);
+  EXPECT_EQ(d.restart, 0u);
+  EXPECT_EQ(d.backlink_traversal, 0u);
+  EXPECT_EQ(list.size(), inserted - erased);
+}
+
+template <typename List>
+class MarkOnlyRecovery : public ::testing::Test {};
+
+using RecoveringLists =
+    ::testing::Types<lf::HarrisList<long, long>, lf::MichaelList<long, long>,
+                     lf::FRListNoFlag<long, long>>;
+TYPED_TEST_SUITE(MarkOnlyRecovery, RecoveringLists);
+
+// HarrisList.RestartOnInterferenceIsCounted for each list: an insert's
+// located predecessor is deleted before its C&S. Harris and Michael
+// recover by a restart from the head; FRListNoFlag by its backlinks.
+TYPED_TEST(MarkOnlyRecovery, FailedInsertCasRecoversTheListsWay) {
+  constexpr bool kBacklinks =
+      std::is_same_v<TypeParam, lf::FRListNoFlag<long, long>>;
+  TypeParam list;
+  [[maybe_unused]] auto guard = lf::reclaim::EpochDomain::global().guard();
+  for (long k = 1; k <= 5; ++k) list.insert(k, k);
+  typename TypeParam::InsertCursor cur;
+  ASSERT_TRUE(list.insert_locate(6, 6, cur));
+  ASSERT_TRUE(list.erase(5));
+  const auto before = lf::stats::tls().read();
+  EXPECT_EQ(list.insert_try_once(cur), TypeParam::TryResult::kRetry);
+  const auto delta = lf::stats::tls().read() - before;
+  if (kBacklinks) {
+    EXPECT_EQ(delta.restart, 0u);
+    EXPECT_GE(delta.backlink_traversal, 1u);
+  } else {
+    EXPECT_GE(delta.restart, 1u);
+    EXPECT_EQ(delta.backlink_traversal, 0u);
+  }
+  EXPECT_EQ(list.insert_try_once(cur), TypeParam::TryResult::kInserted);
+  EXPECT_TRUE(list.contains(6));
+  EXPECT_EQ(list.size(), 5u);
 }
 
 // ---- Lazy list ---------------------------------------------------------
