@@ -33,6 +33,11 @@
 //     above the tallest live tower, which is what the adaptive head bought.
 //   * One shared tail sentinel serves every level (its succ is never
 //     modified, so per-level tail nodes would be indistinguishable).
+//   * Insert_SL and Delete_SL descend once. The paper re-runs
+//     SearchToLevel_SL from the head for every upper level of a tower
+//     build and for the erase cleanup; here the first descent records the
+//     node it stepped down from on each level, and each later level's
+//     SearchRight starts there, walking backlinks first if it was marked.
 //   * The detailed pseudocode for the skip-list routines lives in
 //     Fomitchev's thesis; these routines are reconstructed from the paper's
 //     prose (every step of Section 4) plus the linked-list routines of
@@ -50,13 +55,14 @@
 // records the per-level chained and global-heap placements this replaced.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <new>
 #include <optional>
-#include <thread>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -180,6 +186,7 @@ class FRSkipList
   using Core::help_flagged;
   using Core::insert_node;
   using Core::try_flag;
+  using Core::walk_backlinks;
 
  public:
   using typename Core::ValidationReport;
@@ -250,11 +257,18 @@ class FRSkipList
   bool erase(const Key& k) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
     // prev.key < k <= del.key on level 1.
-    auto [prev, del] = search_to_level<false>(k, 1);
+    Preds preds;
+    auto [prev, del] = search_to_level<false>(k, preds);
     const bool erased = node_eq(del, k, comp_) && delete_node(prev, del);
-    // Delete_SL: re-search down to level 2 to physically delete the rest of
-    // the now-superfluous tower, top-down.
-    if (erased) search_to_level<true>(k, 2);
+    if (erased) {
+      // Delete_SL: sweep the levels a second descent from the head would
+      // cover, top-down, to physically delete the rest of the now-
+      // superfluous tower. Each level resumes from the first descent's
+      // predecessor instead of from the head.
+      for (int v = descent_top(); v > 2; --v)
+        search_right<false>(k, resume(preds, v));
+      search_right<true>(k, resume(preds, 2));
+    }
     stats::tls().op_erase.inc();
     return erased;
   }
@@ -406,7 +420,8 @@ class FRSkipList
   // the coin-flip rng; tests may pin it).
   InsertStatus insert_impl(const Key& k, T value, const int tower_height) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, next] = search_to_level<true>(k, 1);
+    Preds preds;
+    auto [prev, next] = search_to_level<true>(k, preds);
     if (node_eq(prev, k, comp_)) {
       stats::tls().op_insert.inc();
       return InsertStatus::kDuplicate;  // DUPLICATE_KEY
@@ -467,16 +482,20 @@ class FRSkipList
         break;
       }
       root->tower_top.store(node, std::memory_order_release);
-      std::tie(prev, next) = search_to_level<true>(k, curr_v);
+      std::tie(prev, next) = search_right<true>(k, resume(preds, curr_v));
     }
     stats::tls().op_insert.inc();
     return InsertStatus::kInserted;
   }
 
+  // Seeded from the order in which threads first draw a height, not from
+  // their ids, so a single-threaded run builds the same towers in every
+  // process and its step counts repeat exactly.
   static Xoshiro256& tls_rng() {
+    static std::atomic<std::uint64_t> next_ordinal{0};
     thread_local Xoshiro256 rng(
         0x9e3779b97f4a7c15ULL ^
-        std::hash<std::thread::id>{}(std::this_thread::get_id()));
+        next_ordinal.fetch_add(1, std::memory_order_relaxed));
     return rng;
   }
 
@@ -487,15 +506,25 @@ class FRSkipList
     }
   }
 
+  // The level a descent from the head starts at: just above the tallest
+  // live tower.
+  int descent_top() const noexcept {
+    return std::min(top_hint_.load(std::memory_order_relaxed) + 1, kMaxLevel);
+  }
+
   // ---- SearchToLevel_SL --------------------------------------------------
   //
   // Descends from just above the tallest live tower to level v, traversing
   // each level with SearchRight; returns consecutive (n1, n2) on level v
   // with n1.key <= k < n2.key (Closed) or n1.key < k <= n2.key (!Closed).
+  //
+  // Kept out of line: with the updates on the recording overload below,
+  // only the read paths call it, and GCC would inline it into them and
+  // change the read path's code.
   template <bool Closed>
-  std::pair<Node*, Node*> search_to_level(const Key& k, int v) const {
-    int curr_v = top_hint_.load(std::memory_order_relaxed) + 1;
-    if (curr_v > kMaxLevel) curr_v = kMaxLevel;
+  [[gnu::noinline]] std::pair<Node*, Node*> search_to_level(const Key& k,
+                                                            int v) const {
+    int curr_v = descent_top();
     if (curr_v < v) curr_v = v;
     Node* curr = head(curr_v);
     Node* next = nullptr;
@@ -505,6 +534,43 @@ class FRSkipList
       --curr_v;
     }
     return search_right<Closed>(k, curr);
+  }
+
+  // The nodes an update's first descent stepped down from (the `preds` of
+  // Herlihy and Shavit's skip-list find): at[v] is level v's last node
+  // with key < k, for v = 2..top. Levels above top were not visited. Only
+  // at[2..top] is ever read, and the descent writes exactly those, so `at`
+  // is deliberately left uninitialized: zeroing it on every update
+  // measurably slowed small_read's update p50.
+  struct Preds {
+    Node* at[kMaxLevel + 1];
+    int top = 1;
+  };
+
+  // search_to_level(k, 1) that records its path in preds. Only the update
+  // paths use it; find, contains and ranges keep the plain descent.
+  template <bool Closed>
+  std::pair<Node*, Node*> search_to_level(const Key& k, Preds& preds) const {
+    int curr_v = descent_top();
+    preds.top = curr_v;
+    Node* curr = head(curr_v);
+    for (; curr_v > 1; --curr_v) {
+      curr = search_right<false>(k, curr).first;
+      preds.at[curr_v] = curr;
+      curr = curr->down();
+    }
+    return search_right<Closed>(k, curr);
+  }
+
+  // Where an update resumes level v after its first descent: the recorded
+  // predecessor, or the head above the recorded levels, walked left off
+  // any mark. SearchRight is correct from any node of level v with key < k,
+  // and backlinks lead to such a node (DESIGN.md §2, "Deviation: updates
+  // descend once").
+  Node* resume(const Preds& preds, int v) const {
+    Node* pred = v <= preds.top ? preds.at[v] : head(v);
+    walk_backlinks(pred);
+    return pred;
   }
 
   // ---- SearchRight --------------------------------------------------------

@@ -205,6 +205,85 @@ TEST(FRSkipListConcurrent, ParallelChurnBalancesStepCounters) {
   EXPECT_EQ(delta.insert_cas - delta.pdelete_cas, rep.node_count);
 }
 
+// Tower builds and erase cleanups resume each upper level from the node
+// their first descent stepped down from there. Here those nodes are
+// deleted under them: two threads build tall towers on even keys (and
+// erase them between rounds) while two threads erase and reinsert
+// the odd keys in between, which are every even key's predecessors on
+// most levels. A marked predecessor must be left through its backlinks;
+// at quiescence no superfluous node may be linked on any level and the
+// census must count every node validate() walks.
+TEST(FRSkipListConcurrent, ResumedLevelsSurviveDeletedPredecessors) {
+  IntSkip s;
+  constexpr long kKeys = 64;  // keys 0..kKeys-1; odd ones churn
+  constexpr int kRounds = 128;
+  auto tall = [](lf::Xoshiro256& rng) {
+    return 6 + static_cast<int>(rng.below(7));  // 6..12
+  };
+  lf::Xoshiro256 fill_rng(4242);
+  for (long k = 1; k < kKeys; k += 2)
+    ASSERT_EQ(s.insert_with_height(k, k, tall(fill_rng)),
+              IntSkip::InsertStatus::kInserted);
+
+  std::atomic<int> tower_threads_left{2};
+  std::barrier start(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 2; ++t) {
+    workers.emplace_back([&, t] {
+      lf::Xoshiro256 rng(2100 + t);
+      start.arrive_and_wait();
+      for (int round = 0; round < kRounds; ++round) {
+        // EXPECT, not ASSERT: a tower thread that returned early would leave
+        // the churners spinning.
+        for (long k = 2 * t; k < kKeys; k += 4)
+          EXPECT_EQ(s.insert_with_height(k, k, tall(rng)),
+                    IntSkip::InsertStatus::kInserted);
+        // The last round keeps every other key: the towers it erases are
+        // never reinserted, so only the erase cleanup removes them.
+        const bool last = round + 1 == kRounds;
+        for (long k = 2 * t; k < kKeys; k += 4) {
+          if (!last || k % 8 >= 4) { EXPECT_TRUE(s.erase(k)); }
+        }
+      }
+      tower_threads_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (int t = 0; t < 2; ++t) {
+    workers.emplace_back([&, t] {
+      lf::Xoshiro256 rng(2200 + t);
+      start.arrive_and_wait();
+      // Each churner owns the odd keys 4i + 2t + 1, so it always finds
+      // its key present, and every odd key is present again at the end.
+      while (tower_threads_left.load(std::memory_order_acquire) > 0) {
+        const long k =
+            4 * static_cast<long>(rng.below(kKeys / 4)) + 2 * t + 1;
+        ASSERT_TRUE(s.erase(k));
+        ASSERT_EQ(s.insert_with_height(k, k, tall(rng)),
+                  IntSkip::InsertStatus::kInserted);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  const auto rep = s.validate();
+  ASSERT_TRUE(rep.ok) << rep.error;
+  for (int v = 1; v <= IntSkip::kMaxTowerHeight + 1; ++v) {
+    for (auto* p = s.head(v)->succ.load().right;
+         p->kind != IntSkip::Node::Kind::kTail; p = p->succ.load().right) {
+      ASSERT_FALSE(p->root()->succ.load().mark)
+          << "superfluous node " << p->key << " linked on level " << v;
+    }
+  }
+  const std::size_t live = kKeys / 2 + kKeys / 4;  // odd keys, half the even
+  EXPECT_EQ(s.size(), live);
+  const auto census = s.census();
+  EXPECT_EQ(census.towers, live);
+  std::size_t nodes_from_census = 0;
+  for (const auto& [h, cnt] : census.height_counts)
+    nodes_from_census += static_cast<std::size_t>(h) * cnt;
+  EXPECT_EQ(rep.node_count, nodes_from_census);
+}
+
 TEST(FRSkipListConcurrent, EpochReclamationFreesTowers) {
   lf::reclaim::EpochDomain domain;
   {

@@ -5,7 +5,9 @@
 // construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <new>
 #include <set>
@@ -189,6 +191,52 @@ TEST(FRSkipListWhitebox, SearchHasNoSideEffectsOnCleanList) {
   const auto delta = lf::stats::aggregate() - before;
   EXPECT_EQ(delta.cas_attempt, 0u);  // nothing to help or flag
   EXPECT_EQ(delta.help_flagged, 0u);
+}
+
+// Insert_SL and Delete_SL descend once: the tower build and the erase
+// cleanup resume each upper level from the node the first descent stepped
+// down from there, not from a new descent from the head. On a quiescent
+// list, inserting an absent key k with a height-h tower therefore costs
+// exactly the descent contains(k) takes plus one insert C&S per level, and
+// erasing it costs that descent plus one flag, mark and unlink per level
+// and one step past each unlinked upper node: linear in h, not h·log n.
+// h = 16 builds above the levels the descent recorded (the list's towers
+// stop at 12), which start from the head.
+TEST(FRSkipListWhitebox, UpdatesDescendOnce) {
+  Skip s;
+  // Even keys, heights 1 + (trailing zeros of i+1), capped at 12: a
+  // perfectly balanced skip list, independent of the coin flips.
+  for (long i = 0; i < 2048; ++i) {
+    const int h =
+        std::min(1 + std::countr_zero(static_cast<unsigned long>(i + 1)), 12);
+    ASSERT_EQ(s.insert_with_height(2 * i, 2 * i, h),
+              Skip::InsertStatus::kInserted);
+  }
+  for (int h : {1, 2, 4, 8, 16}) {
+    for (long k : {1L, 1001L, 2731L, 4095L}) {
+      SCOPED_TRACE(testing::Message() << "h=" << h << " k=" << k);
+      auto before = lf::stats::tls().read();
+      ASSERT_FALSE(s.contains(k));
+      const auto search = lf::stats::tls().read() - before;
+
+      before = lf::stats::tls().read();
+      ASSERT_EQ(s.insert_with_height(k, k, h), Skip::InsertStatus::kInserted);
+      const auto insert = lf::stats::tls().read() - before;
+      const auto height = static_cast<std::uint64_t>(h);
+      EXPECT_EQ(insert.insert_cas, height);
+      EXPECT_EQ(insert.cas_failures(), 0u);
+      EXPECT_EQ(insert.essential_steps(), search.essential_steps() + height);
+
+      before = lf::stats::tls().read();
+      ASSERT_TRUE(s.erase(k));
+      const auto erase = lf::stats::tls().read() - before;
+      EXPECT_EQ(erase.flag_cas, height);
+      EXPECT_EQ(erase.cas_failures(), 0u);
+      EXPECT_EQ(erase.essential_steps(),
+                search.essential_steps() + 4 * height - 1);
+      ASSERT_TRUE(s.validate().ok);
+    }
+  }
 }
 
 // Each tower is one block and down()/root() are derived from the slot a
