@@ -54,6 +54,12 @@ struct Sites {
 //   void on_unlinked(Node* del) const;
 //     called once, by the thread whose C&S physically deleted del (FRList
 //     retires del; FRSkipList drops one reference on del's tower).
+//   void on_right_changed(Node* n, bool published) const;
+//     called by the thread that just changed n's right pointer: after its
+//     successful insert or unlink C&S on n (published), and on a new node
+//     once the insert step has stored its successor, before the C&S
+//     publishes it (!published: no other thread can see n yet). FRList
+//     does nothing; FRSkipList refreshes n's successor-key hint.
 //
 // Every method is const: searches are const and help deletions.
 template <typename Derived, typename Node, typename Key, typename Compare,
@@ -121,6 +127,7 @@ class Core {
                                    View{next, false, false});
     if (result == View{del, false, true}) {
       stats::tls().pdelete_cas.inc();
+      derived().on_right_changed(prev, true);
       derived().on_unlinked(del);
     }
   }
@@ -227,11 +234,13 @@ class Core {
       help_flagged(prev, prev_succ.right);
     } else {
       node->succ.store_unsynchronized(View{next, false, false});
+      derived().on_right_changed(node, false);
       const View result = chaos::cas(kSites.insert_cas, prev->succ,
                                      View{next, false, false},
                                      View{node, false, false});
       if (result == View{next, false, false}) {
         stats::tls().insert_cas.inc();
+        derived().on_right_changed(prev, true);
         return true;
       }
       if (result.flag && !result.mark) help_flagged(prev, result.right);

@@ -498,6 +498,9 @@ class FRList
   // The core's disposal hook: the unlinking thread retires del.
   void on_unlinked(Node* del) const { reclaimer_.retire(del); }
 
+  // The core's right-pointer hook: FRList's nodes carry no successor copy.
+  void on_right_changed(Node*, bool) const {}
+
   // The Insert retry loop for a node allocated by this operation; a
   // duplicate frees it (never published, so plain delete is safe).
   bool link_or_free(Node* node, Node* prev, Node* next) {

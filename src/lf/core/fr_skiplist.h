@@ -10,6 +10,7 @@
 // tail. Every node has:
 //
 //     key, succ = (right, mark, flag), backlink   — as in FRList
+//     next_key    a hint: a copy of succ.right's key (small keys only)
 //     level       its level; down() and root() are slot arithmetic
 //     value       meaningful in root nodes only
 //
@@ -38,6 +39,12 @@
 //     build and for the erase cleanup; here the first descent records the
 //     node it stepped down from on each level, and each later level's
 //     SearchRight starts there, walking backlinks first if it was marked.
+//   * Successor-key hint (after "Skiplists with Foresight"): for trivially
+//     copyable keys of at most 8 bytes each node keeps a relaxed copy of
+//     its successor's key, refreshed after every insert and unlink C&S.
+//     A descent above level 1 steps down when k < hint without loading
+//     the successor. A stale hint only moves where a level is left, never
+//     a result; level 1 and every resumed update search compare real keys.
 //   * The detailed pseudocode for the skip-list routines lives in
 //     Fomitchev's thesis; these routines are reconstructed from the paper's
 //     prose (every step of Section 4) plus the linked-list routines of
@@ -60,10 +67,12 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <new>
 #include <optional>
 #include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -82,29 +91,53 @@ namespace lf {
 
 namespace fr {
 
+// Whether FRSkipList's node carries the successor-key hint (TowerNode::
+// next_key): only for keys one lock-free atomic word can hold, i.e.
+// trivially copyable and at most 8 bytes. Other keys (std::string, ...)
+// keep the hint-free node and descent.
+template <typename Key>
+consteval bool hints_successor_key() {
+  if constexpr (std::is_trivially_copyable_v<Key> && sizeof(Key) <= 8) {
+    return std::atomic<Key>::is_always_lock_free;
+  } else {
+    return false;
+  }
+}
+
+// The next_key member of a node without the hint; takes no space.
+struct NoSuccessorKey {};
+
 // FRSkipList's node (FRSkipList::Node), one per tower level.
 //
 // Field order is cache-conscious: the members a search touches on every
-// hop (succ, key, kind, and level for root()) are declared first so they
-// pack into the node's first cache line — for a root, also the first line
-// of the tower's block. Recovery (backlink) and root-only bookkeeping
-// follow. The node stores no `down` or root pointer (see slot()), so with
-// 8-byte keys and values it is exactly one line: a height-h tower is h
+// hop (succ, key, next_key, kind, and level for root()) are declared first
+// so they pack into the node's first cache line — for a root, also the
+// first line of the tower's block. The small immutable fields pack beside
+// tower_alive, then root-only bookkeeping and recovery follow. The node
+// stores no `down` or root pointer (see slot()), so with 8-byte keys and
+// values it is exactly one line, hint included: a height-h tower is h
 // lines, and each head level has a line of its own. The pool hands out
 // 64-byte-aligned blocks in whole lines, so adjacent blocks never share a
 // line without inflating every node with alignas(64).
 template <typename Key, typename T>
 struct alignas(8) TowerNode {
   enum class Kind : unsigned char { kHead, kInterior, kTail };
+  static constexpr bool kHinted = hints_successor_key<Key>();
 
   sync::SuccField<TowerNode> succ;
   Key key;
+  // Successor-key hint: a relaxed copy of succ.right's key (for the tail,
+  // any value), so a descent can decide right-vs-down at this node without
+  // loading the successor. Only ever a hint: it lags succ while a writer
+  // refreshes it, and only searches above level 1 read it, where a stale
+  // value costs speed, never a result (DESIGN.md §2, "Deviation:
+  // successor-key hint").
+  [[no_unique_address]] std::conditional_t<kHinted, std::atomic<Key>,
+                                           NoSuccessorKey> next_key;
   Kind kind;
   int level;           // 1-based; immutable
   int planned_height;  // slots in this node's block (roots: the coin-flip
                        // height; head: kMaxLevel; tail: 1); 0 for upper nodes
-  T value;  // meaningful in root nodes only
-  std::atomic<TowerNode*> backlink{nullptr};
 
   // Tower-retirement bookkeeping, meaningful on ROOT nodes only.
   //
@@ -125,6 +158,9 @@ struct alignas(8) TowerNode {
   // deleter destroys the nodes from tower_top's level down to the root.
   std::atomic<int> tower_alive{1};
   std::atomic<TowerNode*> tower_top{nullptr};
+
+  T value;  // meaningful in root nodes only
+  std::atomic<TowerNode*> backlink{nullptr};
 
   TowerNode(Kind k, int lvl, Key key_arg, T value_arg)
       : key(std::move(key_arg)),
@@ -147,6 +183,9 @@ struct alignas(8) TowerNode {
   TowerNode* down() const { return slot(level - 1); }  // level >= 2 only
   TowerNode* root() const { return slot(1); }
 };
+
+// One line per tower level (see TowerNode); the hint must not add a second.
+static_assert(sizeof(TowerNode<std::uint64_t, std::uint64_t>) == 64);
 
 inline constexpr Sites kSkipSites{
     .insert_cas = chaos::Site::kSkipInsertCas,
@@ -208,8 +247,10 @@ class FRSkipList
     for (int v = 2; v <= kMaxLevel; ++v)
       ::new (head_->slot(v)) Node(Node::Kind::kHead, v, Key{}, T{});
     head_->tower_top.store(head(kMaxLevel), std::memory_order_relaxed);
-    for (int v = 1; v <= kMaxLevel; ++v)
+    for (int v = 1; v <= kMaxLevel; ++v) {
       head(v)->succ.store_unsynchronized(View{tail_, false, false});
+      on_right_changed(head(v), false);
+    }
     top_hint_.store(1, std::memory_order_relaxed);
   }
 
@@ -359,11 +400,20 @@ class FRSkipList
   // ---- Invariant validation & census (tests / E6; quiescent only) ------
 
   // The paper's INV 1-5 on every level (fr::Core::validate_level), plus the
-  // tower structure. node_count counts nodes across all levels.
+  // tower structure and, for hinted keys, every linked node's successor-key
+  // hint (head included): each successful C&S refreshes the hint until it
+  // matches, so at quiescence it equals the successor's key.
+  // node_count counts nodes across all levels.
   ValidationReport validate() const {
     ValidationReport rep;
     for (int v = 1; v <= kMaxLevel; ++v) {
+      if (const char* error = hint_error(head(v))) {
+        rep.ok = false;
+        rep.error = error;
+        break;
+      }
       auto tower_error = [&](const Node* n) -> const char* {
+        if (const char* error = hint_error(n)) return error;
         if (n->level != v) return "node on wrong level";
         if (v > n->root()->planned_height) return "node outside its block";
         if (v == 1) return nullptr;
@@ -515,8 +565,9 @@ class FRSkipList
   // ---- SearchToLevel_SL --------------------------------------------------
   //
   // Descends from just above the tallest live tower to level v, traversing
-  // each level with SearchRight; returns consecutive (n1, n2) on level v
-  // with n1.key <= k < n2.key (Closed) or n1.key < k <= n2.key (!Closed).
+  // each level above v with search_upper and level v with SearchRight;
+  // returns consecutive (n1, n2) on level v with n1.key <= k < n2.key
+  // (Closed) or n1.key < k <= n2.key (!Closed).
   //
   // Kept out of line: with the updates on the recording overload below,
   // only the read paths call it, and GCC would inline it into them and
@@ -527,10 +578,8 @@ class FRSkipList
     int curr_v = descent_top();
     if (curr_v < v) curr_v = v;
     Node* curr = head(curr_v);
-    Node* next = nullptr;
     while (curr_v > v) {
-      std::tie(curr, next) = search_right<false>(k, curr);
-      curr = curr->down();
+      curr = search_upper(k, curr)->down();
       --curr_v;
     }
     return search_right<Closed>(k, curr);
@@ -555,7 +604,7 @@ class FRSkipList
     preds.top = curr_v;
     Node* curr = head(curr_v);
     for (; curr_v > 1; --curr_v) {
-      curr = search_right<false>(k, curr).first;
+      curr = search_upper(k, curr);
       preds.at[curr_v] = curr;
       curr = curr->down();
     }
@@ -580,16 +629,28 @@ class FRSkipList
   // all three deletion steps if necessary, whereas SearchFrom physically
   // deletes only those nodes that are already logically deleted."
   //
+  // With Hinted, the search first asks each curr's successor-key hint:
+  // if k < hint, it stops at curr without loading the successor and
+  // returns (curr, nullptr). Only search_upper passes it.
+  //
   // Forced inline: left to its heuristics GCC outlines the descent's
   // search_right<false> from search_to_level<true>, which costs find ~10%
   // (EXPERIMENTS.md E11).
-  template <bool Closed>
+  template <bool Closed, bool Hinted = false>
   [[gnu::always_inline]] std::pair<Node*, Node*> search_right(
       const Key& k, Node* curr) const {
     auto& c = stats::tls();
     auto advances = [&](const Node* n) {
       return Closed ? node_le(n, k, comp_) : node_lt(n, k, comp_);
     };
+    auto hint_stops = [&](const Node* n) {
+      if constexpr (Hinted) {
+        return comp_(k, n->next_key.load(std::memory_order_relaxed));
+      } else {
+        return false;
+      }
+    };
+    if (hint_stops(curr)) return {curr, nullptr};
     Node* next = curr->succ.load().right;
     LF_PREFETCH(next);
     for (;;) {
@@ -612,6 +673,7 @@ class FRSkipList
       LF_CHAOS_POINT(kSkipSearchStep);
       curr = next;
       c.curr_update.inc();
+      if (hint_stops(curr)) return {curr, nullptr};
       // The hop is a dependent-load chain; start pulling in the next node's
       // line while this iteration finishes its key compare (util/prefetch.h).
       next = curr->succ.load().right;
@@ -620,9 +682,69 @@ class FRSkipList
     return {curr, next};
   }
 
+  // SearchRight on a descent's level >= 2: the node with key < k to step
+  // down from. For hinted keys it consults the successor-key hints, which
+  // only decide how early the level is left: stepping down is correct from
+  // any node with key < k, since the level below holds every key this one
+  // skips (DESIGN.md §2, "Deviation: successor-key hint"). Level 1, resume,
+  // the tower build and the erase cleanup compare real keys only.
+  [[gnu::always_inline]] Node* search_upper(const Key& k, Node* curr) const {
+    return search_right<false, Node::kHinted>(k, curr).first;
+  }
+
   // The core's disposal hook: unlinking a tower node drops one reference
   // on its tower, which the last one retires (see Node docs).
   void on_unlinked(Node* del) const { release_tower_ref(del->root()); }
+
+  // The successor-key hint a node whose successor is `right` carries once
+  // refreshed: right's key, or for the tail any value; max() makes an
+  // arithmetic-key descent step down there without loading the tail.
+  static Key hint_for(const Node* right) {
+    if (right->kind != Node::Kind::kTail) return right->key;
+    if constexpr (std::is_arithmetic_v<Key>) {
+      return std::numeric_limits<Key>::max();
+    } else {
+      return Key{};
+    }
+  }
+
+  // The core's right-pointer hook, run by the thread whose C&S (or
+  // pre-publication store) just changed n's right pointer: refresh n's
+  // successor-key hint until it matches a right pointer read after it was
+  // written. The exchange is a read-modify-write, so the last hint write
+  // to n reads from, and synchronizes with, every earlier refresh of n:
+  // whichever refresh writes last sees the last C&S on n.succ and stores
+  // its successor's key, so hints are exact at quiescence. Another retry
+  // means another thread's C&S on n.succ succeeded meanwhile, so the loop
+  // is lock-free. An unpublished node is this thread's alone, and the C&S
+  // that publishes it also publishes a plain store.
+  void on_right_changed(Node* n, bool published) const {
+    if constexpr (Node::kHinted) {
+      Node* right = n->succ.load().right;
+      if (!published) {
+        n->next_key.store(hint_for(right), std::memory_order_relaxed);
+        return;
+      }
+      for (;;) {
+        n->next_key.exchange(hint_for(right), std::memory_order_acq_rel);
+        Node* again = n->succ.load().right;
+        if (again == right) return;
+        right = again;
+      }
+    }
+  }
+
+  // validate()'s hint check: nullptr, or why n's hint is not its
+  // successor's key.
+  const char* hint_error(const Node* n) const {
+    if constexpr (Node::kHinted) {
+      const Key want = hint_for(n->succ.load().right);
+      const Key have = n->next_key.load(std::memory_order_relaxed);
+      if (comp_(want, have) || comp_(have, want))
+        return "successor-key hint differs from successor at quiescence";
+    }
+    return nullptr;
+  }
 
   // Take a reference on a tower for an upcoming link attempt; fails (and
   // must abort the attempt) if the tower is already fully unlinked, since a

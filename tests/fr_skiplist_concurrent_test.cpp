@@ -284,6 +284,63 @@ TEST(FRSkipListConcurrent, ResumedLevelsSurviveDeletedPredecessors) {
   EXPECT_EQ(rep.node_count, nodes_from_census);
 }
 
+// Successor-key hints under churn. Stable keys 4i sit in tall towers and
+// are never erased; three threads insert and erase the keys 4i+1 and 4i+2
+// between them, so the stable nodes' hints keep moving both ways: too high
+// between an insert C&S and its refresh, too low after an unlink. A reader
+// meanwhile checks that every stable key is always found and that no key
+// 4i+3, never inserted, ever is. At quiescence every hint must be exact.
+TEST(FRSkipListConcurrent, StaleHintsNeverChangeResults) {
+  IntSkip s;
+  constexpr long kKeys = 256;
+  constexpr int kChurners = kThreads - 1;
+  constexpr int kOpsPerChurner = 20000;
+  lf::Xoshiro256 fill_rng(4343);
+  for (long k = 0; k < kKeys; k += 4)
+    ASSERT_EQ(s.insert_with_height(
+                  k, k, 4 + static_cast<int>(fill_rng.below(9))),
+              IntSkip::InsertStatus::kInserted);
+
+  std::atomic<int> churners_left{kChurners};
+  std::atomic<long> wrong{0};
+  std::atomic<long> reader_rounds{0};
+  std::barrier start(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kChurners; ++t) {
+    workers.emplace_back([&, t] {
+      lf::Xoshiro256 rng(4400 + t);
+      start.arrive_and_wait();
+      for (int i = 0; i < kOpsPerChurner; ++i) {
+        const long k = 4 * static_cast<long>(rng.below(kKeys / 4)) + 1 +
+                       static_cast<long>(rng.below(2));
+        if (rng.below(2) == 0) {
+          s.insert_with_height(k, k, 1 + static_cast<int>(rng.below(12)));
+        } else {
+          s.erase(k);
+        }
+      }
+      churners_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  workers.emplace_back([&] {
+    start.arrive_and_wait();
+    while (churners_left.load(std::memory_order_acquire) > 0) {
+      for (long k = 0; k < kKeys; k += 4) {
+        if (!s.contains(k)) wrong.fetch_add(1, std::memory_order_relaxed);
+        if (s.contains(k + 3)) wrong.fetch_add(1, std::memory_order_relaxed);
+      }
+      reader_rounds.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (auto& w : workers) w.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(reader_rounds.load(), 0);
+  const auto rep = s.validate();
+  EXPECT_TRUE(rep.ok) << rep.error;
+  for (long k = 0; k < kKeys; k += 4) EXPECT_TRUE(s.contains(k)) << k;
+}
+
 TEST(FRSkipListConcurrent, EpochReclamationFreesTowers) {
   lf::reclaim::EpochDomain domain;
   {

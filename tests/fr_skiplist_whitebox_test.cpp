@@ -2,22 +2,25 @@
 // structure after deletions, the three-step protocol at every level, and
 // the first() accessor the priority-queue adapter relies on, the flat
 // tower block's address arithmetic, and the exception paths of tower
-// construction.
+// construction, and the successor-key hint.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <new>
 #include <set>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "lf/core/fr_skiplist.h"
 #include "lf/instrument/counters.h"
 #include "lf/mem/pool.h"
 #include "lf/reclaim/epoch.h"
+#include "lf/util/random.h"
 
 namespace {
 
@@ -366,6 +369,159 @@ TEST(FRSkipListWhitebox, UpperKeyCopyFailureTruncatesTower) {
   const auto delta = lf::stats::aggregate() - before;
   EXPECT_GE(delta.node_retired, 1u);
   EXPECT_EQ(delta.node_retired, delta.node_freed);
+}
+
+// ---- successor-key hint ------------------------------------------------------
+
+TEST(SuccessorKeyHint, OnlySmallTriviallyCopyableKeysCarryIt) {
+  struct Wide {
+    long a, b;
+  };
+  static_assert(Skip::Node::kHinted);
+  static_assert(lf::FRSkipList<std::uint64_t, std::uint64_t>::Node::kHinted);
+  static_assert(lf::FRSkipList<int, int>::Node::kHinted);
+  static_assert(!lf::FRSkipList<std::string, int>::Node::kHinted);
+  static_assert(!ThrowSkip::Node::kHinted);  // copying may throw
+  static_assert(!lf::fr::hints_successor_key<Wide>());
+}
+
+// Every insert and unlink C&S refreshes the hint of the node it changed,
+// and the new node's hint is set before it is published.
+TEST(SuccessorKeyHint, UpdatesKeepHintsExact) {
+  Skip s;
+  for (long k : {10L, 30L}) s.insert_with_height(k, k, 3);
+  Skip::Node* ten = s.head(3)->succ.load().right;
+  ASSERT_EQ(ten->key, 10);
+  EXPECT_EQ(s.head(3)->next_key.load(), 10);
+  EXPECT_EQ(ten->next_key.load(), 30);
+  ASSERT_EQ(s.insert_with_height(20, 20, 3), Skip::InsertStatus::kInserted);
+  EXPECT_EQ(ten->next_key.load(), 20);
+  EXPECT_EQ(ten->succ.load().right->next_key.load(), 30);
+  ASSERT_TRUE(s.erase(20));
+  EXPECT_EQ(ten->next_key.load(), 30);
+  ASSERT_TRUE(s.erase(30));
+  EXPECT_EQ(ten->next_key.load(), std::numeric_limits<long>::max());  // tail
+  EXPECT_TRUE(s.validate().ok);
+}
+
+// A mutation check: one wrong upper-level hint, a head's included, must
+// fail validate().
+TEST(SuccessorKeyHint, ValidateReportsAStaleHint) {
+  Skip s;
+  for (long k = 1; k <= 3; ++k) s.insert_with_height(k, k, 2);
+  ASSERT_TRUE(s.validate().ok);
+  Skip::Node* upper = s.head(2)->succ.load().right;
+  ASSERT_EQ(upper->key, 1);
+  ASSERT_EQ(upper->next_key.load(), 2);
+  upper->next_key.store(3);  // would skip key 2's node
+  auto rep = s.validate();
+  EXPECT_FALSE(rep.ok);
+  EXPECT_NE(rep.error.find("hint"), std::string::npos) << rep.error;
+  upper->next_key.store(2);
+  ASSERT_TRUE(s.validate().ok);
+
+  s.head(2)->next_key.store(0);
+  rep = s.validate();
+  EXPECT_FALSE(rep.ok);
+  EXPECT_NE(rep.error.find("hint"), std::string::npos) << rep.error;
+  s.head(2)->next_key.store(1);
+  EXPECT_TRUE(s.validate().ok);
+}
+
+// What an unlink that left out its refresh leaves behind: the
+// predecessor still hints the removed key. validate() must catch it.
+TEST(SuccessorKeyHint, ValidateCatchesAMissedUnlinkRefresh) {
+  Skip s;
+  for (long k = 1; k <= 3; ++k) s.insert_with_height(k, k, 3);
+  Skip::Node* pred = s.head(3)->succ.load().right;
+  ASSERT_EQ(pred->key, 1);
+  ASSERT_EQ(pred->next_key.load(), 2);
+  ASSERT_TRUE(s.erase(2));
+  ASSERT_TRUE(s.validate().ok);
+  pred->next_key.store(2);
+  const auto rep = s.validate();
+  EXPECT_FALSE(rep.ok);
+  EXPECT_NE(rep.error.find("hint"), std::string::npos) << rep.error;
+}
+
+// Overwrites the hint of every node, heads included, on every level that
+// holds a tower. (An empty level's head hint would stay wrong until a
+// tower reaches that level, as no C&S changes the head's successor.)
+void set_every_hint(Skip& s, long hint) {
+  for (int v = 1; s.head(v)->succ.load().right != s.tail(); ++v) {
+    for (Skip::Node* p = s.head(v); p != s.tail(); p = p->succ.load().right)
+      p->next_key.store(hint, std::memory_order_relaxed);
+  }
+}
+
+// Any hint is safe: with every hint max (each descent steps straight down
+// and walks level 1) or min (no hint ever skips a load), finds, ranges
+// and updates still agree with std::set, and once updates have relinked
+// every node, validate() finds every hint exact again.
+TEST(SuccessorKeyHint, AnyHintIsSafe) {
+  constexpr long kSpan = 1500;
+  for (long hint :
+       {std::numeric_limits<long>::max(), std::numeric_limits<long>::min()}) {
+    SCOPED_TRACE(testing::Message() << "hint=" << hint);
+    Skip s;
+    std::set<long> ref;
+    lf::Xoshiro256 rng(11);
+    for (long k = 0; k < kSpan; k += 3) {
+      ASSERT_TRUE(s.insert(k, k));
+      ref.insert(k);
+    }
+    auto steps_to_find = [&](long k) {
+      const auto before = lf::stats::tls().read();
+      EXPECT_TRUE(s.contains(k));
+      return (lf::stats::tls().read() - before).essential_steps();
+    };
+    const auto exact_steps = steps_to_find(kSpan - 3);
+    set_every_hint(s, hint);
+    // max skips every upper level, so the last key is a level-1 walk past
+    // every key; min only gives up the skipped loads, not any step.
+    if (hint == std::numeric_limits<long>::max()) {
+      EXPECT_GE(steps_to_find(kSpan - 3), ref.size());
+    } else {
+      EXPECT_EQ(steps_to_find(kSpan - 3), exact_steps);
+    }
+
+    auto check_reads = [&] {
+      for (long k = -2; k < kSpan + 2; ++k) {
+        const bool present = ref.count(k) == 1;
+        ASSERT_EQ(s.contains(k), present) << k;
+        const auto v = s.find(k);
+        ASSERT_EQ(v.has_value(), present) << k;
+        if (present) { ASSERT_EQ(*v, k); }
+      }
+      for (long lo : {-5L, 0L, 1L, kSpan / 2, kSpan - 20}) {
+        std::vector<long> got;
+        s.for_each_range(lo, lo + 40, [&](long k, long) { got.push_back(k); });
+        const std::vector<long> want(ref.lower_bound(lo),
+                                     ref.lower_bound(lo + 40));
+        ASSERT_EQ(got, want) << "range from " << lo;
+      }
+    };
+    for (int round = 0; round < 3; ++round) {
+      check_reads();
+      for (int i = 0; i < 500; ++i) {
+        const long k = static_cast<long>(rng.below(kSpan));
+        if (rng.below(2) == 0) {
+          ASSERT_EQ(s.insert(k, k), ref.insert(k).second) << k;
+        } else {
+          ASSERT_EQ(s.erase(k), ref.erase(k) == 1) << k;
+        }
+      }
+      set_every_hint(s, hint);  // undo the refreshes the updates made
+    }
+    check_reads();
+
+    // Relink every node: each unlink and insert refreshes what it changed.
+    for (long k : ref) ASSERT_TRUE(s.erase(k));
+    for (long k : ref) ASSERT_TRUE(s.insert(k, k));
+    const auto rep = s.validate();
+    EXPECT_TRUE(rep.ok) << rep.error;
+    EXPECT_EQ(s.keys(), std::vector<long>(ref.begin(), ref.end()));
+  }
 }
 
 }  // namespace

@@ -142,6 +142,7 @@ void record_and_check(std::uint64_t seed) {
                               // heavy instrumentation (e.g. TSan builds)
   constexpr std::uint32_t kKeySpace = 6;  // tiny: maximizes real conflicts
 
+  using Key = typename Set::key_type;
   Set set;
   HistoryRecorder rec(kThreads);
   std::barrier start(kThreads);
@@ -158,13 +159,13 @@ void record_and_check(std::uint64_t seed) {
         bool result = false;
         switch (kind) {
           case OpKind::kInsert:
-            result = set.insert(static_cast<long>(k), k);
+            result = set.insert(static_cast<Key>(k), k);
             break;
           case OpKind::kErase:
-            result = set.erase(static_cast<long>(k));
+            result = set.erase(static_cast<Key>(k));
             break;
           case OpKind::kContains:
-            result = set.contains(static_cast<long>(k));
+            result = set.contains(static_cast<Key>(k));
             break;
         }
         rec.end(t, kind, k, result, t0);
@@ -187,9 +188,13 @@ TEST(LiveLinearizability, FRList) {
     record_and_check<lf::FRList<long, long>>(seed);
 }
 
+// Both key types the skip list runs on most: <long, long> in the tests and
+// <uint64_t, uint64_t> in lfbench.
 TEST(LiveLinearizability, FRSkipList) {
   for (std::uint64_t seed : {2u, 88u, 54321u})
     record_and_check<lf::FRSkipList<long, long>>(seed);
+  for (std::uint64_t seed : {5u, 66u, 24680u})
+    record_and_check<lf::FRSkipList<std::uint64_t, std::uint64_t>>(seed);
 }
 
 TEST(LiveLinearizability, FRListNoFlag) {
