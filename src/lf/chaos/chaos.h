@@ -56,8 +56,8 @@ namespace lf::chaos {
 enum class Site : int {
   // FRList (core/fr_list.h)
   // The C&S, backlink and helping sites fire inside fr::Core
-  // (core/fr_core.h), which FRList and FRSkipList share; each structure
-  // passes its own sites.
+  // (core/fr_core.h), which all four FR structures share; the lists pass
+  // these, the skip lists (FRSkipList, FRSkipListRC) the kSkip* ones.
   kListSearchStep = 0,  // search_right: advance to the next node
   kListInsertCas,       // insert_step: insertion C&S
   kListFlagCas,         // try_flag: flagging C&S (deletion step 1)

@@ -1,12 +1,15 @@
-// The uncounted core shared by FRList and FRSkipList: the paper's
-// flag/mark/backlink steps on one level (Figures 3-5), written once.
+// The per-level core of all four FR structures: the paper's flag/mark/
+// backlink steps on one level (Figures 3-5), written once.
 //
 // Section 4 builds the skip list so that each level is one of the Section 3
 // linked lists: HelpMarked, HelpFlagged, TryMark, TryFlag and the Insert
-// retry loop run unchanged on every level. A structure keeps only its
-// level-local search and what happens to a node it unlinks (the Derived
-// hooks below). fr_rc_core.h is the counted counterpart for FRListRC and
-// FRSkipListRC; the two cores use the same names so they read side by side.
+// retry loop run unchanged on every level. Section 5 keeps the algorithm
+// and only changes memory management (Valois reference counting). So one
+// template serves FRList and FRSkipList (uncounted: the reclaimer defers
+// frees) and FRListRC and FRSkipListRC (counted, through rc::Core in
+// fr_rc_core.h, which derives from this class). A structure keeps only its
+// level-local search and what happens to a node it unlinks; the counted
+// core replaces only the reference points listed below.
 //
 // The core imposes no node base class. It only names the fields the paper's
 // steps touch — `kind`, `key`, `succ` and `backlink` — so each structure
@@ -14,6 +17,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -25,14 +29,16 @@
 #include "lf/instrument/counters.h"
 #include "lf/sync/backoff.h"
 #include "lf/sync/succ_field.h"
+#include "lf/util/prefetch.h"
 
 namespace lf::fr {
 
 // The chaos injection sites of one structure's per-level steps. The core
-// fires each at the same point for every structure; FRList passes its
-// kList* sites and FRSkipList its kSkip* sites, so chaos tests still tell
-// the two apart.
+// fires each at the same point for every structure; the lists pass the
+// kList* sites and the skip lists the kSkip* sites, so chaos tests still
+// tell them apart.
 struct Sites {
+  chaos::Site search_step;  // the default search_right's advance
   chaos::Site insert_cas;
   chaos::Site flag_cas;
   chaos::Site mark_cas;
@@ -42,24 +48,60 @@ struct Sites {
   chaos::Site help_marked;
 };
 
-// CRTP base. `Derived` provides, reachable from the core (it befriends it):
+inline constexpr Sites kListSites{
+    .search_step = chaos::Site::kListSearchStep,
+    .insert_cas = chaos::Site::kListInsertCas,
+    .flag_cas = chaos::Site::kListFlagCas,
+    .mark_cas = chaos::Site::kListMarkCas,
+    .unlink_cas = chaos::Site::kListUnlinkCas,
+    .backlink_step = chaos::Site::kListBacklinkStep,
+    .help_flagged = chaos::Site::kListHelpFlagged,
+    .help_marked = chaos::Site::kListHelpMarked,
+};
+
+inline constexpr Sites kSkipSites{
+    .search_step = chaos::Site::kSkipSearchStep,
+    .insert_cas = chaos::Site::kSkipInsertCas,
+    .flag_cas = chaos::Site::kSkipFlagCas,
+    .mark_cas = chaos::Site::kSkipMarkCas,
+    .unlink_cas = chaos::Site::kSkipUnlinkCas,
+    .backlink_step = chaos::Site::kSkipBacklinkStep,
+    .help_flagged = chaos::Site::kSkipHelpFlagged,
+    .help_marked = chaos::Site::kSkipHelpMarked,
+};
+
+// CRTP base. The core calls the hooks below through `derived()` (Derived
+// befriends the core); a structure, or rc::Core, shadows one by declaring
+// a member of the same name.
 //
 //   template <bool Closed>
 //   std::pair<Node*, Node*> search_right(const Key& k, Node* curr) const;
-//     the level-local search from curr (FRList's SearchFrom; FRSkipList's
-//     SearchRight, which also deletes superfluous tower nodes): consecutive
-//     (n1, n2) on curr's level with n1.key <= k < n2.key (Closed) or
-//     n1.key < k <= n2.key (!Closed). try_flag and the insert step
-//     relocate through it.
+//     the level-local search from curr: consecutive (n1, n2) on curr's
+//     level with n1.key <= k < n2.key (Closed) or n1.key < k <= n2.key
+//     (!Closed). try_flag and the insert step relocate through it. The
+//     default is SearchFrom (the lists); the skip lists shadow it with
+//     SearchRight, which also deletes superfluous tower nodes.
 //   void on_unlinked(Node* del) const;
 //     called once, by the thread whose C&S physically deleted del (FRList
-//     retires del; FRSkipList drops one reference on del's tower).
+//     retires del; FRSkipList drops one reference on del's tower; rc::Core
+//     releases the removed link's count).
 //   void on_right_changed(Node* n, bool published) const;
 //     called by the thread that just changed n's right pointer: after its
 //     successful insert or unlink C&S on n (published), and on a new node
 //     once the insert step has stored its successor, before the C&S
-//     publishes it (!published: no other thread can see n yet). FRList
-//     does nothing; FRSkipList refreshes n's successor-key hint.
+//     publishes it (!published). FRSkipList refreshes n's successor-key
+//     hint; the default does nothing.
+//
+// The reference points default to the uncounted steps, which inline away;
+// rc::Core shadows them with Valois's counted ones: acquire / release (a
+// thread reference), safe_read_succ / safe_read_backlink (SafeRead),
+// set_backlink (the store before del's mark), count_link / uncount_link
+// (the pre-count of the link a C&S creates, and its roll-back when the C&S
+// fails), and help_flagged_seen (help the deletion announced by a flagged
+// successor word seen in a C&S result or load). Under counting,
+// search_right and try_flag consume the reference on their start node and
+// return held nodes, walk_backlinks swaps a held node for a held one, and
+// the other steps borrow their arguments.
 //
 // Every method is const: searches are const and help deletions.
 template <typename Derived, typename Node, typename Key, typename Compare,
@@ -115,13 +157,56 @@ class Core {
 
   // ---- the FR steps on one level --------------------------------------------
 
+  // SEARCHFROM (Figure 3), the default search_right: walks right from curr
+  // to consecutive n1, n2 with n1.right == n2 at some time during the call
+  // and n1.key <= k < n2.key (Closed) or n1.key < k <= n2.key (!Closed;
+  // the paper's SearchFrom(k - eps)). Physically deletes the logically
+  // deleted nodes it meets by helping (line 5).
+  template <bool Closed>
+  std::pair<Node*, Node*> search_right(const Key& k, Node* curr) const {
+    auto& c = stats::tls();
+    auto advances = [&](const Node* n) {
+      return Closed ? node_le(n, k, comp_) : node_lt(n, k, comp_);
+    };
+    Node* next = derived().safe_read_succ(curr);
+    LF_PREFETCH(next);
+    while (advances(next)) {
+      // Ensure that either next is unmarked, or both curr and next are
+      // marked and curr was marked earlier (paper lines 3-6).
+      for (;;) {
+        const View next_succ = next->succ.load();
+        if (!next_succ.mark) break;
+        const View curr_succ = curr->succ.load();
+        if (curr_succ.mark && curr_succ.right == next) break;
+        if (curr_succ.right == next) help_marked(curr, next);
+        derived().release(next);
+        next = derived().safe_read_succ(curr);
+        LF_PREFETCH(next);
+        c.next_update.inc();  // paper line 6
+      }
+      if (advances(next)) {
+        chaos_point(kSites.search_step);
+        derived().release(curr);
+        curr = next;  // the reference moves with it
+        c.curr_update.inc();  // paper line 8
+        // Start the next hop's line fill while this node's key compares
+        // run — the dependent-load chain is the list's dominant stall
+        // (util/prefetch.h).
+        next = derived().safe_read_succ(curr);
+        LF_PREFETCH(next);
+      }
+    }
+    return {curr, next};
+  }
+
   // HELPMARKED (Figure 3): physically deletes the marked node del (the
   // successor of the flagged node prev) and removes prev's flag, in one
   // C&S. The thread whose C&S performs the unlink owns del's disposal.
   void help_marked(Node* prev, Node* del) const {
     chaos_point(kSites.help_marked);
     stats::tls().help_marked.inc();
-    Node* next = del->succ.load().right;
+    Node* next = derived().safe_read_succ(del);
+    derived().count_link(next);
     const View result = chaos::cas(kSites.unlink_cas, prev->succ,
                                    View{del, false, true},
                                    View{next, false, false});
@@ -129,17 +214,19 @@ class Core {
       stats::tls().pdelete_cas.inc();
       derived().on_right_changed(prev, true);
       derived().on_unlinked(del);
+    } else {
+      derived().uncount_link(next);
     }
+    derived().release(next);
   }
 
   // HELPFLAGGED (Figure 4): prev is flagged and del is its successor: set
   // del's backlink, mark del, then physically delete it. Callable by any
-  // thread (helping); all callers compute the same backlink value, so the
-  // store is idempotent.
+  // thread (helping); all callers compute the same backlink value.
   void help_flagged(Node* prev, Node* del) const {
     chaos_point(kSites.help_flagged);
     stats::tls().help_flagged.inc();
-    del->backlink.store(prev, std::memory_order_release);
+    derived().set_backlink(del, prev);
     if (!del->succ.load().mark) try_mark(del);
     help_marked(prev, del);
   }
@@ -147,7 +234,7 @@ class Core {
   // TRYMARK (Figure 4).
   void try_mark(Node* del) const {
     do {
-      Node* next = del->succ.load().right;
+      Node* next = derived().safe_read_succ(del);
       const View result = chaos::cas(kSites.mark_cas, del->succ,
                                      View{next, false, false},
                                      View{next, true, false});
@@ -156,15 +243,18 @@ class Core {
       } else if (result.flag && !result.mark) {
         // Failure because del itself got flagged: a deletion of del's
         // successor is underway; help it finish, then retry.
-        help_flagged(del, result.right);
+        derived().help_flagged_seen(del, result);
       }
       // Failure because del.right changed: loop re-reads and retries.
+      derived().release(next);
     } while (!del->succ.load().mark);
   }
 
   // Moves prev left along its backlink chain to the nearest unmarked node
   // (Figure 5 lines 9-10 and 17-18). Because a node is only marked while
-  // its predecessor is flagged, the chain only ever leads left.
+  // its predecessor is flagged, the chain only ever leads left; and every
+  // marker sets the backlink before its mark C&S, so a marked node's
+  // backlink is never null.
   void walk_backlinks(Node*& prev) const {
     auto& c = stats::tls();
     std::uint64_t chain = 0;
@@ -172,7 +262,10 @@ class Core {
       chaos_point(kSites.backlink_step);
       c.backlink_traversal.inc();
       ++chain;
-      prev = prev->backlink.load(std::memory_order_acquire);
+      Node* back = derived().safe_read_backlink(prev);
+      assert(back != nullptr && "marked node without a backlink");
+      derived().release(prev);
+      prev = back;
     }
     if (chain > 0) stats::chain_hist_tls().record(chain);
   }
@@ -209,6 +302,7 @@ class Core {
       walk_backlinks(prev);
       auto [new_prev, del] =
           derived().template search_right<false>(target->key, prev);
+      derived().release(del);
       if (del != target) return {new_prev, FlagStatus::kDeleted, false};
       prev = new_prev;
     }
@@ -217,8 +311,9 @@ class Core {
   // The three-step deletion of del on its level. Returns whether THIS
   // call's flag initiated the deletion.
   bool delete_node(Node* prev, Node* del) const {
-    auto [flag_prev, status, won] = try_flag(prev, del);
+    auto [flag_prev, status, won] = try_flag(derived().acquire(prev), del);
     if (status == FlagStatus::kIn) help_flagged(flag_prev, del);
+    derived().release(flag_prev);
     return won;
   }
 
@@ -227,14 +322,20 @@ class Core {
   // fails, help / back off / walk backlinks; then re-search from prev.
   // Returns true iff the C&S linked node (the linearization point of a
   // successful insert); otherwise (prev, next) is the re-search result.
+  // prev and next are held by the caller and replaced by held results.
   bool insert_step(Node* node, Node*& prev, Node*& next,
                    sync::Backoff& backoff) const {
     const View prev_succ = prev->succ.load();
     if (prev_succ.flag) {
-      help_flagged(prev, prev_succ.right);
+      derived().help_flagged_seen(prev, prev_succ);
     } else {
       node->succ.store_unsynchronized(View{next, false, false});
       derived().on_right_changed(node, false);
+      // Pre-counted: counted only after the C&S, the linked node would
+      // carry just its creator's reference, and a concurrent unlink could
+      // free it while the creator still uses it. node->next inherits the
+      // count of prev->next.
+      derived().count_link(node);
       const View result = chaos::cas(kSites.insert_cas, prev->succ,
                                      View{next, false, false},
                                      View{node, false, false});
@@ -243,12 +344,15 @@ class Core {
         derived().on_right_changed(prev, true);
         return true;
       }
-      if (result.flag && !result.mark) help_flagged(prev, result.right);
+      derived().uncount_link(node);
+      if (result.flag && !result.mark)
+        derived().help_flagged_seen(prev, result);
       // Failed insertion C&S under contention: back off before the
       // recovery walk + re-search (no counted steps; see try_flag).
       backoff.pause();
       walk_backlinks(prev);
     }
+    derived().release(next);
     std::tie(prev, next) =
         derived().template search_right<true>(node->key, prev);
     return false;
@@ -259,21 +363,46 @@ class Core {
   // Returns the final prev. node is never published on kDuplicate.
   std::pair<Node*, InsertResult> insert_node(Node* node, Node* prev,
                                              Node* next) const {
+    prev = derived().acquire(prev);
+    next = derived().acquire(next);
     sync::Backoff backoff;
     while (!node_eq(prev, node->key, comp_)) {
       if (insert_step(node, prev, next, backoff)) {
+        derived().release(next);
         return {prev, InsertResult::kInserted};
       }
     }
+    derived().release(next);
     return {prev, InsertResult::kDuplicate};
   }
+
+  // ---- reference points: the uncounted defaults -----------------------------
+
+  Node* acquire(Node* p) const { return p; }
+  void release(Node*) const {}
+  Node* safe_read_succ(Node* n) const { return n->succ.load().right; }
+  Node* safe_read_backlink(Node* n) const {
+    return n->backlink.load(std::memory_order_acquire);
+  }
+  // Idempotent: every helper of one deletion stores the same prev.
+  void set_backlink(Node* del, Node* prev) const {
+    del->backlink.store(prev, std::memory_order_release);
+  }
+  void count_link(Node*) const {}
+  void uncount_link(Node*) const {}
+  // Forced inline: else this call level in the help_flagged -> try_mark
+  // recursion changes the uncounted code (tools/fn_diff.py).
+  [[gnu::always_inline]] void help_flagged_seen(Node* prev, View seen) const {
+    help_flagged(prev, seen.right);
+  }
+  void on_right_changed(Node*, bool) const {}
 
  protected:
   Compare comp_;
 
- private:
   const Derived& derived() const { return static_cast<const Derived&>(*this); }
 
+ private:
   static bool fail(ValidationReport& rep, const char* msg) {
     rep.ok = false;
     rep.error = msg;

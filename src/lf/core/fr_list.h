@@ -31,9 +31,10 @@
 // Processes help one another (HelpFlagged / HelpMarked) so that a stalled
 // deleter can never block anyone: the implementation is lock-free.
 //
-// The per-level steps of Figures 3-5 (HelpMarked, HelpFlagged, TryMark,
-// TryFlag, the Insert retry loop) live in fr_core.h, shared with FRSkipList;
-// this file keeps the list's SearchFrom and its finger layer.
+// The steps of Figures 3-5 (SearchFrom, HelpMarked, HelpFlagged, TryMark,
+// TryFlag, the Insert retry loop) live in fr_core.h, shared with the skip
+// list and the counted variants; this file keeps the node, the
+// reclaimer's disposal hook and the finger layer.
 //
 // Linearization points (Section 3.3): successful insert at its successful
 // C&S; successful delete when the node becomes marked; searches at the
@@ -77,7 +78,6 @@
 #include "lf/sync/backoff.h"
 #include "lf/sync/finger.h"
 #include "lf/sync/succ_field.h"
-#include "lf/util/prefetch.h"
 
 namespace lf {
 
@@ -110,16 +110,6 @@ struct alignas(8) ListNode {
   }
 };
 
-inline constexpr Sites kListSites{
-    .insert_cas = chaos::Site::kListInsertCas,
-    .flag_cas = chaos::Site::kListFlagCas,
-    .mark_cas = chaos::Site::kListMarkCas,
-    .unlink_cas = chaos::Site::kListUnlinkCas,
-    .backlink_step = chaos::Site::kListBacklinkStep,
-    .help_flagged = chaos::Site::kListHelpFlagged,
-    .help_marked = chaos::Site::kListHelpMarked,
-};
-
 }  // namespace fr
 
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
@@ -143,7 +133,6 @@ class FRList
   using Core::comp_;
   using Core::delete_node;
   using Core::help_flagged;
-  using Core::help_marked;
   using Core::insert_node;
   using Core::insert_step;
   using Core::try_flag;
@@ -296,7 +285,7 @@ class FRList
   // (Insert lines 1-4). Returns false (and allocates nothing) on duplicate.
   bool insert_locate(const Key& k, T value, InsertCursor& cur) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, next] = search_right<true>(k, head_);
+    auto [prev, next] = this->template search_right<true>(k, head_);
     if (node_eq(prev, k, comp_)) return false;
     cur.key = k;
     cur.prev = prev;
@@ -354,7 +343,7 @@ class FRList
 
   bool erase_begin(const Key& k, StalledErase& out) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, del] = search_right<false>(k, head_);
+    auto [prev, del] = this->template search_right<false>(k, head_);
     if (!node_eq(del, k, comp_)) return false;
     auto [flag_prev, status, won] = try_flag(prev, del);
     const bool in = status == FlagStatus::kIn;
@@ -416,7 +405,8 @@ class FRList
     const std::uint64_t token = FingerPol::token(reclaimer_);
     const auto [start, bracket] =
         finger_start<Closed>(k, cache.find(finger_id_), token);
-    auto out = search_right<Closed>(k, start != nullptr ? start : head_);
+    auto out = this->template search_right<Closed>(
+        k, start != nullptr ? start : head_);
     cache.claim(finger_id_).save(out.first, out.second, token, bracket);
     return out;
   }
@@ -453,53 +443,8 @@ class FRList
     return {nullptr, -1};
   }
 
-  // ---- SEARCHFROM (Figure 3) --------------------------------------------
-  //
-  // Finds consecutive nodes n1, n2 with n1.right == n2 at some time during
-  // the call and n1.key <= k < n2.key (Closed = true), or
-  // n1.key < k <= n2.key (Closed = false; the paper's SearchFrom(k - eps)).
-  // Physically deletes the logically deleted nodes it encounters by helping
-  // (line 5). Named search_right for the core, which restarts through it.
-  template <bool Closed>
-  std::pair<Node*, Node*> search_right(const Key& k, Node* curr) const {
-    auto& c = stats::tls();
-    auto advances = [&](const Node* n) {
-      return Closed ? node_le(n, k, comp_) : node_lt(n, k, comp_);
-    };
-    Node* next = curr->succ.load().right;
-    LF_PREFETCH(next);
-    while (advances(next)) {
-      // Ensure that either next is unmarked, or both curr and next are
-      // marked and curr was marked earlier (paper lines 3-6).
-      for (;;) {
-        const View next_succ = next->succ.load();
-        if (!next_succ.mark) break;
-        const View curr_succ = curr->succ.load();
-        if (curr_succ.mark && curr_succ.right == next) break;
-        if (curr_succ.right == next) help_marked(curr, next);
-        next = curr->succ.load().right;
-        LF_PREFETCH(next);
-        c.next_update.inc();  // paper line 6
-      }
-      if (advances(next)) {
-        LF_CHAOS_POINT(kListSearchStep);
-        curr = next;
-        c.curr_update.inc();  // paper line 8
-        // Start the next hop's line fill while this node's key compares
-        // run — the dependent-load chain is the list's dominant stall
-        // (util/prefetch.h).
-        next = curr->succ.load().right;
-        LF_PREFETCH(next);
-      }
-    }
-    return {curr, next};
-  }
-
   // The core's disposal hook: the unlinking thread retires del.
   void on_unlinked(Node* del) const { reclaimer_.retire(del); }
-
-  // The core's right-pointer hook: FRList's nodes carry no successor copy.
-  void on_right_changed(Node*, bool) const {}
 
   // The Insert retry loop for a node allocated by this operation; a
   // duplicate frees it (never published, so plain delete is safe).

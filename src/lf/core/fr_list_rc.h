@@ -4,10 +4,11 @@
 // linked lists and our skip lists, because there are no cycles among the
 // physically deleted nodes". This class implements that suggestion for the
 // list: the same flag/mark/backlink algorithm as FRList, with node lifetime
-// managed by per-node reference counts instead of epochs. The counting
-// protocol, the type-stable arena and the counted per-level steps are the
-// shared core in fr_rc_core.h (the scheme is described there); this file
-// keeps the list's own search and its finger entry/save.
+// managed by per-node reference counts instead of epochs. The steps of
+// Figures 3-5, SearchFrom included, are fr::Core's (fr_core.h); the
+// counting protocol and the type-stable arena are rc::Core's
+// (fr_rc_core.h, where the scheme is described). This file keeps the
+// list's finger entry/save.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,7 @@ struct ListNode : NodeBase<ListNode<Key, T>, Key, T> {};
 template <typename Key, typename T = Key, typename Compare = std::less<Key>>
 class FRListRC
     : private rc::Core<FRListRC<Key, T, Compare>, rc::ListNode<Key, T>, Key,
-                       T, Compare> {
+                       T, Compare, fr::kListSites> {
  public:
   using key_type = Key;
   using mapped_type = T;
@@ -44,10 +45,11 @@ class FRListRC
   using Node = rc::ListNode<Key, T>;
 
  private:
-  using Core = rc::Core<FRListRC, Node, Key, T, Compare>;
+  using Core = rc::Core<FRListRC, Node, Key, T, Compare, fr::kListSites>;
   using View = typename Core::View;
   using InsertResult = typename Core::InsertResult;
   friend Core;
+  friend typename Core::FrCore;
 
   using Core::abandon;
   using Core::acquire;
@@ -55,13 +57,12 @@ class FRListRC
   using Core::comp_;
   using Core::delete_node;
   using Core::finger_try_hold;
-  using Core::help_marked;
   using Core::insert_node;
   using Core::release;
-  using Core::safe_read_succ;
   using Core::walk_backlinks;
 
  public:
+  using typename Core::ValidationReport;
   using Core::arena_count;
   using Core::for_each;
   using Core::free_count;
@@ -78,7 +79,8 @@ class FRListRC
   // ---- dictionary operations (FRList algorithm + count discipline) -----
 
   bool insert(const Key& k, T value) {
-    auto [prev, next] = search_right<true>(k, finger_entry<true>(k));
+    auto [prev, next] =
+        this->template search_right<true>(k, finger_entry<true>(k));
     save_finger(prev, next);
     bool inserted = false;
     if (!node_eq(prev, k, comp_)) {
@@ -99,7 +101,8 @@ class FRListRC
   }
 
   bool erase(const Key& k) {
-    auto [prev, del] = search_right<false>(k, finger_entry<false>(k));
+    auto [prev, del] =
+        this->template search_right<false>(k, finger_entry<false>(k));
     save_finger(prev, del);
     const bool erased = node_eq(del, k, comp_) && delete_node(prev, del);
     release(prev);
@@ -109,7 +112,8 @@ class FRListRC
   }
 
   std::optional<T> find(const Key& k) const {
-    auto [curr, next] = search_right<true>(k, finger_entry<true>(k));
+    auto [curr, next] =
+        this->template search_right<true>(k, finger_entry<true>(k));
     save_finger(curr, next);
     std::optional<T> out;
     if (node_eq(curr, k, comp_)) out.emplace(curr->value);
@@ -129,27 +133,25 @@ class FRListRC
 
   // ---- diagnostics ------------------------------------------------------
 
+  // The paper's INV 1-5 at a quiescent point (fr::Core::validate_level).
+  ValidationReport validate() const {
+    ValidationReport rep;
+    this->validate_level(head_, rep,
+                         [](const Node*) -> const char* { return nullptr; });
+    return rep;
+  }
+
   // Quiescent-only invariant check: the count of every linked node equals
-  // the number of fields referencing it (no thread refs at quiescence).
+  // the number of fields referencing it (no thread refs at quiescence, and
+  // every unlinked node recycled): its one incoming link, for the tail at
+  // least one.
   bool validate_counts() const {
-    // Expected counts: links from succ fields of list nodes + backlinks of
-    // freed-but-unreachable nodes are gone at quiescence, so: each linked
-    // node has exactly one predecessor link; tail also has head's initial
-    // artificial link accounted via its +1.
-    Node* p = head_;
-    while (p->kind != Node::Kind::kTail) {
-      Node* next = p->succ.load().right;
-      const std::uint64_t expect = 1;  // the single incoming link
+    for (const Node* p = head_->succ.load().right;; p = p->succ.load().right) {
       const std::uint64_t have =
-          next->refct.load(std::memory_order_acquire) & rc::kCountMask;
-      if (next->kind == Node::Kind::kTail) {
-        if (have < 1) return false;  // head's artificial +1 at minimum
-      } else if (have != expect) {
-        return false;
-      }
-      p = next;
+          p->refct.load(std::memory_order_acquire) & rc::kCountMask;
+      if (p->kind == Node::Kind::kTail) return have >= 1;
+      if (have != 1) return false;
     }
-    return true;
   }
 
  private:
@@ -208,38 +210,6 @@ class FRListRC
   void save_finger(Node* n, Node* succ) const {
     FingerCache::of(finger_id_).claim(finger_id_).save(
         n, succ, n->stamp.load(std::memory_order_acquire));
-  }
-
-  // ---- FR algorithm with counted traversal --------------------------------
-
-  // The paper's SearchFrom (the core's level search). Consumes the
-  // reference on `curr`; returns counted references on both results.
-  template <bool Closed>
-  std::pair<Node*, Node*> search_right(const Key& k, Node* curr) const {
-    auto& c = stats::tls();
-    auto advances = [&](const Node* n) {
-      return Closed ? node_le(n, k, comp_) : node_lt(n, k, comp_);
-    };
-    Node* next = safe_read_succ(curr);
-    while (advances(next)) {
-      for (;;) {
-        const View next_succ = next->succ.load();
-        if (!next_succ.mark) break;
-        const View curr_succ = curr->succ.load();
-        if (curr_succ.mark && curr_succ.right == next) break;
-        if (curr_succ.right == next) help_marked(curr, next);
-        release(next);
-        next = safe_read_succ(curr);
-        c.next_update.inc();
-      }
-      if (advances(next)) {
-        release(curr);
-        curr = next;  // transfer the reference
-        c.curr_update.inc();
-        next = safe_read_succ(curr);
-      }
-    }
-    return {curr, next};
   }
 
   Node* head_;

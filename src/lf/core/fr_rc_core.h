@@ -1,15 +1,17 @@
-// The counted core shared by FRListRC and FRSkipListRC: the paper's
-// flag/mark/backlink steps on one level, under Valois-style reference
-// counting (Valois PODC'95, with the Michael & Scott TR-599 corrections).
+// The counting layer under FRListRC and FRSkipListRC: Valois-style
+// reference counting (Valois PODC'95, with the Michael & Scott TR-599
+// corrections) for the paper's flag/mark/backlink steps.
 //
 // Section 5: "We have not explicitly incorporated a memory management
 // technique, but a possible approach is to use Valois's reference counting
 // method [10, 17], which is applicable to both our linked lists and our
 // skip lists, because there are no cycles among the physically deleted
-// nodes."  Both structures take that suggestion, and everything the
-// counting protocol needs is written once, here. A structure keeps only
-// what differs: its searches, its finger entry, and (for the skip list)
-// tower building and the cleanup descent.
+// nodes."  The algorithm stays the same, so the steps of Figures 3-5 are
+// fr::Core's (fr_core.h), which this class derives from: it shadows only
+// the reference points listed there with their counted versions, and adds
+// the count word, the type-stable arena and its free list. A structure
+// keeps only what differs: its searches, its finger entry, and (for the
+// skip list) tower building and the cleanup descent.
 //
 // Scheme:
 //   * A node's count = (# succ/backlink fields storing a pointer to it)
@@ -54,10 +56,9 @@
 #include <cstdint>
 #include <mutex>
 #include <span>
-#include <tuple>
 #include <utility>
 
-#include "lf/core/key_order.h"
+#include "lf/core/fr_core.h"
 #include "lf/instrument/counters.h"
 #include "lf/sync/succ_field.h"
 
@@ -98,29 +99,23 @@ struct NodeBase {
   void for_each_extra_link(Fn&&) const {}
 };
 
-// CRTP base. `Derived` provides, reachable from the core (it befriends it):
+// CRTP base over fr::Core. Besides fr::Core's structure hooks (its
+// search_right must consume the reference on curr and return held results),
+// `Derived` provides, reachable from both cores (it befriends them):
 //
-//   template <bool Closed>
-//   std::pair<Node*, Node*> search_right(const Key& k, Node* curr) const;
-//     the level-local search (the paper's SearchFrom / SearchRight):
-//     consumes the reference on curr, returns counted (n1, n2) on curr's
-//     level with n1 left of k (n1.key <= k when Closed, < k otherwise) and
-//     n2 right of it. Used by try_flag and insert_node to restart.
 //   std::span<Node* const> level_heads() const;
 //     the head sentinel of every level, level 1 first.
 //
 // Every method is const with mutable arena state, so const searches
 // (find, size) can count and release.
 template <typename Derived, typename Node, typename Key, typename T,
-          typename Compare>
-class Core {
+          typename Compare, fr::Sites kSites>
+class Core : public fr::Core<Derived, Node, Key, Compare, kSites> {
  public:
-  using View = sync::SuccView<Node>;
+  using FrCore = fr::Core<Derived, Node, Key, Compare, kSites>;
+  using typename FrCore::View;
 
-  enum class FlagStatus { kIn, kDeleted };
-  enum class InsertResult { kInserted, kDuplicate };
-
-  Core() = default;
+  Core() : FrCore(Compare{}) {}
 
   // Quiescent destruction: every node ever allocated is in the arena
   // registry; free them wholesale regardless of count state.
@@ -142,7 +137,7 @@ class Core {
   // consistent under concurrency.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    Node* curr = acquire(derived().level_heads().front());
+    Node* curr = acquire(this->derived().level_heads().front());
     Node* next = safe_read_succ(curr);
     while (next->kind != Node::Kind::kTail) {
       if (!next->succ.load().mark) fn(next->key, next->value);
@@ -178,7 +173,7 @@ class Core {
   // Quiescent full accounting: allocated == recycled + linked + sentinels
   // (one head per level plus the shared tail).
   bool validate_accounting() const {
-    const std::span<Node* const> heads = derived().level_heads();
+    const std::span<Node* const> heads = this->derived().level_heads();
     std::size_t linked = 0;
     for (Node* head : heads) {
       for (Node* p = head->succ.load().right; p->kind != Node::Kind::kTail;
@@ -346,165 +341,40 @@ class Core {
     return true;
   }
 
-  // ---- the FR steps on one level, counted ---------------------------------
+  // ---- fr::Core's reference points, counted --------------------------------
 
-  // prev flagged, del = its successor (both counted by the caller).
-  void help_marked(Node* prev, Node* del) const {
-    stats::tls().help_marked.inc();
-    Node* next = safe_read_succ(del);
-    // Pre-count the would-be prev->next link; roll back on failure. The
-    // pre-count means the link is never uncounted while live.
-    next->refct.fetch_add(1, std::memory_order_acq_rel);
-    const View result =
-        prev->succ.cas(View{del, false, true}, View{next, false, false});
-    if (result == View{del, false, true}) {
-      stats::tls().pdelete_cas.inc();
-      release(del);  // the prev->del link is gone
-    } else {
-      release(next);  // roll the pre-count back
+  // The set-once backlink C&S: pre-count prev; a loser rolls back (every
+  // helper's value is the same prev).
+  void set_backlink(Node* del, Node* prev) const {
+    if (del->backlink.load(std::memory_order_acquire) != nullptr) return;
+    acquire(prev);
+    Node* expected = nullptr;
+    if (!del->backlink.compare_exchange_strong(expected, prev,
+                                               std::memory_order_acq_rel)) {
+      release(prev);
     }
-    release(next);  // traversal reference
   }
 
-  void help_flagged(Node* prev, Node* del) const {
-    stats::tls().help_flagged.inc();
-    // Set-once backlink: pre-count prev, lose -> roll back.
-    if (del->backlink.load(std::memory_order_acquire) == nullptr) {
-      prev->refct.fetch_add(1, std::memory_order_acq_rel);
-      Node* expected = nullptr;
-      if (!del->backlink.compare_exchange_strong(
-              expected, prev, std::memory_order_acq_rel)) {
-        release(prev);  // another helper's identical value won
-      }
-    }
-    if (!del->succ.load().mark) try_mark(del);
-    help_marked(prev, del);
-  }
+  // The pre-count before an insert or unlink C&S creates a link to n, and
+  // its roll-back when the C&S fails.
+  void count_link(Node* n) const { acquire(n); }
+  void uncount_link(Node* n) const { release(n); }
 
-  // Helper for "prev's successor field is flagged: help whatever deletion
-  // that is" — re-reads the successor safely (a raw View.right from a
-  // failed C&S is not a counted reference).
-  void help_flagged_at(Node* prev) const {
-    const View v = prev->succ.load();
-    if (!v.flag) return;
+  // The unlink C&S removed the prev->del link.
+  void on_unlinked(Node* del) const { release(del); }
+
+  // A C&S saw prev's successor word flagged, but the View's right pointer
+  // is not a counted reference: re-read it safely, and help only if the
+  // flag still stands for that successor.
+  void help_flagged_seen(Node* prev, View) const {
+    if (!prev->succ.load().flag) return;
     Node* del = safe_read_succ(prev);
-    // The field may have changed between load and safe_read; only help if
-    // the flag still stands for this successor.
-    if (prev->succ.load() == View{del, false, true}) help_flagged(prev, del);
+    if (prev->succ.load() == View{del, false, true})
+      this->help_flagged(prev, del);
     release(del);
   }
 
-  void try_mark(Node* del) const {
-    do {
-      Node* next = safe_read_succ(del);
-      const View result =
-          del->succ.cas(View{next, false, false}, View{next, true, false});
-      if (result == View{next, false, false}) {
-        stats::tls().mark_cas.inc();
-      } else if (result.flag && !result.mark) {
-        help_flagged_at(del);
-      }
-      release(next);
-    } while (!del->succ.load().mark);
-  }
-
-  // Replace a counted reference to a marked node with one to the nearest
-  // unmarked node along the backlink chain.
-  void walk_backlinks(Node*& prev) const {
-    auto& c = stats::tls();
-    std::uint64_t chain = 0;
-    while (prev->succ.load().mark) {
-      Node* back = safe_read_backlink(prev);
-      if (back == nullptr) break;  // not yet set: spin via re-check
-      release(prev);
-      prev = back;
-      c.backlink_traversal.inc();
-      ++chain;
-    }
-    if (chain > 0) stats::chain_hist_tls().record(chain);
-  }
-
-  // Consumes prev; returns (counted prev', status, whether this call's C&S
-  // set the flag). kIn: prev' is flagged for target; kDeleted: target left
-  // the level first.
-  std::tuple<Node*, FlagStatus, bool> try_flag(Node* prev,
-                                               Node* target) const {
-    for (;;) {
-      if (prev->succ.load() == View{target, false, true}) {
-        return {prev, FlagStatus::kIn, false};
-      }
-      const View result = prev->succ.cas(View{target, false, false},
-                                         View{target, false, true});
-      if (result == View{target, false, false}) {
-        stats::tls().flag_cas.inc();
-        return {prev, FlagStatus::kIn, true};
-      }
-      if (result == View{target, false, true}) {
-        return {prev, FlagStatus::kIn, false};
-      }
-      walk_backlinks(prev);
-      auto [new_prev, del] =
-          derived().template search_right<false>(target->key, prev);
-      release(del);
-      if (del != target) return {new_prev, FlagStatus::kDeleted, false};
-      prev = new_prev;
-    }
-  }
-
-  // Three-step deletion of `del` on its level; both args stay owned by the
-  // caller. Returns whether THIS call's flag initiated the deletion.
-  bool delete_node(Node* prev, Node* del) const {
-    auto [p, status, won] = try_flag(acquire(prev), del);
-    if (status == FlagStatus::kIn) help_flagged(p, del);
-    release(p);
-    return won;
-  }
-
-  // Level-local insert loop: links `node` (holding its creator reference)
-  // between a counted search result (prev_in, next_in), retrying from prev
-  // after C&S failures. Consumes nothing; returns counted prev', a node
-  // with node's key on a duplicate.
-  std::pair<Node*, InsertResult> insert_node(Node* node, Node* prev_in,
-                                             Node* next_in) const {
-    const Key& k = node->key;
-    Node* prev = acquire(prev_in);
-    Node* next = acquire(next_in);
-    while (!node_eq(prev, k, comp_)) {
-      const View prev_succ = prev->succ.load();
-      if (prev_succ.flag) {
-        help_flagged_at(prev);
-      } else {
-        node->succ.store_unsynchronized(View{next, false, false});
-        // Pre-count the would-be prev->node link: counted only after the
-        // C&S, the linked node would carry just the creator reference, and
-        // a concurrent traverse + delete + release could recycle it while
-        // we still hold it. node->next inherits prev->next's count.
-        node->refct.fetch_add(1, std::memory_order_acq_rel);
-        const View result =
-            prev->succ.cas(View{next, false, false}, View{node, false, false});
-        if (result == View{next, false, false}) {
-          stats::tls().insert_cas.inc();
-          release(next);
-          return {prev, InsertResult::kInserted};
-        }
-        // Roll back; the creator reference keeps the count above zero.
-        node->refct.fetch_sub(1, std::memory_order_acq_rel);
-        if (result.flag && !result.mark) help_flagged_at(prev);
-        walk_backlinks(prev);
-      }
-      release(next);
-      std::tie(prev, next) = derived().template search_right<true>(k, prev);
-    }
-    release(next);
-    return {prev, InsertResult::kDuplicate};
-  }
-
- protected:
-  Compare comp_;
-
  private:
-  const Derived& derived() const { return static_cast<const Derived&>(*this); }
-
   // Drop one reference on n. True iff that was the last one on an interior
   // node, which is then dead and owned by the caller.
   //

@@ -187,16 +187,6 @@ struct alignas(8) TowerNode {
 // One line per tower level (see TowerNode); the hint must not add a second.
 static_assert(sizeof(TowerNode<std::uint64_t, std::uint64_t>) == 64);
 
-inline constexpr Sites kSkipSites{
-    .insert_cas = chaos::Site::kSkipInsertCas,
-    .flag_cas = chaos::Site::kSkipFlagCas,
-    .mark_cas = chaos::Site::kSkipMarkCas,
-    .unlink_cas = chaos::Site::kSkipUnlinkCas,
-    .backlink_step = chaos::Site::kSkipBacklinkStep,
-    .help_flagged = chaos::Site::kSkipHelpFlagged,
-    .help_marked = chaos::Site::kSkipHelpMarked,
-};
-
 }  // namespace fr
 
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,

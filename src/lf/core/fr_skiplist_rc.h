@@ -4,11 +4,12 @@
 // physically deleted nodes").
 //
 // Same algorithm as FRSkipList (towers, bottom-up insert, root-first
-// delete, superfluous-tower cleanup by searches). The counting protocol,
-// the type-stable arena and the counted per-level steps are the shared
-// core in fr_rc_core.h, which FRListRC uses too; this file keeps the
-// level search, the descent, tower building, erase's cleanup descent and
-// the per-level finger. The counted-pointer invariant:
+// delete, superfluous-tower cleanup by searches). The per-level steps are
+// fr::Core's (fr_core.h), shared with the other three FR structures; the
+// counting protocol and the type-stable arena are rc::Core's
+// (fr_rc_core.h), shared with FRListRC. This file keeps the level search,
+// the descent, tower building, erase's cleanup descent and the per-level
+// finger. The counted-pointer invariant:
 //
 //   count(N) = level-list links to N (succ fields)      [carry-over rules]
 //            + backlink fields targeting N              [CAS-once, +1]
@@ -34,8 +35,8 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <thread>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "lf/chaos/chaos.h"
@@ -78,7 +79,7 @@ struct TowerNode : NodeBase<TowerNode<Key, T>, Key, T> {
 template <typename Key, typename T = Key, typename Compare = std::less<Key>>
 class FRSkipListRC
     : private rc::Core<FRSkipListRC<Key, T, Compare>, rc::TowerNode<Key, T>,
-                       Key, T, Compare> {
+                       Key, T, Compare, fr::kSkipSites> {
  public:
   using key_type = Key;
   using mapped_type = T;
@@ -91,11 +92,12 @@ class FRSkipListRC
   static constexpr int kMaxTowerHeight = kMaxLevel - 1;
 
  private:
-  using Core = rc::Core<FRSkipListRC, Node, Key, T, Compare>;
+  using Core = rc::Core<FRSkipListRC, Node, Key, T, Compare, fr::kSkipSites>;
   using View = typename Core::View;
   using FlagStatus = typename Core::FlagStatus;
   using InsertResult = typename Core::InsertResult;
   friend Core;
+  friend typename Core::FrCore;
 
   using Core::abandon;
   using Core::acquire;
@@ -111,6 +113,7 @@ class FRSkipListRC
   using Core::walk_backlinks;
 
  public:
+  using typename Core::ValidationReport;
   using Core::arena_count;
   using Core::free_count;
   using Core::size;
@@ -173,6 +176,7 @@ class FRSkipListRC
       raise_top_hint(curr_v);
       if (curr_v == tower_height) break;
       ++curr_v;
+      LF_CHAOS_POINT(kSkipTowerBuild);
       Node* upper = allocate_node(Node::Kind::kInterior, k, T{}, node, root);
       release(node);  // lower's creator ref; upper's down-link keeps it
       node = upper;
@@ -217,6 +221,33 @@ class FRSkipListRC
 
   bool contains(const Key& k) const { return find(k).has_value(); }
 
+  // ---- diagnostics (quiescent only) ---------------------------------------
+
+  // The paper's INV 1-5 on every level (fr::Core::validate_level), plus the
+  // tower structure: each upper node's down link names a node of the level
+  // below with the same key, and no superfluous node (root marked) is
+  // still linked. node_count counts nodes across all levels.
+  ValidationReport validate() const {
+    ValidationReport rep;
+    std::unordered_map<const Node*, int> level_of;  // linked nodes so far
+    for (int v = 1; v <= kMaxLevel; ++v) {
+      auto tower_error = [&](const Node* n) -> const char* {
+        level_of[n] = v;
+        if (n->tower_root->succ.load().mark)
+          return "superfluous node linked at quiescence";
+        if (v == 1) return nullptr;
+        const auto down = level_of.find(n->down);
+        if (down == level_of.end() || down->second != v - 1)
+          return "down link not one level lower";
+        if (!node_eq(n->down, n->key, comp_))
+          return "tower keys differ across levels";
+        return nullptr;
+      };
+      if (!this->validate_level(head_[v], rep, tower_error)) break;
+    }
+    return rep;
+  }
+
  private:
   std::span<Node* const> level_heads() const {
     return std::span<Node* const>(head_).subspan(1);
@@ -235,10 +266,13 @@ class FRSkipListRC
     return n;
   }
 
+  // Seeded by thread ordinal, as FRSkipList::tls_rng is, so 1-thread
+  // runs build the same towers in every process.
   static Xoshiro256& tls_rng() {
+    static std::atomic<std::uint64_t> next_ordinal{0};
     thread_local Xoshiro256 rng(
         0xa0761d6478bd642fULL ^
-        std::hash<std::thread::id>{}(std::this_thread::get_id()));
+        next_ordinal.fetch_add(1, std::memory_order_relaxed));
     return rng;
   }
 
@@ -379,7 +413,6 @@ class FRSkipListRC
       while (next->kind == Node::Kind::kInterior && node_le(next, k, comp_) &&
              next->tower_root->succ.load().mark) {
         auto [new_curr, status, won] = try_flag(curr, next);  // eats curr
-        (void)won;
         curr = new_curr;
         if (status == FlagStatus::kIn) help_flagged(curr, next);
         release(next);
@@ -387,6 +420,7 @@ class FRSkipListRC
         c.next_update.inc();
       }
       if (!advances(next)) break;
+      LF_CHAOS_POINT(kSkipSearchStep);
       release(curr);
       curr = next;
       c.curr_update.inc();

@@ -8,7 +8,8 @@
 //     hoping a racy schedule produces them.
 //
 //   * CRASH MATRIX — for every injection site in FRList and FRSkipList,
-//     park a victim thread at that site mid-operation and verify the
+//     and in their counted variants FRListRC and FRSkipListRC, park a
+//     victim thread at that site mid-operation and verify the
 //     empirical lock-freedom claim: the surviving threads complete their
 //     whole workload, the structure stays coherent while the victim is
 //     parked, and after the victim is released exact-count semantics and
@@ -31,7 +32,9 @@
 
 #include "lf/chaos/chaos.h"
 #include "lf/core/fr_list.h"
+#include "lf/core/fr_list_rc.h"
 #include "lf/core/fr_skiplist.h"
+#include "lf/core/fr_skiplist_rc.h"
 #include "lf/harness/watchdog.h"
 #include "lf/instrument/counters.h"
 #include "lf/mem/pool.h"
@@ -193,6 +196,46 @@ TEST_F(ChaosTest, SkipForcedFlagAndMarkCasRetry) {
   EXPECT_TRUE(s.validate().ok);
 }
 
+// ---- Deterministic helping: the counted variants ---------------------------
+//
+// FRListRC and FRSkipListRC run fr::Core's steps too, so the same sites
+// fire and the same forced failures take the same recovery paths.
+
+TEST_F(ChaosTest, ListRCForcedInsertCasRetriesUntilDisarmed) {
+  lf::FRListRC<long, long> list;
+  chaos::arm_cas_failures(Site::kListInsertCas, 3);
+  const auto before = lf::stats::aggregate();
+  EXPECT_TRUE(list.insert(7, 7));
+  const auto delta = lf::stats::aggregate() - before;
+  EXPECT_EQ(chaos::forced_cas_failures(Site::kListInsertCas), 3u);
+  EXPECT_EQ(chaos::site_hits(Site::kListInsertCas), 4u);
+  EXPECT_EQ(delta.insert_cas, 1u);
+  EXPECT_TRUE(list.contains(7));
+  EXPECT_TRUE(list.validate().ok);
+  EXPECT_TRUE(list.validate_accounting());
+  EXPECT_TRUE(list.validate_counts());  // the rolled-back pre-counts
+}
+
+TEST_F(ChaosTest, SkipRCForcedFlagMarkAndUnlinkCasRetry) {
+  lf::FRSkipListRC<long, long> s;
+  for (long k : {1, 2, 3}) ASSERT_TRUE(s.insert(k, k));
+  chaos::arm_cas_failures(Site::kSkipFlagCas, 2);
+  chaos::arm_cas_failures(Site::kSkipMarkCas, 2);
+  chaos::arm_cas_failures(Site::kSkipUnlinkCas, 1);
+  const auto before = lf::stats::aggregate();
+  EXPECT_TRUE(s.erase(2));
+  EXPECT_EQ(chaos::forced_cas_failures(Site::kSkipFlagCas), 2u);
+  EXPECT_EQ(chaos::forced_cas_failures(Site::kSkipMarkCas), 2u);
+  EXPECT_EQ(chaos::forced_cas_failures(Site::kSkipUnlinkCas), 1u);
+  EXPECT_FALSE(s.contains(2));  // a search helped the marked root out
+  const auto delta = lf::stats::aggregate() - before;
+  EXPECT_GE(delta.help_marked, 1u);
+  const auto rep = s.validate();
+  EXPECT_TRUE(rep.ok) << rep.error;
+  EXPECT_TRUE(s.validate_accounting());
+  EXPECT_EQ(s.size(), 2u);
+}
+
 // ---- Crash-thread matrix --------------------------------------------------
 //
 // Empirical lock-freedom: park a victim at the given site mid-operation;
@@ -278,6 +321,9 @@ void run_crash_site(Site site) {
   EXPECT_EQ(set.size(), static_cast<std::size_t>(net.load()));
   const auto rep = set.validate();
   EXPECT_TRUE(rep.ok) << rep.error;
+  if constexpr (requires { set.validate_accounting(); }) {
+    EXPECT_TRUE(set.validate_accounting());  // counted: nothing stranded
+  }
   EXPECT_FALSE(dog.stalled());
   dog.stop();
 }
@@ -300,6 +346,28 @@ TEST_F(ChaosTest, CrashMatrixFRSkipList) {
                     Site::kSkipHelpFlagged, Site::kSkipHelpMarked,
                     Site::kSkipTowerBuild}) {
     run_crash_site<lf::FRSkipList<long, long>>(site);
+  }
+}
+
+TEST_F(ChaosTest, CrashMatrixFRListRC) {
+  for (Site site : {Site::kListSearchStep, Site::kListInsertCas,
+                    Site::kListFlagCas, Site::kListMarkCas,
+                    Site::kListUnlinkCas, Site::kListBacklinkStep,
+                    Site::kListHelpFlagged, Site::kListHelpMarked,
+                    Site::kListFingerValidate, Site::kListFingerFallback,
+                    Site::kListFingerReplace}) {
+    run_crash_site<lf::FRListRC<long, long>>(site);
+  }
+}
+
+TEST_F(ChaosTest, CrashMatrixFRSkipListRC) {
+  for (Site site : {Site::kSkipSearchStep, Site::kSkipInsertCas,
+                    Site::kSkipFlagCas, Site::kSkipMarkCas,
+                    Site::kSkipUnlinkCas, Site::kSkipBacklinkStep,
+                    Site::kSkipHelpFlagged, Site::kSkipHelpMarked,
+                    Site::kSkipTowerBuild, Site::kSkipFingerValidate,
+                    Site::kSkipFingerFallback, Site::kSkipFingerReplace}) {
+    run_crash_site<lf::FRSkipListRC<long, long>>(site);
   }
 }
 

@@ -139,6 +139,8 @@ TEST(FRListRC, ConcurrentChurnKeepsCountsConsistent) {
   // counting; the chains all cascade back to the free list once released.)
   EXPECT_EQ(list.arena_count(), list.free_count() + list.size() + 2);
   EXPECT_TRUE(list.validate_accounting());
+  const auto rep = list.validate();
+  EXPECT_TRUE(rep.ok) << rep.error;
   for (long k = 0; k < 128; ++k)
     EXPECT_EQ(list.contains(k), list.find(k).has_value());
 }
@@ -173,6 +175,8 @@ TEST(FRListRC, RepeatedHotKeyChurnsKeepAccounting) {
     ASSERT_EQ(list.arena_count(), list.free_count() + list.size() + 2)
         << "trial " << trial;
     EXPECT_TRUE(list.validate_accounting()) << "trial " << trial;
+    const auto rep = list.validate();
+    EXPECT_TRUE(rep.ok) << "trial " << trial << ": " << rep.error;
   }
 }
 

@@ -27,8 +27,8 @@ struct StandInNode : lf::rc::NodeBase<StandInNode, long, long> {
 
 // No search and no levels: only the core's arena and counting steps are
 // used, and those never call back into the structure.
-struct Harness
-    : lf::rc::Core<Harness, StandInNode, long, long, std::less<long>> {};
+struct Harness : lf::rc::Core<Harness, StandInNode, long, long,
+                              std::less<long>, lf::fr::kListSites> {};
 
 using Kind = StandInNode::Kind;
 using View = Harness::View;

@@ -17,6 +17,13 @@ namespace {
 
 using RCSkip = lf::FRSkipListRC<long, long>;
 
+// The paper's invariants on every level and the tower structure, at
+// quiescence (FRSkipListRC::validate).
+void expect_valid(const RCSkip& s) {
+  const auto rep = s.validate();
+  EXPECT_TRUE(rep.ok) << rep.error;
+}
+
 TEST(FRSkipListRC, BasicSemantics) {
   RCSkip s;
   EXPECT_TRUE(s.insert(5, 50));
@@ -28,6 +35,7 @@ TEST(FRSkipListRC, BasicSemantics) {
   EXPECT_FALSE(s.contains(5));
   EXPECT_EQ(s.size(), 1u);
   EXPECT_TRUE(s.validate_accounting());
+  expect_valid(s);
 }
 
 TEST(FRSkipListRC, TowersFullyRecycledAfterErase) {
@@ -41,6 +49,7 @@ TEST(FRSkipListRC, TowersFullyRecycledAfterErase) {
   // released the whole down/tower_root web with no strays. (25 = 24 head
   // nodes + 1 tail sentinel at the default MaxLevel.)
   EXPECT_TRUE(s.validate_accounting());
+  expect_valid(s);
   EXPECT_EQ(s.free_count(), arena - 25u);
   EXPECT_EQ(s.arena_count(), arena);
 }
@@ -59,6 +68,7 @@ TEST(FRSkipListRC, ChurnReusesNodes) {
   EXPECT_LT(s.arena_count(), high_water + 100u);
   for (long k = 0; k < 100; ++k) EXPECT_EQ(*s.find(k), k + 14);
   EXPECT_TRUE(s.validate_accounting());
+  expect_valid(s);
 }
 
 TEST(FRSkipListRC, DifferentialAgainstStdMap) {
@@ -83,6 +93,7 @@ TEST(FRSkipListRC, DifferentialAgainstStdMap) {
   }
   EXPECT_EQ(s.size(), model.size());
   EXPECT_TRUE(s.validate_accounting());
+  expect_valid(s);
 }
 
 TEST(FRSkipListRC, ConcurrentDisjointInserts) {
@@ -103,6 +114,7 @@ TEST(FRSkipListRC, ConcurrentDisjointInserts) {
   for (long k = 0; k < kThreads * kPerThread; ++k)
     ASSERT_TRUE(s.contains(k)) << k;
   EXPECT_TRUE(s.validate_accounting());
+  expect_valid(s);
 }
 
 TEST(FRSkipListRC, ConcurrentChurnAccountingHolds) {
@@ -126,6 +138,7 @@ TEST(FRSkipListRC, ConcurrentChurnAccountingHolds) {
   }
   for (auto& w : workers) w.join();
   EXPECT_TRUE(s.validate_accounting());
+  expect_valid(s);
   for (long k = 0; k < 64; ++k)
     EXPECT_EQ(s.contains(k), s.find(k).has_value());
 }
@@ -153,6 +166,7 @@ TEST(FRSkipListRC, HotKeyDuelInterruptsTowers) {
   }
   for (auto& w : workers) w.join();
   EXPECT_TRUE(s.validate_accounting());
+  expect_valid(s);
   EXPECT_LE(s.size(), 4u);
 }
 
@@ -185,6 +199,8 @@ TEST(FRSkipListRC, RepeatedHotKeyDuelsKeepAccounting) {
     }
     for (auto& w : workers) w.join();
     ASSERT_TRUE(s.validate_accounting()) << "trial " << trial;
+    const auto rep = s.validate();
+    ASSERT_TRUE(rep.ok) << "trial " << trial << ": " << rep.error;
   }
 }
 
@@ -211,6 +227,7 @@ TEST(FRSkipListRC, ReadersSeeOnlySaneValues) {
   reader.join();
   writer.join();
   EXPECT_TRUE(s.validate_accounting());
+  expect_valid(s);
 }
 
 }  // namespace

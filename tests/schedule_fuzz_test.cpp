@@ -101,6 +101,8 @@ TEST(ScheduleFuzz, FRListRCExactCountsAndAccountingUnderYields) {
     EXPECT_EQ(list.arena_count(), list.free_count() + list.size() + 2)
         << "seed " << seed;
     EXPECT_TRUE(list.validate_accounting()) << "seed " << seed;
+    const auto rep = list.validate();
+    EXPECT_TRUE(rep.ok) << "seed " << seed << ": " << rep.error;
   }
 }
 
@@ -114,6 +116,8 @@ TEST(ScheduleFuzz, FRSkipListRCExactCountsAndAccountingUnderYields) {
     // Arena accounting: every node ever allocated is free, linked, or a
     // sentinel — no leak and no double-free under any schedule.
     EXPECT_TRUE(s.validate_accounting()) << "seed " << seed;
+    const auto rep = s.validate();
+    EXPECT_TRUE(rep.ok) << "seed " << seed << ": " << rep.error;
   }
 }
 
