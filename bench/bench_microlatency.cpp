@@ -12,6 +12,7 @@
 #include "lf/baselines/harris_list.h"
 #include "lf/core/fr_list.h"
 #include "lf/core/fr_skiplist.h"
+#include "lf/reclaim/epoch.h"
 #include "lf/util/random.h"
 
 namespace {
@@ -57,6 +58,18 @@ void BM_InsertErasePair(benchmark::State& state) {
   state.SetItemsProcessed(2 * state.iterations());
 }
 
+// One pin and unpin of the global epoch domain, which nothing here arms:
+// the fixed cost every operation of an epoch-reclaimed structure pays.
+// Under Threads(4) each thread pins its own slot and only the global
+// epoch's line is shared, read-only.
+void BM_EpochPin(benchmark::State& state) {
+  lf::reclaim::EpochDomain& domain = lf::reclaim::EpochDomain::global();
+  for (auto _ : state) {
+    lf::reclaim::EpochDomain::Guard guard(domain);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 using FR = lf::FRList<long, long>;
 using Skip = lf::FRSkipList<long, long>;
 using Harris = lf::HarrisList<long, long>;
@@ -71,5 +84,7 @@ BENCHMARK(BM_InsertErasePair<Skip>)->Arg(2048);
 BENCHMARK(BM_InsertErasePair<Harris>)->Arg(256);
 BENCHMARK(BM_Contains<Skip>)->Arg(16384)->Threads(4)->UseRealTime();
 BENCHMARK(BM_InsertErasePair<Skip>)->Arg(2048)->Threads(4)->UseRealTime();
+BENCHMARK(BM_EpochPin);
+BENCHMARK(BM_EpochPin)->Threads(4)->UseRealTime();
 
 BENCHMARK_MAIN();

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "lf/chaos/chaos.h"
@@ -234,10 +233,13 @@ class RestartSkipList {
   }
 
  private:
+  // Seeded by thread ordinal, as FRSkipList::tls_rng is, so 1-thread
+  // runs build the same towers in every process.
   static Xoshiro256& tls_rng() {
+    static std::atomic<std::uint64_t> next_ordinal{0};
     thread_local Xoshiro256 rng(
         0xd1b54a32d192ed03ULL ^
-        std::hash<std::thread::id>{}(std::this_thread::get_id()));
+        next_ordinal.fetch_add(1, std::memory_order_relaxed));
     return rng;
   }
 

@@ -10,12 +10,13 @@
 // correct).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
-#include <thread>
 #include <utility>
 
 #include "lf/instrument/counters.h"
@@ -128,10 +129,13 @@ class RWLockSkipList {
         : height(h), key(std::move(key_arg)), value(std::move(value_arg)) {}
   };
 
+  // Seeded by thread ordinal, as FRSkipList::tls_rng is, so 1-thread
+  // runs build the same towers in every process.
   static Xoshiro256& tls_rng() {
+    static std::atomic<std::uint64_t> next_ordinal{0};
     thread_local Xoshiro256 rng(
         0x94d049bb133111ebULL ^
-        std::hash<std::thread::id>{}(std::this_thread::get_id()));
+        next_ordinal.fetch_add(1, std::memory_order_relaxed));
     return rng;
   }
 

@@ -49,6 +49,9 @@ struct CacheRef {
   std::thread::id owner;
 };
 
+// The request/fresh/recycled/freed counts of a live thread cache live in the
+// cache; these atomics hold what exited threads folded in and what the
+// paths without a cache (teardown fallback, oversize) counted.
 struct SharedPool {
   std::mutex mu;
   FreeBlock* freelists[kNumClasses] = {};
@@ -69,11 +72,25 @@ SharedPool& shared() {
   return *s;
 }
 
-// Thread-local side: one freelist per class and the current bump region.
+// Owner-written counter that pool_totals() reads under SharedPool::mu: a
+// relaxed load/store pair, so no locked instruction and no data race.
+struct LocalCount {
+  std::atomic<std::uint64_t> n{0};
+  void inc() noexcept {
+    n.store(n.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+  std::uint64_t get() const noexcept {
+    return n.load(std::memory_order_relaxed);
+  }
+};
+
+// Thread-local side: one freelist per class, the current bump region and
+// the thread's counts.
 struct ThreadCache {
   FreeBlock* freelists[kNumClasses] = {};
   char* bump = nullptr;
   char* bump_end = nullptr;
+  LocalCount requests, fresh, recycled, freed;
 
   ~ThreadCache() {
     SharedPool& s = shared();
@@ -91,6 +108,12 @@ struct ThreadCache {
     std::lock_guard lock(s.mu);
     std::erase_if(s.caches,
                   [this](const CacheRef& r) { return r.cache == this; });
+    // Fold the counts in under the lock that pool_totals() sums under, so
+    // totals never miss or double-count them.
+    s.requests.fetch_add(requests.get(), std::memory_order_relaxed);
+    s.fresh.fetch_add(fresh.get(), std::memory_order_relaxed);
+    s.recycled.fetch_add(recycled.get(), std::memory_order_relaxed);
+    s.freed.fetch_add(freed.get(), std::memory_order_relaxed);
     for (std::size_t cls = 0; cls < kNumClasses; ++cls) {
       if (freelists[cls] == nullptr) continue;
       FreeBlock* tail = freelists[cls];
@@ -146,14 +169,17 @@ void* pool_allocate(std::size_t bytes) {
   if (chaos::should_fail_alloc(/*segment=*/false)) throw std::bad_alloc{};
 #endif
   SharedPool& s = shared();
-  s.requests.fetch_add(1, std::memory_order_relaxed);
+  ThreadCache* cp = tls_cache();
+  if (cp != nullptr)
+    cp->requests.inc();
+  else
+    s.requests.fetch_add(1, std::memory_order_relaxed);
   if (bytes == 0) bytes = 1;
   if (bytes > kMaxPooledBytes) {
     s.oversize.fetch_add(1, std::memory_order_relaxed);
     return ::operator new(bytes, std::align_val_t{kGranule});
   }
   const std::size_t cls = size_class(bytes);
-  ThreadCache* cp = tls_cache();
   if (cp == nullptr) {
     // This thread's cache is already destroyed (static teardown): serve
     // from the shared pool, or fall back to the global allocator.
@@ -191,7 +217,7 @@ void* pool_allocate(std::size_t bytes) {
   if (c.freelists[cls] != nullptr) {
     FreeBlock* b = c.freelists[cls];
     c.freelists[cls] = b->next;
-    s.recycled.fetch_add(1, std::memory_order_relaxed);
+    c.recycled.inc();
     return b;
   }
 
@@ -231,26 +257,26 @@ void* pool_allocate(std::size_t bytes) {
   }
   void* p = c.bump;
   c.bump += sz;
-  s.fresh.fetch_add(1, std::memory_order_relaxed);
+  c.fresh.inc();
   return p;
 }
 
 void pool_deallocate(void* p, std::size_t bytes) {
   if (p == nullptr) return;
   LF_CHAOS_POINT(kPoolFree);
-  SharedPool& s = shared();
   if (bytes == 0) bytes = 1;
   if (bytes > kMaxPooledBytes) {
     ::operator delete(p, std::align_val_t{kGranule});
     return;
   }
   const std::size_t cls = size_class(bytes);
-  s.freed.fetch_add(1, std::memory_order_relaxed);
   ThreadCache* cp = tls_cache();
   if (cp == nullptr) {
+    shared().freed.fetch_add(1, std::memory_order_relaxed);
     shared_deallocate(p, cls);
     return;
   }
+  cp->freed.inc();
   auto* b = static_cast<FreeBlock*>(p);
   b->next = cp->freelists[cls];
   cp->freelists[cls] = b;
@@ -304,10 +330,17 @@ std::uint64_t pool_adopt_stalled(std::thread::id tid) {
 PoolTotals pool_totals() {
   SharedPool& s = shared();
   PoolTotals t;
+  std::lock_guard lock(s.mu);
   t.requests = s.requests.load(std::memory_order_relaxed);
   t.fresh_blocks = s.fresh.load(std::memory_order_relaxed);
   t.recycled_blocks = s.recycled.load(std::memory_order_relaxed);
   t.freed_blocks = s.freed.load(std::memory_order_relaxed);
+  for (const CacheRef& ref : s.caches) {
+    t.requests += ref.cache->requests.get();
+    t.fresh_blocks += ref.cache->fresh.get();
+    t.recycled_blocks += ref.cache->recycled.get();
+    t.freed_blocks += ref.cache->freed.get();
+  }
   t.segments = s.segment_count.load(std::memory_order_relaxed);
   t.oversize = s.oversize.load(std::memory_order_relaxed);
   t.adopted_blocks = s.adopted.load(std::memory_order_relaxed);

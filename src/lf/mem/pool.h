@@ -18,10 +18,12 @@
 //   * Every block is 64-byte aligned and a whole number of lines, so no
 //     two pool blocks ever share a cache line — adjacent nodes cannot
 //     false-share, and the tag bits of SuccField always have room.
-//   * Each thread owns a cache: one freelist per class plus a bump region
-//     carved from 256 KiB segments. allocate() touches no shared state
-//     unless the local freelist AND bump region are empty, in which case
-//     it adopts a batch from the shared pool or carves a fresh segment.
+//   * Each thread owns a cache: one freelist per class, a bump region
+//     carved from 256 KiB segments, and its own counts. allocate() and
+//     deallocate() write no shared cache line, counters included, unless
+//     the local freelist AND bump region are empty, in which case
+//     allocate() adopts a batch from the shared pool or carves a fresh
+//     segment.
 //   * deallocate() pushes onto the CALLING thread's freelist: the freeing
 //     thread becomes the block's new owner. Under epoch-integrated
 //     reclamation frees happen on whichever thread advances the epoch, so
@@ -38,7 +40,15 @@
 //
 // Accounting (PoolTotals) is process-wide and monotone; benchmarks diff
 // snapshots around a measured region, and the pool unit tests assert the
-// grow/recycle arithmetic.
+// grow/recycle arithmetic. Each thread cache counts its requests and its
+// fresh, recycled and freed blocks in owner-written relaxed counters (a
+// load and a store, no locked instruction). pool_totals() adds them to the
+// shared counts under the pool lock, and an exiting thread folds its counts
+// into the shared ones under the same lock, so a total never misses or
+// double-counts one. The shared counters are written only on paths that
+// take that lock or the global allocator anyway: thread exit, segment
+// carves, oversize requests, the post-teardown fallback and stalled-thread
+// adoption.
 #pragma once
 
 #include <cstddef>
@@ -59,6 +69,7 @@ inline constexpr std::size_t kAdoptBatch = 32;
 
 // Process-wide, monotone counters. Exact when read at quiescence; relaxed
 // (may be momentarily inconsistent) under concurrency, like all stats here.
+// pool_totals() takes the pool lock to sum the live threads' counts.
 struct PoolTotals {
   std::uint64_t requests = 0;        // pool_allocate calls
   std::uint64_t fresh_blocks = 0;    // served by carving a bump region

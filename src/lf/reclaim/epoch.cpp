@@ -27,28 +27,6 @@ AbandonedSlots& abandoned() {
 
 }  // namespace
 
-// Per-thread slot inside a domain. `state` packs
-// (epoch << kEpochShift) | ejected | active; it and `heartbeat` are the only
-// fields other threads read on hot paths; `resilient` is owner-read and set
-// under the registry lock; everything else is owner-only (or
-// registry-lock-protected during thread exit and adoption).
-struct EpochDomain::ThreadState {
-  CacheAligned<std::atomic<std::uint64_t>> state;
-  // Bumped on every outermost pin of an armed slot (and on ejection
-  // settlement): the blame detector only ejects a slot whose (state,
-  // heartbeat) pair froze.
-  std::atomic<std::uint64_t> heartbeat{0};
-  // Mirror of the domain's sticky arming flag: when set, unpin/publish use
-  // RMWs that cannot erase a concurrently-set ejected bit. Per-slot (not
-  // read from the domain) so a Guard outliving its domain — the abandoned
-  // slot path — never dereferences the dead domain in ~Guard.
-  std::atomic<bool> resilient{false};
-  RetiredList limbo[kBuckets];
-  std::uint64_t limbo_epoch[kBuckets] = {};  // epoch the bucket was filed under
-  std::uint64_t retire_since_scan = 0;
-  std::uint32_t pin_depth = 0;
-};
-
 EpochDomain::EpochDomain() {
   global_epoch_->store(kBuckets, std::memory_order_relaxed);  // start > grace
 }
@@ -79,6 +57,7 @@ EpochDomain::~EpochDomain() {
     ts->resilient.store(false, std::memory_order_seq_cst);
     ts->state->store(w & ~kEjectedBit, std::memory_order_seq_cst);
     for (RetiredList& bucket : ts->limbo) bucket.free_all();
+    ts->ready.free_all();
     abandoned().count.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard alock(abandoned().mu);
@@ -102,11 +81,7 @@ std::uint64_t EpochDomain::abandoned_slots() noexcept {
   return abandoned().count.load(std::memory_order_relaxed);
 }
 
-EpochDomain::Guard::Guard(EpochDomain& domain)
-    : domain_(domain), ts_(&domain.records_.local()) {
-  outermost_ = (ts_->pin_depth++ == 0);
-  if (!outermost_) return;
-  LF_CHAOS_POINT(kEpochPin);  // before publishing: no lock held here
+std::uint64_t EpochDomain::publish_armed(ThreadState& ts) {
   // A fresh beat: the blame detector treats a frozen (word, heartbeat) pair
   // as a stalled pin, so every sign of life must move one of the two. Only
   // an armed slot beats, which keeps the locked RMW off the disarmed pin.
@@ -116,47 +91,23 @@ EpochDomain::Guard::Guard(EpochDomain& domain)
   // Second, an ejection needs the (word, beat) pair frozen across
   // blame_threshold advances, all of them after arming. A pin that starts
   // after arming reads the set mirror and beats.
-  bool armed = ts_->resilient.load(std::memory_order_relaxed);
-  if (armed) ts_->heartbeat.fetch_add(1, std::memory_order_relaxed);
-  // Publish (epoch, active) and verify the global did not move past us; this
-  // loop is what makes the advertised epoch trustworthy to advancers. A
-  // retry re-reads the mirror, so arming mid-loop is seen before the store.
-  for (;; armed = ts_->resilient.load(std::memory_order_relaxed)) {
-    const std::uint64_t e =
-        domain_.global_epoch_->load(std::memory_order_seq_cst);
+  ts.heartbeat.fetch_add(1, std::memory_order_relaxed);
+  for (;;) {
+    const std::uint64_t e = global_epoch_->load(std::memory_order_seq_cst);
     const std::uint64_t word = (e << kEpochShift) | kActiveBit;
-    if (armed) {
-      // An armed advancer may eject us between loop iterations (a thread
-      // parked inside this loop is indistinguishable from a stalled one).
-      // The exchange claims any ejected bit atomically so the ejection is
-      // settled, never silently erased. Settling here is safe: we hold no
-      // references yet — this is the outermost pin being established.
-      const std::uint64_t prev =
-          ts_->state->exchange(word, std::memory_order_seq_cst);
-      if ((prev & kEjectedBit) != 0) {
-        domain_.settle_ejection(ts_, /*clear_state=*/false);
-      }
-    } else {
-      ts_->state->store(word, std::memory_order_seq_cst);
-    }
-    if (domain_.global_epoch_->load(std::memory_order_seq_cst) == e) {
-      domain_.reclaim_bucket_locally(*ts_, e);
-      break;
-    }
+    // An armed advancer may eject us between loop iterations (a thread
+    // parked inside this loop is indistinguishable from a stalled one).
+    // The exchange claims any ejected bit atomically so the ejection is
+    // settled, never silently erased. Settling here is safe: we hold no
+    // references yet — this is the outermost pin being established.
+    const std::uint64_t prev =
+        ts.state->exchange(word, std::memory_order_seq_cst);
+    if ((prev & kEjectedBit) != 0) settle_ejection(&ts, /*clear_state=*/false);
+    if (global_epoch_->load(std::memory_order_seq_cst) == e) return e;
   }
 }
 
-EpochDomain::Guard::~Guard() {
-  if (!outermost_) {
-    --ts_->pin_depth;
-    return;
-  }
-  --ts_->pin_depth;
-  if (!ts_->resilient.load(std::memory_order_relaxed)) {
-    const std::uint64_t w = ts_->state->load(std::memory_order_relaxed);
-    ts_->state->store(w & ~kActiveBit, std::memory_order_seq_cst);
-    return;
-  }
+void EpochDomain::Guard::unpin_armed() {
   // Armed domain: the advancer can CAS the ejected bit in at any moment, so
   // retiring the pin must be a CAS — a blind store could erase the bit and
   // leak an unsettled ejection (the quarantine would never drain).
@@ -191,18 +142,51 @@ void EpochDomain::retire_erased(void* object, void (*deleter)(void*)) {
   const int idx = static_cast<int>(e % kBuckets);
   if (ts.limbo_epoch[idx] != e) {
     // Residue collision: existing content was filed at <= e - 3, which is
-    // already past the 2-epoch grace period. Dispose of it before reusing
-    // (diverts to the quarantine while an ejection is outstanding).
-    dispose_list(ts.limbo[idx], /*locked=*/false);
+    // already past the 2-epoch grace period: it is ready.
+    ts.ready.splice(ts.limbo[idx]);
     ts.limbo_epoch[idx] = e;
   }
   ts.limbo[idx].push(object, deleter);
-  retired_live_->fetch_add(1, std::memory_order_relaxed);
+  ts.add_retired(1);
   stats::tls().node_retired.inc();
+  if (!ts.ready.empty()) free_ready(ts, kFreeBudget);
   if (++ts.retire_since_scan >= kAdvanceEvery) {
     ts.retire_since_scan = 0;
     try_advance();
   }
+}
+
+std::uint64_t EpochDomain::retired_count() {
+  std::lock_guard lock(records_.mutex());
+  return retired_count_locked();
+}
+
+std::uint64_t EpochDomain::retired_count_locked() {
+  std::uint64_t n = retired_live_->load(std::memory_order_relaxed);
+  for (const auto& slot : records_.slots())
+    n += slot.record->retired.load(std::memory_order_relaxed);
+  return n;
+}
+
+std::uint64_t EpochDomain::ready_count() {
+  return records_.local().ready.size();
+}
+
+bool EpochDomain::validate_accounting() {
+  std::lock_guard lock(records_.mutex());
+  bool ok = true;
+  std::uint64_t held = quarantine_.size();
+  for (const RetiredList& orphans : orphans_) held += orphans.size();
+  ok &= retired_live_->load(std::memory_order_relaxed) == held;
+  ok &= quarantine_depth_.load(std::memory_order_relaxed) == quarantine_.size();
+  for (const auto& slot : records_.slots()) {
+    const ThreadState& ts = *slot.record;
+    std::uint64_t in_slot = ts.ready.size();
+    for (const RetiredList& bucket : ts.limbo) in_slot += bucket.size();
+    ok &= ts.retired.load(std::memory_order_relaxed) == in_slot;
+    held += in_slot;
+  }
+  return ok && retired_count_locked() == held;
 }
 
 std::uint64_t EpochDomain::pinned_epoch() {
@@ -224,7 +208,10 @@ void EpochDomain::on_thread_exit(ThreadState& ts) {
 }
 
 std::uint64_t EpochDomain::orphan_limbo_locked(ThreadState& ts) {
-  std::uint64_t moved = 0;
+  // The ready nodes are ripe already: as if filed at epoch 0, they join
+  // orphan bucket 0 without moving its epoch.
+  std::uint64_t moved = ts.ready.size();
+  orphans_[0].splice(ts.ready);
   for (int b = 0; b < kBuckets; ++b) {
     if (ts.limbo[b].empty()) continue;
     moved += ts.limbo[b].size();
@@ -232,6 +219,9 @@ std::uint64_t EpochDomain::orphan_limbo_locked(ThreadState& ts) {
     orphan_epochs_[b] = std::max(orphan_epochs_[b], ts.limbo_epoch[b]);
     ts.limbo_epoch[b] = 0;
   }
+  retired_live_->fetch_add(ts.retired.load(std::memory_order_relaxed),
+                           std::memory_order_relaxed);
+  ts.retired.store(0, std::memory_order_relaxed);
   ts.retire_since_scan = 0;
   if (blamed_slot_ == &ts) {
     blamed_slot_ = nullptr;  // the suspect left; drop the stale blame
@@ -314,8 +304,7 @@ bool EpochDomain::try_advance() {
       // On CAS failure someone else advanced; they handle the orphans.
       if (advanced) {
         for (int b = 0; b < kBuckets; ++b) {
-          if (orphan_epochs_[b] + 2 <= e + 1)
-            dispose_list(orphans_[b], /*locked=*/true);
+          if (orphan_epochs_[b] + 2 <= e + 1) dispose_orphans_locked(b);
         }
       }
     }
@@ -382,7 +371,8 @@ std::string EpochDomain::stall_report() {
   std::ostringstream os;
   const std::uint64_t e = epoch();
   std::lock_guard lock(records_.mutex());
-  os << "epoch domain: epoch=" << e << " retired_backlog=" << retired_count()
+  os << "epoch domain: epoch=" << e
+     << " retired_backlog=" << retired_count_locked()
      << " quarantine_depth=" << quarantine_depth()
      << (quarantine_depth() > kQuarantineSoftCap ? " (OVER soft cap)" : "")
      << " ejected=" << ejected_count()
@@ -404,31 +394,46 @@ std::string EpochDomain::stall_report() {
   return os.str();
 }
 
-void EpochDomain::reclaim_bucket_locally(ThreadState& ts,
-                                         std::uint64_t observed_epoch) {
+void EpochDomain::sweep(ThreadState& ts, std::uint64_t observed_epoch) {
   for (int b = 0; b < kBuckets; ++b) {
     if (!ts.limbo[b].empty() && ts.limbo_epoch[b] + 2 <= observed_epoch)
-      dispose_list(ts.limbo[b], /*locked=*/false);
+      ts.ready.splice(ts.limbo[b]);
   }
+  ts.seen_epoch = observed_epoch;
 }
 
-void EpochDomain::dispose_list(RetiredList& list, bool locked) {
-  if (list.empty()) return;
+void EpochDomain::free_ready(ThreadState& ts, std::uint64_t budget) {
+  // Checked here, at free time, not at the sweep: the count only falls when
+  // an ejected reader has left the region it was ejected in, so a later
+  // check sees every ejection an earlier one would have (DESIGN.md §11).
   // seq_cst pairs with the count-increment-before-bit-CAS order in
-  // note_straggler_locked: a free enabled by an ejection-driven advance
-  // cannot miss the outstanding ejection (DESIGN.md §11).
+  // note_straggler_locked.
   if (ejected_count_.load(std::memory_order_seq_cst) == 0) {
-    retired_live_->fetch_sub(list.free_all(), std::memory_order_relaxed);
+    ts.sub_retired(ts.ready.free_front(budget));
     return;
   }
   // An ejected reader may resume and keep dereferencing anything it could
   // reach before it stalled: run no deleters, quarantine the whole list.
-  const std::uint64_t n = list.size();
+  const std::uint64_t n = ts.ready.size();
   {
-    std::unique_lock<std::mutex> lock(records_.mutex(), std::defer_lock);
-    if (!locked) lock.lock();
-    quarantine_.splice(list);
+    std::lock_guard lock(records_.mutex());
+    quarantine_.splice(ts.ready);
+    ts.sub_retired(n);
+    retired_live_->fetch_add(n, std::memory_order_relaxed);
+    quarantine_depth_.fetch_add(n, std::memory_order_relaxed);
   }
+  stats::tls().quarantine_in.inc(n);
+}
+
+void EpochDomain::dispose_orphans_locked(int b) {
+  RetiredList& list = orphans_[b];
+  if (list.empty()) return;
+  if (ejected_count_.load(std::memory_order_seq_cst) == 0) {
+    retired_live_->fetch_sub(list.free_all(), std::memory_order_relaxed);
+    return;
+  }
+  const std::uint64_t n = list.size();
+  quarantine_.splice(list);
   quarantine_depth_.fetch_add(n, std::memory_order_relaxed);
   stats::tls().quarantine_in.inc(n);
 }
@@ -456,8 +461,8 @@ void EpochDomain::drain() {
   // provided no other thread is pinned.
   for (int i = 0; i < kBuckets; ++i) {
     try_advance();
-    reclaim_bucket_locally(ts,
-                           global_epoch_->load(std::memory_order_seq_cst));
+    sweep(ts, global_epoch_->load(std::memory_order_seq_cst));
+    if (!ts.ready.empty()) free_ready(ts, ts.ready.size());
   }
   free_settled_quarantine();
 }

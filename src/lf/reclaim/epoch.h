@@ -23,11 +23,30 @@
 //   * pin() publishes (epoch, active) in a single word with a verify loop,
 //     so the epoch a thread advertises is never stale relative to the global
 //     it verified — the standard correctness requirement for 3-bucket EBR.
-//   * retire() is wait-free (thread-local list append); amortized
-//     reclamation work happens inside try_advance(), triggered every
-//     kAdvanceEvery retirements.
-//   * Threads may come and go (registry.h): a thread's limbo lists are
-//     orphaned to the domain on thread exit and adopted by a later advancer.
+//     The publish is a seq_cst store (one xchg on x86), the one locked
+//     instruction of a disarmed pin: the store must be ordered before the
+//     verify load. The disarmed pin is inline below; the armed one (see
+//     resilience) is out of line.
+//   * unpin() is a release store. Every access the critical region made is
+//     sequenced before it, and an advancer reads the slot word with a
+//     seq_cst (acquire) load, so those accesses happen before the advance
+//     and before any free that observes the advanced epoch.
+//   * retire() is wait-free (thread-local list append). Every slot counts
+//     its own retired-but-unfreed nodes (limbo and ready, below) in an
+//     owner-written relaxed counter; retired_count() sums the slots under
+//     the registry lock, and an exiting thread folds its count into the
+//     shared one, which otherwise moves only for orphans and the
+//     quarantine. An advance is attempted every kAdvanceEvery retirements.
+//   * Freeing is spread out instead of batched. A pin that observes an
+//     epoch its thread has not seen yet moves the thread's ripe limbo
+//     buckets onto its `ready` list; each outermost pin and each retire
+//     then frees at most kFreeBudget ready nodes. A thread frees nodes at
+//     up to kFreeBudget per retirement but adds only one, so its ready
+//     list drains between sweeps; with no other thread pinned it never
+//     exceeds kSoloReadyBound nodes.
+//   * Threads may come and go (registry.h): a thread's limbo and ready
+//     lists are orphaned to the domain on thread exit and adopted by a
+//     later advancer.
 //
 // Stalled-thread resilience (DESIGN.md §11): plain EBR is only as live as
 // its slowest reader — a thread parked or killed while pinned stalls the
@@ -38,11 +57,14 @@
 // *ejected* state that no longer blocks the epoch). Ejection alone would be
 // unsound — the parked reader may resume and keep dereferencing — so while
 // any ejection is outstanding every list that becomes freeable diverts into
-// a domain QUARANTINE whose deleters do not run. Only when every ejected
-// reader has acknowledged (its outermost unpin, or its next pin's publish
-// loop, or adopt_stalled() on a thread vouched dead) does the quarantine
-// drain. The epoch makes progress and the backlog is bounded by the churn
-// during the stall, at the cost of deferring — never skipping — the frees.
+// a domain QUARANTINE whose deleters do not run. The budgeted free checks
+// for an ejection before each batch, not at the sweep, and then
+// quarantines the whole ready list (why that is sound: DESIGN.md §11).
+// Only when every ejected reader has acknowledged (its outermost unpin, or
+// its next pin's publish loop, or adopt_stalled() on a thread vouched dead)
+// does the quarantine drain. The epoch makes progress and the backlog is
+// bounded by the churn during the stall, at the cost of deferring — never
+// skipping — the frees.
 //
 // A domain must outlive every thread that still uses it; the process-wide
 // default domain (EpochDomain::global()) trivially satisfies this. A thread
@@ -59,6 +81,7 @@
 #include <string>
 #include <thread>
 
+#include "lf/chaos/chaos.h"
 #include "lf/instrument/counters.h"
 #include "lf/reclaim/registry.h"
 #include "lf/util/align.h"
@@ -66,7 +89,7 @@
 namespace lf::reclaim {
 
 class EpochDomain {
-  struct ThreadState;  // per-thread slot; defined in epoch.cpp
+  struct ThreadState;  // per-thread slot; defined below the class
 
  public:
   EpochDomain();
@@ -89,6 +112,7 @@ class EpochDomain {
 
    private:
     friend class EpochDomain;  // retire_erased files under the pinned epoch
+    void unpin_armed();
     EpochDomain& domain_;
     ThreadState* ts_;
     bool outermost_;
@@ -129,9 +153,27 @@ class EpochDomain {
   // reached under a pin that advertised e) can be freed. Two pins that
   // advertise the SAME epoch therefore cover the same set of nodes.
   std::uint64_t pinned_epoch();
-  std::uint64_t retired_count() const noexcept {
-    return retired_live_->load(std::memory_order_relaxed);
-  }
+  // Retired nodes not yet freed: every slot's count plus the orphans and
+  // the quarantine. Takes the registry lock; exact at quiescence.
+  std::uint64_t retired_count();
+
+  // Quiescence only: true iff every slot's count equals the sizes of its
+  // limbo buckets and ready list, the shared count equals the orphans plus
+  // the quarantine, the quarantine gauge equals its size, and so
+  // retired_count() equals everything the domain holds.
+  bool validate_accounting();
+
+  // Most ready nodes freed per outermost pin and per retire.
+  static constexpr std::uint64_t kFreeBudget = 2;
+  // How many retirements between reclamation attempts.
+  static constexpr std::uint64_t kAdvanceEvery = 64;
+  // Bound on one thread's ready list while no other thread is pinned: each
+  // epoch then lasts at most kAdvanceEvery of its retirements, so a sweep
+  // moves at most that many nodes, and the kFreeBudget per retirement has
+  // emptied the list before the next sweep.
+  static constexpr std::uint64_t kSoloReadyBound = kAdvanceEvery;
+  // Length of the calling thread's ready list.
+  std::uint64_t ready_count();
 
   // ---- Stalled-thread resilience (DESIGN.md §11) ------------------------
 
@@ -199,8 +241,6 @@ class EpochDomain {
 
   // One limbo list per epoch residue class.
   static constexpr int kBuckets = 3;
-  // How many retirements between reclamation attempts.
-  static constexpr std::uint64_t kAdvanceEvery = 64;
 
   // Slot word layout: (epoch << kEpochShift) | ejected | active.
   static constexpr std::uint64_t kActiveBit = 1;
@@ -208,18 +248,27 @@ class EpochDomain {
   static constexpr unsigned kEpochShift = 2;
 
   void retire_erased(void* object, void (*deleter)(void*));
+  // Publish an outermost pin; returns the verified epoch. The armed
+  // variant claims a concurrent ejection with an exchange.
+  std::uint64_t publish(ThreadState& ts);
+  std::uint64_t publish_armed(ThreadState& ts);
   // Registry hooks (registry.h), registry lock held.
   ThreadState* new_record();
   void on_thread_exit(ThreadState& ts);
-  // Move ts's limbo lists to the orphans and forget any blame on it.
-  // Returns how many nodes moved. Lock held.
+  // Move ts's limbo and ready lists and its count to the orphans and forget
+  // any blame on it. Returns how many nodes moved. Lock held.
   std::uint64_t orphan_limbo_locked(ThreadState& ts);
   bool try_advance();
-  void reclaim_bucket_locally(ThreadState& ts, std::uint64_t observed_epoch);
+  // Move ts's buckets ripe at `observed_epoch` onto its ready list.
+  void sweep(ThreadState& ts, std::uint64_t observed_epoch);
+  // Free at most `budget` of ts's ready nodes, or, while an ejection is
+  // outstanding, quarantine the whole list (no deleters run).
+  void free_ready(ThreadState& ts, std::uint64_t budget);
+  std::uint64_t retired_count_locked();
 
-  // Free `list` now if no ejection is outstanding, else splice it into the
-  // quarantine (no deleters run). `locked` = registry lock already held.
-  void dispose_list(RetiredList& list, bool locked);
+  // Free orphan bucket `b` if no ejection is outstanding, else splice it
+  // into the quarantine. Lock held.
+  void dispose_orphans_locked(int b);
   // Free the quarantine iff every ejection settled; true if it held
   // anything. Takes the registry lock.
   bool free_settled_quarantine();
@@ -229,6 +278,7 @@ class EpochDomain {
   bool note_straggler_locked(ThreadState* ts, std::uint64_t word);
 
   CacheAligned<std::atomic<std::uint64_t>> global_epoch_;
+  // Retired nodes no slot holds: the orphans and the quarantine.
   CacheAligned<std::atomic<std::uint64_t>> retired_live_;
 
   std::atomic<std::uint64_t> ejected_count_{0};    // unsettled ejections
@@ -250,6 +300,79 @@ class EpochDomain {
   std::uint64_t blamed_beat_ = 0;
   std::uint32_t blame_streak_ = 0;
 };
+
+// Per-thread slot inside a domain. `state` packs
+// (epoch << kEpochShift) | ejected | active; it and `heartbeat` are the only
+// fields other threads read on hot paths; `resilient` is owner-read and set
+// under the registry lock; `retired` is owner-written and read by others
+// under the registry lock; everything else is owner-only (or
+// registry-lock-protected during thread exit and adoption).
+struct EpochDomain::ThreadState {
+  CacheAligned<std::atomic<std::uint64_t>> state;
+  // Bumped on every outermost pin of an armed slot (and on ejection
+  // settlement): the blame detector only ejects a slot whose (state,
+  // heartbeat) pair froze.
+  std::atomic<std::uint64_t> heartbeat{0};
+  // Mirror of the domain's sticky arming flag: when set, unpin/publish use
+  // RMWs that cannot erase a concurrently-set ejected bit. Per-slot (not
+  // read from the domain) so a Guard outliving its domain — the abandoned
+  // slot path — never dereferences the dead domain in ~Guard.
+  std::atomic<bool> resilient{false};
+  std::uint32_t pin_depth = 0;
+  std::uint64_t seen_epoch = 0;  // the epoch of this slot's last sweep
+  // Nodes in limbo and ready. Written only by the owner (or, with the
+  // owner vouched stopped, by adoption), so a plain load/store pair.
+  std::atomic<std::uint64_t> retired{0};
+  RetiredList ready;  // ripe nodes awaiting the budgeted free
+  RetiredList limbo[kBuckets];
+  std::uint64_t limbo_epoch[kBuckets] = {};  // epoch the bucket was filed under
+  std::uint64_t retire_since_scan = 0;
+
+  void add_retired(std::uint64_t n) noexcept {
+    retired.store(retired.load(std::memory_order_relaxed) + n,
+                  std::memory_order_relaxed);
+  }
+  void sub_retired(std::uint64_t n) noexcept {
+    retired.store(retired.load(std::memory_order_relaxed) - n,
+                  std::memory_order_relaxed);
+  }
+};
+
+inline std::uint64_t EpochDomain::publish(ThreadState& ts) {
+  // Publish (epoch, active) and verify the global did not move past us; this
+  // loop is what makes the advertised epoch trustworthy to advancers. Each
+  // round re-reads the arming mirror, so arming mid-loop is seen before the
+  // store.
+  for (;;) {
+    if (ts.resilient.load(std::memory_order_relaxed)) [[unlikely]]
+      return publish_armed(ts);
+    const std::uint64_t e = global_epoch_->load(std::memory_order_seq_cst);
+    ts.state->store((e << kEpochShift) | kActiveBit, std::memory_order_seq_cst);
+    if (global_epoch_->load(std::memory_order_seq_cst) == e) return e;
+  }
+}
+
+inline EpochDomain::Guard::Guard(EpochDomain& domain)
+    : domain_(domain), ts_(&domain.records_.local()) {
+  outermost_ = (ts_->pin_depth++ == 0);
+  if (!outermost_) return;
+  LF_CHAOS_POINT(kEpochPin);  // before publishing: no lock held here
+  const std::uint64_t e = domain_.publish(*ts_);
+  if (e != ts_->seen_epoch) [[unlikely]] domain_.sweep(*ts_, e);
+  if (!ts_->ready.empty()) [[unlikely]]
+    domain_.free_ready(*ts_, kFreeBudget);
+}
+
+inline EpochDomain::Guard::~Guard() {
+  --ts_->pin_depth;
+  if (!outermost_) return;
+  if (ts_->resilient.load(std::memory_order_relaxed)) [[unlikely]] {
+    unpin_armed();
+    return;
+  }
+  const std::uint64_t w = ts_->state->load(std::memory_order_relaxed);
+  ts_->state->store(w & ~kActiveBit, std::memory_order_release);
+}
 
 // Policy adapter satisfying reclaimer_for<Node>, referencing a domain.
 class EpochReclaimer {

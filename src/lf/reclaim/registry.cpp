@@ -36,6 +36,7 @@ void RetiredList::splice(RetiredList& other) noexcept {
 }
 
 ThreadRecords::~ThreadRecords() {
+  last_record = {0, nullptr};  // before any record can be reused
   LiveDomains& live = live_domains();
   std::lock_guard lock(live.mu);
   for (const Entry& e : entries) {

@@ -16,6 +16,13 @@
 //
 // Records are freed only with their registry. RetiredList keeps its tail
 // and count, so moving a whole retire list is O(1).
+//
+// local() first checks a one-entry thread_local cache, the (domain id,
+// record) pair the thread looked up last, and scans the list only on a
+// miss. Domain ids are never reused, so an entry of a destroyed domain
+// never matches again, and ~ThreadRecords empties the cache before it
+// hands the records back, so a record another thread may reuse is never
+// returned from it.
 #pragma once
 
 #include <algorithm>
@@ -86,6 +93,23 @@ class RetiredList {
     return free_unless([](void*) { return false; });
   }
 
+  // Runs the deleters of at most `max` entries from the front. Returns how
+  // many ran, also counted in node_freed.
+  std::uint64_t free_front(std::uint64_t max) {
+    std::uint64_t freed = 0;
+    while (freed < max && head_ != nullptr) {
+      RetiredNode* cur = head_;
+      head_ = cur->next;
+      if (head_ == nullptr) tail_ = nullptr;
+      --count_;
+      cur->deleter(cur->object);
+      delete cur;
+      ++freed;
+    }
+    if (freed > 0) stats::tls().node_freed.inc(freed);
+    return freed;
+  }
+
  private:
   RetiredNode* head_ = nullptr;
   RetiredNode* tail_ = nullptr;
@@ -110,6 +134,15 @@ inline ThreadRecords& thread_records() {
   thread_local ThreadRecords records;
   return records;
 }
+
+// The one-entry lookup cache (see the header comment). Constant-initialised
+// and trivially destructible, so reading it is a plain TLS load with no
+// initialisation guard. Domain id 0 is never issued.
+struct LastRecord {
+  std::uint64_t domain_id;
+  void* record;
+};
+inline constinit thread_local LastRecord last_record{0, nullptr};
 
 // The type-erased half of a registry: its id in the live-domain map.
 class RegistryBase {
@@ -149,9 +182,10 @@ class RecordRegistry final : public RegistryBase {
 
   // The calling thread's record, registered on first use.
   Record& local() {
-    for (const ThreadRecords::Entry& e : thread_records().entries)
-      if (e.domain_id == id()) return *static_cast<Record*>(e.record);
-    return acquire();
+    const LastRecord& last = last_record;
+    if (last.domain_id == id()) [[likely]]
+      return *static_cast<Record*>(last.record);
+    return local_slow();
   }
 
   // The registry lock: guards slots(); the domains guard their own shared
@@ -168,6 +202,18 @@ class RecordRegistry final : public RegistryBase {
   }
 
  private:
+  [[gnu::noinline]] Record& local_slow() {
+    for (const ThreadRecords::Entry& e : thread_records().entries) {
+      if (e.domain_id == id()) {
+        last_record = {id(), e.record};
+        return *static_cast<Record*>(e.record);
+      }
+    }
+    Record& rec = acquire();
+    last_record = {id(), &rec};
+    return rec;
+  }
+
   Record& acquire() {
     std::lock_guard lock(mu_);
     auto idle = std::find_if(slots_.begin(), slots_.end(),

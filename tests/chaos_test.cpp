@@ -22,10 +22,12 @@
 //     FRSkipListWhitebox.UpperKeyCopyFailureTruncatesTower.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
 #include <cstdio>
+#include <initializer_list>
 #include <new>
 #include <thread>
 #include <vector>
@@ -243,9 +245,10 @@ TEST_F(ChaosTest, SkipRCForcedFlagMarkAndUnlinkCasRetry) {
 // semantics are checked in two stages: while the victim is parked its one
 // in-flight operation may or may not have linearized (|size - net| <= 1);
 // after release and join, counts must match exactly and every invariant
-// must hold.
+// must hold. Returns whether the victim parked: a site its workload never
+// reaches leaves a plain churn run that proves nothing about the site.
 template <typename Set>
-void run_crash_site(Site site) {
+bool run_crash_site(Site site) {
   SCOPED_TRACE(chaos::site_name(site));
   chaos::reset();
   Set set;
@@ -324,57 +327,86 @@ void run_crash_site(Site site) {
   if constexpr (requires { set.validate_accounting(); }) {
     EXPECT_TRUE(set.validate_accounting());  // counted: nothing stranded
   }
+  // The epoch-reclaimed structures retire into the global domain; its
+  // counts must match what its lists hold once everyone has stopped.
+  EXPECT_TRUE(lf::reclaim::EpochDomain::global().validate_accounting());
   EXPECT_FALSE(dog.stalled());
   dog.stop();
+  return parked;
+}
+
+// A site the matrix's workload may finish without reaching, and why.
+struct MayNotPark {
+  Site site;
+  const char* why;
+};
+
+// Runs the crash scenario at every site and requires the victim to have
+// parked at each one except those listed in `may_not_park`.
+template <typename Set>
+void run_crash_matrix(std::initializer_list<Site> sites,
+                      std::initializer_list<MayNotPark> may_not_park = {}) {
+  for (Site site : sites) {
+    const bool parked = run_crash_site<Set>(site);
+    const bool excused =
+        std::any_of(may_not_park.begin(), may_not_park.end(),
+                    [site](const MayNotPark& m) { return m.site == site; });
+    if (!excused) {
+      EXPECT_TRUE(parked) << chaos::site_name(site)
+                          << ": the victim never reached the site";
+    }
+  }
 }
 
 TEST_F(ChaosTest, CrashMatrixFRList) {
-  for (Site site : {Site::kListSearchStep, Site::kListInsertCas,
-                    Site::kListFlagCas, Site::kListMarkCas,
-                    Site::kListUnlinkCas, Site::kListBacklinkStep,
-                    Site::kListHelpFlagged, Site::kListHelpMarked,
-                    Site::kListFingerValidate, Site::kListFingerFallback,
-                    Site::kListFingerReplace}) {
-    run_crash_site<lf::FRList<long, long>>(site);
-  }
+  run_crash_matrix<lf::FRList<long, long>>(
+      {Site::kListSearchStep, Site::kListInsertCas, Site::kListFlagCas,
+       Site::kListMarkCas, Site::kListUnlinkCas, Site::kListBacklinkStep,
+       Site::kListHelpFlagged, Site::kListHelpMarked,
+       Site::kListFingerValidate, Site::kListFingerFallback,
+       Site::kListFingerReplace});
 }
 
 TEST_F(ChaosTest, CrashMatrixFRSkipList) {
-  for (Site site : {Site::kSkipSearchStep, Site::kSkipInsertCas,
-                    Site::kSkipFlagCas, Site::kSkipMarkCas,
-                    Site::kSkipUnlinkCas, Site::kSkipBacklinkStep,
-                    Site::kSkipHelpFlagged, Site::kSkipHelpMarked,
-                    Site::kSkipTowerBuild}) {
-    run_crash_site<lf::FRSkipList<long, long>>(site);
-  }
+  run_crash_matrix<lf::FRSkipList<long, long>>(
+      {Site::kSkipSearchStep, Site::kSkipInsertCas, Site::kSkipFlagCas,
+       Site::kSkipMarkCas, Site::kSkipUnlinkCas, Site::kSkipBacklinkStep,
+       Site::kSkipHelpFlagged, Site::kSkipHelpMarked, Site::kSkipTowerBuild},
+      {{Site::kSkipBacklinkStep,
+        "needs a victim C&S to fail on a predecessor marked meanwhile: "
+        "parked in 1 of 30 runs"}});
 }
 
 TEST_F(ChaosTest, CrashMatrixFRListRC) {
-  for (Site site : {Site::kListSearchStep, Site::kListInsertCas,
-                    Site::kListFlagCas, Site::kListMarkCas,
-                    Site::kListUnlinkCas, Site::kListBacklinkStep,
-                    Site::kListHelpFlagged, Site::kListHelpMarked,
-                    Site::kListFingerValidate, Site::kListFingerFallback,
-                    Site::kListFingerReplace}) {
-    run_crash_site<lf::FRListRC<long, long>>(site);
-  }
+  run_crash_matrix<lf::FRListRC<long, long>>(
+      {Site::kListSearchStep, Site::kListInsertCas, Site::kListFlagCas,
+       Site::kListMarkCas, Site::kListUnlinkCas, Site::kListBacklinkStep,
+       Site::kListHelpFlagged, Site::kListHelpMarked,
+       Site::kListFingerValidate, Site::kListFingerFallback,
+       Site::kListFingerReplace},
+      {{Site::kListBacklinkStep,
+        "needs a victim C&S to fail on a predecessor marked meanwhile: "
+        "parked in 2 of 30 runs"}});
 }
 
 TEST_F(ChaosTest, CrashMatrixFRSkipListRC) {
-  for (Site site : {Site::kSkipSearchStep, Site::kSkipInsertCas,
-                    Site::kSkipFlagCas, Site::kSkipMarkCas,
-                    Site::kSkipUnlinkCas, Site::kSkipBacklinkStep,
-                    Site::kSkipHelpFlagged, Site::kSkipHelpMarked,
-                    Site::kSkipTowerBuild, Site::kSkipFingerValidate,
-                    Site::kSkipFingerFallback, Site::kSkipFingerReplace}) {
-    run_crash_site<lf::FRSkipListRC<long, long>>(site);
-  }
+  run_crash_matrix<lf::FRSkipListRC<long, long>>(
+      {Site::kSkipSearchStep, Site::kSkipInsertCas, Site::kSkipFlagCas,
+       Site::kSkipMarkCas, Site::kSkipUnlinkCas, Site::kSkipBacklinkStep,
+       Site::kSkipHelpFlagged, Site::kSkipHelpMarked, Site::kSkipTowerBuild,
+       Site::kSkipFingerValidate, Site::kSkipFingerFallback,
+       Site::kSkipFingerReplace},
+      {{Site::kSkipBacklinkStep,
+        "needs a victim C&S to fail on a predecessor marked meanwhile: "
+        "parked in 20 of 30 runs"}});
 }
 
 // Crash inside the reclaimers' entry points: survivors keep operating (the
 // epoch stops advancing, which defers reclamation but never blocks).
 TEST_F(ChaosTest, CrashInEpochRetireDoesNotBlockSurvivors) {
-  run_crash_site<lf::FRList<long, long>>(Site::kEpochRetire);
+  const bool parked =
+      run_crash_site<lf::FRList<long, long>>(Site::kEpochRetire);
+  EXPECT_TRUE(parked);
 }
 
 // ---- Stalled-thread resilience rows (DESIGN.md §11) -----------------------

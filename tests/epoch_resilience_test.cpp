@@ -111,6 +111,42 @@ TEST(EpochResilience, EjectionUnblocksEpochAndQuarantineGatesFrees) {
   EXPECT_GE(delta.quarantine_free, static_cast<std::uint64_t>(kNodes));
 }
 
+// Nodes already on a thread's ready list when a reader is ejected may still
+// be reachable by that reader if it was pinned when they were retired; the
+// budgeted free checks for an outstanding ejection first and quarantines
+// the whole list instead of running a deleter.
+TEST(EpochResilience, EjectionQuarantinesTheReadyList) {
+  EpochDomain domain;
+  domain.set_resilience(fast_resilience());
+  constexpr int kNodes = 10;
+  for (int i = 0; i < kNodes; ++i) domain.retire(new Tracked);
+  // Nobody is pinned: the advancer moves the epoch past the grace period,
+  // and this thread's next pin sweeps the buckets onto its ready list and
+  // frees one budget's worth.
+  domain.remediate_now();
+  { auto g = domain.guard(); }
+  const std::uint64_t ready = kNodes - EpochDomain::kFreeBudget;
+  ASSERT_EQ(domain.ready_count(), ready);
+  ASSERT_EQ(Tracked::live.load(), static_cast<int>(ready));
+
+  PinnedVictim victim(domain);
+  EXPECT_TRUE(domain.remediate_now());
+  ASSERT_EQ(domain.ejected_count(), 1u);
+  { auto g = domain.guard(); }  // the next budgeted free
+  EXPECT_EQ(domain.ready_count(), 0u);
+  EXPECT_EQ(domain.quarantine_depth(), ready);
+  EXPECT_EQ(Tracked::live.load(), static_cast<int>(ready));  // none freed
+  EXPECT_EQ(domain.retired_count(), ready);
+  EXPECT_TRUE(domain.validate_accounting());
+
+  victim.release();
+  victim.join();  // acknowledges: the quarantine drains
+  EXPECT_EQ(domain.quarantine_depth(), 0u);
+  EXPECT_EQ(Tracked::live.load(), 0);
+  EXPECT_EQ(domain.retired_count(), 0u);
+  EXPECT_TRUE(domain.validate_accounting());
+}
+
 TEST(EpochResilience, EjectedThreadPinsAgainCleanly) {
   EpochDomain domain;
   domain.set_resilience(fast_resilience());

@@ -1,11 +1,13 @@
 // Unit and stress tests for epoch-based reclamation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <thread>
 #include <vector>
 
+#include "lf/core/fr_skiplist.h"
 #include "lf/reclaim/epoch.h"
 
 namespace {
@@ -26,6 +28,7 @@ TEST(EpochDomain, RetireThenDrainFrees) {
   domain.retire(obj);
   EXPECT_EQ(domain.retired_count(), 1u);
   domain.drain();
+  EXPECT_TRUE(domain.validate_accounting());
   EXPECT_EQ(Tracked::live.load(), 0);
   EXPECT_EQ(domain.retired_count(), 0u);
 }
@@ -34,6 +37,7 @@ TEST(EpochDomain, ManyRetirementsAllFreed) {
   EpochDomain domain;
   for (int i = 0; i < 1000; ++i) domain.retire(new Tracked);
   domain.drain();
+  EXPECT_TRUE(domain.validate_accounting());
   EXPECT_EQ(Tracked::live.load(), 0);
   EXPECT_EQ(domain.retired_count(), 0u);
 }
@@ -55,12 +59,14 @@ TEST(EpochDomain, PinnedReaderBlocksReclamation) {
   // The reader's pin predates the retirement epoch reaching +2, so draining
   // now must NOT free the object.
   domain.drain();
+  EXPECT_TRUE(domain.validate_accounting());
   EXPECT_EQ(Tracked::live.load(), 1);
   EXPECT_EQ(domain.retired_count(), 1u);
 
   release.store(true);
   reader.join();
   domain.drain();
+  EXPECT_TRUE(domain.validate_accounting());
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 
@@ -76,6 +82,7 @@ TEST(EpochDomain, ReentrantGuards) {
     domain.retire(new Tracked);
   }
   domain.drain();
+  EXPECT_TRUE(domain.validate_accounting());
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 
@@ -88,6 +95,7 @@ TEST(EpochDomain, ExitedThreadsGarbageIsAdopted) {
   // The worker's limbo lists were orphaned to the domain at thread exit;
   // drain (from this thread) must adopt and free them.
   domain.drain();
+  EXPECT_TRUE(domain.validate_accounting());
   EXPECT_EQ(Tracked::live.load(), 0);
   EXPECT_EQ(domain.retired_count(), 0u);
 }
@@ -97,6 +105,7 @@ TEST(EpochDomain, EpochAdvancesUnderUse) {
   const auto start = domain.epoch();
   for (int i = 0; i < 500; ++i) domain.retire(new Tracked);
   domain.drain();
+  EXPECT_TRUE(domain.validate_accounting());
   EXPECT_GT(domain.epoch(), start);
 }
 
@@ -114,6 +123,7 @@ TEST(EpochDomain, IndependentDomains) {
   auto ga = a.guard();  // pinning a must not block b
   b.retire(new Tracked);
   b.drain();
+  EXPECT_TRUE(b.validate_accounting());
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 
@@ -121,7 +131,57 @@ TEST(EpochDomain, GlobalDomainUsable) {
   auto& g = EpochDomain::global();
   g.retire(new Tracked);
   g.drain();
+  EXPECT_TRUE(g.validate_accounting());
   EXPECT_EQ(Tracked::live.load(), 0);
+}
+
+// Counts are kept per slot and folded into the shared count at thread
+// exit. Threads that run one after another reuse one record, so each must
+// start from the count its predecessor folded away, not add to it.
+TEST(EpochDomain, CountsStayExactAcrossExitAndRecordReuse) {
+  EpochDomain domain;
+  std::uint64_t retired = 0;
+  for (int round = 0; round < 4; ++round) {
+    std::thread worker([&] {
+      for (int i = 0; i < 100; ++i) domain.retire(new Tracked);
+    });
+    worker.join();
+    retired += 100;
+    const std::uint64_t live = static_cast<std::uint64_t>(Tracked::live.load());
+    EXPECT_EQ(domain.retired_count(), live) << "round " << round;
+    EXPECT_LE(live, retired);
+    EXPECT_TRUE(domain.validate_accounting()) << "round " << round;
+  }
+  domain.drain();
+  EXPECT_EQ(domain.retired_count(), 0u);
+  EXPECT_EQ(Tracked::live.load(), 0);
+  EXPECT_TRUE(domain.validate_accounting());
+}
+
+// A thread that erases 10k towers while no other thread is pinned keeps
+// its ready list under the documented bound: the budgeted free drains
+// each swept bucket before the next sweep.
+TEST(EpochDomain, SoloEraserKeepsReadyListBounded) {
+  EpochDomain domain;
+  {
+    lf::FRSkipList<long, long> s{lf::reclaim::EpochReclaimer(domain)};
+    constexpr long kKeys = 10000;
+    for (long k = 0; k < kKeys; ++k) ASSERT_TRUE(s.insert(k, k));
+    std::uint64_t max_ready = 0;
+    for (long k = 0; k < kKeys; ++k) {
+      ASSERT_TRUE(s.erase(k));
+      max_ready = std::max(max_ready, domain.ready_count());
+    }
+    EXPECT_GT(max_ready, 0u);  // the budgeted free did run
+    EXPECT_LE(max_ready, EpochDomain::kSoloReadyBound);
+    // What is not freed yet sits in three limbo buckets and the ready list,
+    // at most one epoch's worth of retirements each, not the whole run.
+    EXPECT_LE(domain.retired_count(), 4 * EpochDomain::kAdvanceEvery);
+    EXPECT_TRUE(domain.validate_accounting());
+  }
+  domain.drain();
+  EXPECT_EQ(domain.retired_count(), 0u);
+  EXPECT_TRUE(domain.validate_accounting());
 }
 
 // Stress: writers continuously allocate/publish/unlink/retire while readers
@@ -172,6 +232,7 @@ TEST(EpochDomainStress, ReadersNeverSeeFreedMemory) {
   for (auto& r : readers) r.join();
   domain.retire(shared.load());
   domain.drain();
+  EXPECT_TRUE(domain.validate_accounting());
   EXPECT_GT(reads.load(), 0u);
   EXPECT_EQ(domain.retired_count(), 0u);
 }

@@ -17,6 +17,13 @@ using IntSkip = lf::FRSkipList<long, long>;
 
 constexpr int kThreads = 4;
 
+// Quiescent check of the global epoch domain these trials retire into:
+// every slot's count matches its limbo and ready lists, and the shared
+// count the orphans and the quarantine.
+void expect_epoch_accounting() {
+  EXPECT_TRUE(lf::reclaim::EpochDomain::global().validate_accounting());
+}
+
 TEST(FRSkipListConcurrent, DisjointRangeInserts) {
   IntSkip s;
   constexpr long kPerThread = 400;
@@ -32,6 +39,7 @@ TEST(FRSkipListConcurrent, DisjointRangeInserts) {
     });
   }
   for (auto& w : workers) w.join();
+  expect_epoch_accounting();
   EXPECT_EQ(s.size(), static_cast<std::size_t>(kThreads * kPerThread));
   for (long k = 0; k < kThreads * kPerThread; ++k)
     ASSERT_EQ(*s.find(k), k * 2) << k;
@@ -57,6 +65,7 @@ TEST(FRSkipListConcurrent, InterleavedAscendingLoadStaysLogarithmic) {
     });
   }
   for (auto& w : workers) w.join();
+  expect_epoch_accounting();
   const auto delta = lf::stats::aggregate() - before;
   EXPECT_EQ(delta.op_insert, static_cast<std::uint64_t>(kKeys));
   EXPECT_LE(delta.steps_per_op(), 64.0);
@@ -81,6 +90,7 @@ TEST(FRSkipListConcurrent, ExactlyOneWinnerPerContestedKey) {
     });
   }
   for (auto& w : workers) w.join();
+  expect_epoch_accounting();
   EXPECT_EQ(wins.load(), kKeys);
   EXPECT_EQ(s.size(), static_cast<std::size_t>(kKeys));
   EXPECT_TRUE(s.validate().ok);
@@ -103,6 +113,7 @@ TEST(FRSkipListConcurrent, ExactlyOneEraserPerKey) {
     });
   }
   for (auto& w : workers) w.join();
+  expect_epoch_accounting();
   EXPECT_EQ(wins.load(), kKeys);
   EXPECT_TRUE(s.empty());
   const auto rep = s.validate();
@@ -135,6 +146,7 @@ TEST(FRSkipListConcurrent, InsertEraseRaceOnSameKeys) {
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   stop.store(true, std::memory_order_release);
   for (auto& w : workers) w.join();
+  expect_epoch_accounting();
   const auto rep = s.validate();
   EXPECT_TRUE(rep.ok) << rep.error;
   EXPECT_LE(s.size(), 8u);
@@ -163,6 +175,7 @@ TEST(FRSkipListConcurrent, MixedChurnKeepsInvariants) {
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   stop.store(true, std::memory_order_release);
   for (auto& w : workers) w.join();
+  expect_epoch_accounting();
   const auto rep = s.validate();
   EXPECT_TRUE(rep.ok) << rep.error;
   // Census sanity: towers counted once, incomplete towers only from
@@ -196,6 +209,7 @@ TEST(FRSkipListConcurrent, ParallelChurnBalancesStepCounters) {
     });
   }
   for (auto& w : workers) w.join();
+  expect_epoch_accounting();
   const auto delta = lf::stats::aggregate() - before;
   const auto rep = s.validate();
   ASSERT_TRUE(rep.ok) << rep.error;
@@ -264,6 +278,7 @@ TEST(FRSkipListConcurrent, ResumedLevelsSurviveDeletedPredecessors) {
     });
   }
   for (auto& w : workers) w.join();
+  expect_epoch_accounting();
 
   const auto rep = s.validate();
   ASSERT_TRUE(rep.ok) << rep.error;
@@ -333,6 +348,7 @@ TEST(FRSkipListConcurrent, StaleHintsNeverChangeResults) {
     }
   });
   for (auto& w : workers) w.join();
+  expect_epoch_accounting();
 
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_GT(reader_rounds.load(), 0);
@@ -366,6 +382,7 @@ TEST(FRSkipListConcurrent, EpochReclamationFreesTowers) {
     ASSERT_TRUE(rep.ok) << rep.error;
     domain.drain();
     EXPECT_EQ(domain.retired_count(), 0u);
+    EXPECT_TRUE(domain.validate_accounting());
   }
 }
 
@@ -391,6 +408,7 @@ TEST(FRSkipListConcurrent, ReadersSeeOnlySaneValues) {
   });
   reader.join();
   writer.join();
+  expect_epoch_accounting();
   EXPECT_TRUE(s.validate().ok);
 }
 
@@ -415,6 +433,7 @@ TEST(FRSkipListConcurrent, SearchesDuringHeavyDeletion) {
   });
   deleter.join();
   searcher.join();
+  expect_epoch_accounting();
   EXPECT_TRUE(s.empty());
   EXPECT_TRUE(s.validate().ok);
 }

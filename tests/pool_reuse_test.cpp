@@ -73,6 +73,7 @@ void churn_and_validate() {
     EXPECT_TRUE(rep.ok) << rep.error;
     domain.drain();
     EXPECT_EQ(domain.retired_count(), 0u);
+    EXPECT_TRUE(domain.validate_accounting());
   }
   // The churn must have actually exercised the recycle path, or this test
   // proves nothing about reuse.

@@ -169,6 +169,55 @@ TEST(Pool, AdoptStalledReclaimsAParkedThreadsCache) {
   worker.join();
 }
 
+TEST(Pool, TotalsStayExactAcrossThreadExits) {
+  // Each thread counts in its own cache and folds its counts into the
+  // shared ones at exit. A total read while a worker is alive and one read
+  // after it exits must agree: the fold neither drops nor double-counts.
+  // Later workers recycle what earlier ones donated.
+  constexpr std::size_t kBytes = 2 * kGranule;
+  constexpr int kRounds = 4;
+  constexpr std::uint64_t kN = 100;
+  const PoolTotals before = pool_totals();
+  for (int round = 1; round <= kRounds; ++round) {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool idle = false, release = false;
+    std::thread worker([&] {
+      std::vector<void*> blocks;
+      for (std::uint64_t i = 0; i < kN; ++i)
+        blocks.push_back(pool_allocate(kBytes));
+      for (void* p : blocks) pool_deallocate(p, kBytes);
+      std::unique_lock lk(mu);
+      idle = true;
+      cv.notify_all();
+      cv.wait(lk, [&] { return release; });
+    });
+    {
+      std::unique_lock lk(mu);
+      cv.wait(lk, [&] { return idle; });
+    }
+    const PoolTotals alive = pool_totals() - before;
+    {
+      std::lock_guard lk(mu);
+      release = true;
+      cv.notify_all();
+    }
+    worker.join();
+    const PoolTotals exited = pool_totals() - before;
+    const std::uint64_t n = round * kN;
+    for (const PoolTotals& d : {alive, exited}) {
+      EXPECT_EQ(d.requests, n) << "round " << round;
+      EXPECT_EQ(d.freed_blocks, n) << "round " << round;
+      EXPECT_EQ(d.fresh_blocks + d.recycled_blocks, n) << "round " << round;
+    }
+    EXPECT_EQ(alive.fresh_blocks, exited.fresh_blocks);
+    EXPECT_EQ(alive.recycled_blocks, exited.recycled_blocks);
+    if (round > 1) {  // the previous worker's donation came back
+      EXPECT_GE(exited.recycled_blocks, (round - 1) * kN);
+    }
+  }
+}
+
 TEST(Pool, CrossThreadFreeMigratesOwnership) {
   // Blocks allocated here but freed on another thread belong to that thread
   // afterwards; when it exits they reach the shared pool and flow back.

@@ -127,6 +127,38 @@ TEST(RecordRegistry, SequentialThreadsShareOneRecord) {
   for (TestRecord* r : seen) EXPECT_EQ(r, rec);
 }
 
+// Destroyed after a thread's ThreadRecords when touched before it, so its
+// destructor sees the lookup cache as the thread's exit leaves it.
+struct CacheProbe {
+  lf::reclaim::detail::LastRecord* seen = nullptr;
+  ~CacheProbe() {
+    if (seen != nullptr) *seen = lf::reclaim::detail::last_record;
+  }
+};
+thread_local CacheProbe cache_probe;
+
+TEST(RecordRegistry, LookupCacheIsEmptiedAtThreadExit) {
+  TestOwner owner;
+  TestRegistry registry(owner);
+  lf::reclaim::detail::LastRecord during{0, nullptr}, after{1, &owner};
+  TestRecord* rec = nullptr;
+  std::thread t([&] {
+    cache_probe.seen = &after;  // constructed before ThreadRecords
+    rec = &registry.local();
+    during = lf::reclaim::detail::last_record;
+    EXPECT_EQ(&registry.local(), rec);  // served from the cache
+  });
+  t.join();
+  EXPECT_EQ(during.domain_id, registry.id());
+  EXPECT_EQ(during.record, rec);
+  // ~ThreadRecords handed the record back, so it may be reused by another
+  // thread: the cache must not keep pointing at it.
+  EXPECT_EQ(after.domain_id, 0u);
+  EXPECT_EQ(after.record, nullptr);
+  std::lock_guard lock(registry.mutex());
+  EXPECT_FALSE(registry.slots()[0].in_use());
+}
+
 TEST(RecordRegistry, ConcurrentThreadsGetDistinctRecords) {
   constexpr int kThreads = 4;
   TestOwner owner;
