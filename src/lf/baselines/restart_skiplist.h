@@ -101,7 +101,8 @@ class RestartSkipList {
       stats::tls().op_insert.inc();
       return false;  // duplicate detected before allocating: zero allocs
     }
-    const int h = tls_rng().tower_height(kMaxLevel);
+    const int h = thread_ordinal_rng<RestartSkipList>(0xd1b54a32d192ed03ULL)
+                      .tower_height(kMaxLevel);
     Node* node = new Node(Node::Kind::kInterior, h, k, std::move(value));
     for (;;) {
       for (int lv = 0; lv < h; ++lv)
@@ -233,16 +234,6 @@ class RestartSkipList {
   }
 
  private:
-  // Seeded by thread ordinal, as FRSkipList::tls_rng is, so 1-thread
-  // runs build the same towers in every process.
-  static Xoshiro256& tls_rng() {
-    static std::atomic<std::uint64_t> next_ordinal{0};
-    thread_local Xoshiro256 rng(
-        0xd1b54a32d192ed03ULL ^
-        next_ordinal.fetch_add(1, std::memory_order_relaxed));
-    return rng;
-  }
-
   void register_allocation(Node* node) const {
     Node* old = alloc_head_.load(std::memory_order_relaxed);
     do {

@@ -56,7 +56,8 @@ class RWLockSkipList {
     Node* curr = locate(k, preds);
     bool inserted = false;
     if (curr == nullptr || comp_(k, curr->key)) {
-      const int h = tls_rng().tower_height(kMaxLevel);
+      const int h = thread_ordinal_rng<RWLockSkipList>(0x94d049bb133111ebULL)
+                        .tower_height(kMaxLevel);
       Node* node = new Node(h, k, std::move(value));
       for (int lv = 0; lv < h; ++lv) {
         node->next[lv] = next_of(preds[lv], lv);
@@ -129,15 +130,6 @@ class RWLockSkipList {
         : height(h), key(std::move(key_arg)), value(std::move(value_arg)) {}
   };
 
-  // Seeded by thread ordinal, as FRSkipList::tls_rng is, so 1-thread
-  // runs build the same towers in every process.
-  static Xoshiro256& tls_rng() {
-    static std::atomic<std::uint64_t> next_ordinal{0};
-    thread_local Xoshiro256 rng(
-        0x94d049bb133111ebULL ^
-        next_ordinal.fetch_add(1, std::memory_order_relaxed));
-    return rng;
-  }
 
   Node* next_of(Node* n, int lv) const { return n->next[lv]; }
   void set_next(Node* n, int lv, Node* to) const { n->next[lv] = to; }

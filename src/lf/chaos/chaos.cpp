@@ -81,6 +81,16 @@ bool take_one(std::atomic<std::uint64_t>& c) noexcept {
   return false;
 }
 
+// take_one that is true only for the call taking c from 1 to 0: the
+// nth_hit-th visit of an armed crash.
+bool take_last(std::atomic<std::uint64_t>& c) noexcept {
+  std::uint64_t v = c.load(std::memory_order_relaxed);
+  while (v > 0 &&
+         !c.compare_exchange_weak(v, v - 1, std::memory_order_acq_rel)) {
+  }
+  return v == 1;
+}
+
 struct Controller {
   // -- statistics --
   std::atomic<std::uint64_t> hits[kSiteCount] = {};
@@ -98,8 +108,9 @@ struct Controller {
   std::atomic<std::uint64_t> crash_countdown{0};
   std::mutex park_mu;
   std::condition_variable park_cv;
-  bool park_release = false;   // guarded by park_mu
-  bool victim_parked = false;  // guarded by park_mu
+  std::uint64_t releases = 0;    // release_parked() calls; guarded by park_mu
+  std::uint64_t park_round = 0;  // `releases` when the victim last parked
+  bool victim_parked = false;    // guarded by park_mu
   int victim_tag = -1;         // guarded by park_mu
 
   // -- mode 1: scheduling --
@@ -145,11 +156,13 @@ ThreadState& tls() {
 void park(ThreadState& t) {
   Controller& c = ctl();
   std::unique_lock lock(c.park_mu);
+  const std::uint64_t round = c.releases;
   t.parked.store(true, std::memory_order_release);
   c.victim_parked = true;
+  c.park_round = round;
   c.victim_tag = t.tag.load(std::memory_order_relaxed);
   c.park_cv.notify_all();
-  c.park_cv.wait(lock, [&] { return c.park_release; });
+  c.park_cv.wait(lock, [&] { return c.releases != round; });
   c.victim_parked = false;
   t.parked.store(false, std::memory_order_release);
   c.park_cv.notify_all();
@@ -243,11 +256,6 @@ void arm_cas_failure_pattern(Site site, std::uint32_t fail,
 
 void arm_crash(Site site, std::uint64_t nth_hit) {
   Controller& c = ctl();
-  {
-    std::lock_guard lock(c.park_mu);
-    c.park_release = false;
-    c.victim_tag = -1;
-  }
   c.crash_countdown.store(nth_hit == 0 ? 1 : nth_hit,
                           std::memory_order_relaxed);
   c.crash_site.store(static_cast<int>(site), std::memory_order_release);
@@ -274,11 +282,13 @@ bool wait_parked(std::chrono::milliseconds timeout) {
 void release_parked() {
   Controller& c = ctl();
   std::unique_lock lock(c.park_mu);
-  c.park_release = true;
+  const std::uint64_t round = ++c.releases;
   c.park_cv.notify_all();
   // Wait until the victim actually leaves the parking lot, so callers can
-  // join it (or re-arm a crash) immediately afterwards.
-  c.park_cv.wait(lock, [&] { return !c.victim_parked; });
+  // join it (or re-arm a crash) immediately afterwards — or until it has
+  // parked again, at a site armed while it was parked.
+  c.park_cv.wait(lock,
+                 [&] { return !c.victim_parked || c.park_round == round; });
 }
 
 void arm_alloc_failure(std::uint64_t nth_request) {
@@ -351,7 +361,7 @@ void point(Site site) {
   if (c.crash_site.load(std::memory_order_acquire) == i &&
       t.role.load(std::memory_order_relaxed) ==
           static_cast<int>(Role::kVictim) &&
-      take_one(c.crash_countdown)) {
+      take_last(c.crash_countdown)) {
     park(t);
   }
   if (c.sched_on.load(std::memory_order_acquire)) {

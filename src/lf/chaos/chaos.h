@@ -153,6 +153,8 @@ void arm_cas_failure_pattern(Site site, std::uint32_t fail,
 
 // Mode 3: crash-thread. The victim-role thread making the `nth_hit`-th
 // victim-role visit (1-based) to `site` parks until release_parked().
+// Arming while a victim is parked arms its next stop: release_parked()
+// returns once the released victim has left or has parked there.
 void arm_crash(Site site, std::uint64_t nth_hit);
 bool parked() noexcept;            // is a victim currently parked?
 int parked_tag() noexcept;         // its set_thread_tag value; -1 if none

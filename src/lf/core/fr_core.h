@@ -80,7 +80,8 @@ inline constexpr Sites kSkipSites{
 //     level with n1.key <= k < n2.key (Closed) or n1.key < k <= n2.key
 //     (!Closed). try_flag and the insert step relocate through it. The
 //     default is SearchFrom (the lists); the skip lists shadow it with
-//     SearchRight, which also deletes superfluous tower nodes.
+//     SearchRight (fr::SkipCore, fr_skip_core.h), which also deletes
+//     superfluous tower nodes.
 //   void on_unlinked(Node* del) const;
 //     called once, by the thread whose C&S physically deleted del (FRList
 //     retires del; FRSkipList drops one reference on del's tower; rc::Core
@@ -109,6 +110,7 @@ template <typename Derived, typename Node, typename Key, typename Compare,
 class Core {
  public:
   using View = sync::SuccView<Node>;
+  using node_type = Node;
 
   enum class FlagStatus { kIn, kDeleted };
   enum class InsertResult { kInserted, kDuplicate };

@@ -10,12 +10,12 @@
 // fr::Core's (fr_core.h), which this class derives from: it shadows only
 // the reference points listed there with their counted versions, and adds
 // the count word, the type-stable arena and its free list. A structure
-// keeps only what differs: its searches, its finger entry, and (for the
-// skip list) tower building and the cleanup descent.
+// keeps only what differs: its node's extra links, its finger and FRListRC
+// its search (FRSkipListRC's are fr::SkipCore's, fr_skip_core.h).
 //
 // Scheme:
 //   * A node's count = (# succ/backlink fields storing a pointer to it)
-//     + (# other counted links the node type owns: the skip list's `down`
+//     + (# other counted links the node type owns: the skip list's `below`
 //     and `tower_root`) + (# live thread-held references) + (in-flight
 //     SafeRead ghost pairs).
 //   * SafeRead(field): read pointer, increment its count, re-validate the

@@ -1,0 +1,433 @@
+// The skip-list layer of FRSkipList and FRSkipListRC, written once:
+// SearchRight, SearchToLevel_SL, Insert_SL, Delete_SL and Search_SL
+// (Section 4). As Section 5 notes, Valois's counting applies to the skip
+// list unchanged, so SkipCore<Derived, Base> runs over Base = fr::Core
+// (FRSkipList) or rc::Core (FRSkipListRC) and reaches the reference points
+// through derived(): under counting every node it holds is a counted
+// reference; without, acquire/release inline away.
+//
+// Derived befriends this class and supplies head(v), Node::root(),
+// Node::down(), Node::kHinted (the successor-key hint `next_key`),
+// kHeightSalt (its height rng's salt) and the tower hooks: make_root(kind,
+// k, value, height), a never-published root held by the builder (may throw
+// std::bad_alloc); discard_root(root), freeing one; grow_tower(root, below,
+// k, v), the level-v node above `below`, held in its place (nullptr stops
+// the build, `below` stays held); abandon_upper(root, node) for a
+// never-linked upper node. It may shadow guard() (the operation's
+// reclamation guard) and finger_start() / save_finger() (RC's finger).
+#pragma once
+
+#include <algorithm>
+#include <atomic>
+#include <cassert>
+#include <new>
+#include <optional>
+#include <tuple>
+#include <utility>
+
+#include "lf/chaos/chaos.h"
+#include "lf/core/key_order.h"
+#include "lf/instrument/counters.h"
+#include "lf/util/prefetch.h"
+#include "lf/util/random.h"
+
+namespace lf::fr {
+
+template <typename Derived, typename Base>
+class SkipCore : public Base {
+ public:
+  using Node = typename Base::node_type;
+  using Key = decltype(Node::key);
+  using T = decltype(Node::value);
+
+  // Levels, counting level 1 (the list of every key). Towers occupy levels
+  // 1..kMaxTowerHeight; the head reaches one level higher, so the top level
+  // is always an empty express lane and erase's cleanup starts above every
+  // tower.
+  static constexpr int kMaxLevel = 24;
+  static constexpr int kMaxTowerHeight = kMaxLevel - 1;
+
+  using Base::Base;
+
+  // ---- Dictionary operations (Insert_SL / Delete_SL / Search_SL) -------
+
+  // insert_checked distinguishes "key already present" from "allocation
+  // failed". A std::bad_alloc while making the root is absorbed before
+  // anything is linked; one while making an upper node truncates the
+  // tower, but the root IS in, so the insert still succeeded.
+  enum class InsertStatus { kInserted, kDuplicate, kNoMemory };
+
+  bool insert(const Key& k, T value) {
+    return insert_checked(k, std::move(value)) == InsertStatus::kInserted;
+  }
+
+  InsertStatus insert_checked(const Key& k, T value) {
+    return insert_impl(k, std::move(value),
+                       height_rng().tower_height(kMaxTowerHeight));
+  }
+
+  // Test hook: insert with a chosen tower height instead of coin flips, so
+  // tests can target a specific upper level.
+  InsertStatus insert_with_height(const Key& k, T value, int tower_height) {
+    assert(tower_height >= 1 && tower_height <= kMaxTowerHeight);
+    return insert_impl(k, std::move(value), tower_height);
+  }
+
+  bool erase(const Key& k) {
+    [[maybe_unused]] auto guard = derived().guard();
+    // prev.key < k <= del.key on level 1.
+    Preds preds;
+    auto [prev, del] = search_to_level<false>(k, preds);
+    const bool erased = node_eq(del, k, comp_) && this->delete_node(prev, del);
+    derived().release(prev);
+    derived().release(del);
+    if (erased) {
+      // Delete_SL: sweep the levels a second descent from the head would
+      // cover, top-down, to physically delete the rest of the now-
+      // superfluous tower. Each level resumes from the first descent's
+      // predecessor instead of from the head. The top hint never falls, so
+      // the sweep takes over every recorded level.
+      for (int v = descent_top(2); v > 2; --v)
+        release_pair(resume<false>(preds, k, v));
+      release_pair(resume<true>(preds, k, 2));
+    } else {
+      release_preds(preds, 2);
+    }
+    stats::tls().op_erase.inc();
+    return erased;
+  }
+
+  std::optional<T> find(const Key& k) const {
+    [[maybe_unused]] auto guard = derived().guard();
+    auto [curr, next] = search_to_level<true>(k, 1);
+    std::optional<T> out;
+    if (node_eq(curr, k, comp_)) out.emplace(curr->value);
+    derived().release(curr);
+    derived().release(next);
+    stats::tls().op_search.inc();
+    return out;
+  }
+
+  bool contains(const Key& k) const {
+    [[maybe_unused]] auto guard = derived().guard();
+    auto [curr, next] = search_to_level<true>(k, 1);
+    const bool found = node_eq(curr, k, comp_);
+    derived().release(curr);
+    derived().release(next);
+    stats::tls().op_search.inc();
+    return found;
+  }
+
+  int top_level_hint() const noexcept {
+    return top_hint_.load(std::memory_order_relaxed);
+  }
+
+  // Quiescent check of INV 1-5 on every level (fr::Core::validate_level)
+  // and of the towers: no superfluous node (root marked) is linked, an upper
+  // node's down() has its key, and check(n, v) (the structure's own checks,
+  // down() one level lower among them) passes. Counts all levels' nodes.
+  template <typename Check>
+  typename Base::ValidationReport validate_towers(Check&& check) const {
+    typename Base::ValidationReport rep;
+    for (int v = 1; v <= kMaxLevel; ++v) {
+      auto tower_error = [&](const Node* n) -> const char* {
+        if (const char* error = check(n, v)) return error;
+        if (n->root()->succ.load().mark)
+          return "superfluous node linked at quiescence";
+        if (v > 1 && !node_eq(n->down(), n->key, comp_))
+          return "tower keys differ across levels";
+        return nullptr;
+      };
+      if (!this->validate_level(derived().head(v), rep, tower_error)) break;
+    }
+    return rep;
+  }
+
+  // Hook defaults. No reclamation guard (counted nodes need none).
+  struct NoGuard {};
+  NoGuard guard() const { return {}; }
+
+  // No finger: every descent starts at the head. A finger returns a held
+  // node with key < k (or <= k on level 1) on a level >= v, and that level.
+  std::pair<Node*, int> finger_start(const Key&, int) const {
+    return {nullptr, 0};
+  }
+  void save_finger(int, Node*, Node*) const {}
+
+  // ---- SearchRight ---------------------------------------------------------
+  //
+  // SearchFrom (Figure 3) on one level, with the Section 4 addition:
+  // "SearchRight deletes the superfluous nodes along its way, performing
+  // all three deletion steps if necessary, whereas SearchFrom physically
+  // deletes only those nodes that are already logically deleted." It is
+  // fr::Core's search_right for both skip lists. Consumes the reference on
+  // curr and returns held nodes.
+  //
+  // With Hinted, the search first asks each curr's successor-key hint:
+  // if k < hint, it stops at curr without loading the successor and
+  // returns (curr, nullptr). Only the descent above level 1 passes it.
+  //
+  // Forced inline: left to its heuristics GCC outlines the descent's
+  // search_right<false> from search_to_level<true>, which costs find ~10%
+  // (EXPERIMENTS.md E11).
+  template <bool Closed, bool Hinted = false>
+  [[gnu::always_inline]] std::pair<Node*, Node*> search_right(
+      const Key& k, Node* curr) const {
+    auto& c = stats::tls();
+    auto advances = [&](const Node* n) {
+      return Closed ? node_le(n, k, comp_) : node_lt(n, k, comp_);
+    };
+    auto hint_stops = [&](const Node* n) {
+      if constexpr (Hinted) {
+        return comp_(k, n->next_key.load(std::memory_order_relaxed));
+      } else {
+        return false;
+      }
+    };
+    if (hint_stops(curr)) return {curr, nullptr};
+    Node* next = derived().safe_read_succ(curr);
+    LF_PREFETCH(next);
+    for (;;) {
+      // Delete every superfluous tower node on the search path (root
+      // marked). The trigger is key <= k in BOTH search modes: a strict
+      // (k - eps) search never steps INTO a node with key == k, but the
+      // erase cleanup descends with exactly that key and must still remove
+      // the tower's upper nodes, and removal never moves curr rightward,
+      // so the postcondition of either mode is preserved.
+      while (next->kind == Node::Kind::kInterior && node_le(next, k, comp_) &&
+             next->root()->succ.load().mark) {
+        auto [new_curr, status, won] = this->try_flag(curr, next);
+        curr = new_curr;
+        if (status == Base::FlagStatus::kIn) this->help_flagged(curr, next);
+        derived().release(next);
+        next = derived().safe_read_succ(curr);
+        LF_PREFETCH(next);
+        c.next_update.inc();
+      }
+      if (!advances(next)) break;
+      LF_CHAOS_POINT(kSkipSearchStep);
+      derived().release(curr);
+      curr = next;  // the reference moves with it
+      c.curr_update.inc();
+      if (hint_stops(curr)) return {curr, nullptr};
+      // The hop is a dependent-load chain; start pulling in the next node's
+      // line while this iteration finishes its key compare (util/prefetch.h).
+      next = derived().safe_read_succ(curr);
+      LF_PREFETCH(next);
+    }
+    return {curr, next};
+  }
+
+ protected:
+  using Base::comp_;
+  using Base::derived;
+
+  // The nodes an update's first descent stepped down from (the `preds` of
+  // Herlihy and Shavit's skip-list find): at[v] is level v's last node
+  // with key < k, for v = 2..top, and next[v] its successor then (nullptr
+  // where a successor-key hint stopped the search). Levels above top were
+  // not visited. Only levels 2..top are ever read, and the descent writes
+  // exactly those, so the arrays are deliberately left uninitialized:
+  // zeroing them on every update measurably slowed small_read's update
+  // p50. Under counting each recorded node is held until resume takes it
+  // or release_preds drops it.
+  struct Preds {
+    Node* at[kMaxLevel + 1];
+    Node* next[kMaxLevel + 1];
+    int top = 1;
+  };
+
+  // ---- SearchToLevel_SL ----------------------------------------------------
+  //
+  // Descends to level v, traversing each level above v with the hinted
+  // SearchRight and level v with the plain one; returns held consecutive
+  // (n1, n2) on level v with n1.key <= k < n2.key (Closed) or
+  // n1.key < k <= n2.key (!Closed). It starts at the finger when one
+  // holds, else at the head just above the tallest live tower.
+  //
+  // Kept out of line: with the updates on the recording overload below,
+  // only the read paths call it, and GCC would inline it into them and
+  // change the read path's code.
+  template <bool Closed>
+  [[gnu::noinline]] std::pair<Node*, Node*> search_to_level(const Key& k,
+                                                            int v) const {
+    return descend<Closed>(k, v, nullptr);
+  }
+
+  // search_to_level(k, 1) that records its path in preds. Only the update
+  // paths use it; find, contains and ranges keep the plain descent.
+  template <bool Closed>
+  [[gnu::always_inline]] std::pair<Node*, Node*> search_to_level(
+      const Key& k, Preds& preds) const {
+    return descend<Closed>(k, 1, &preds);
+  }
+
+  // Level v's search result after a recording descent: the recorded pair
+  // while it is still linked, unmarked and brackets k (nothing can lie
+  // between); else SearchRight from the recorded predecessor, walked left
+  // off any mark; above the recorded levels, a plain descent to v.
+  // SearchRight is correct from any node of level v with key < k, and
+  // backlinks lead to such a node (DESIGN.md §2, "Deviation: updates
+  // descend once"). Takes over the references preds held on level v; under
+  // counting the kept pair saves a SafeRead and its release.
+  template <bool Closed>
+  [[gnu::always_inline]] std::pair<Node*, Node*> resume(Preds& preds,
+                                                        const Key& k,
+                                                        int v) const {
+    if (v > preds.top) return search_to_level<Closed>(k, v);
+    Node* pred = preds.at[v];
+    Node* succ = preds.next[v];
+    if (succ != nullptr && !node_le(succ, k, comp_) &&
+        pred->succ.load() == typename Base::View{succ, false, false})
+      return {pred, succ};
+    derived().release(succ);
+    this->walk_backlinks(pred);
+    return search_right<Closed>(k, pred);
+  }
+
+  // Drops the references preds still holds, on levels lo..top.
+  void release_preds(const Preds& preds, int lo) const {
+    for (int v = lo; v <= preds.top; ++v)
+      release_pair({preds.at[v], preds.next[v]});
+  }
+
+  // The level a head descent to level v starts at: just above the tallest
+  // live tower, and not below v.
+  int descent_top(int v) const noexcept {
+    return std::max(
+        std::min(top_hint_.load(std::memory_order_relaxed) + 1, kMaxLevel), v);
+  }
+
+ private:
+  // Insert_SL with an explicit tower height (public insert draws it from
+  // the coin-flip rng; tests may pin it).
+  InsertStatus insert_impl(const Key& k, T value, const int tower_height) {
+    [[maybe_unused]] auto guard = derived().guard();
+    Preds preds;
+    auto [prev, next] = search_to_level<true>(k, preds);
+    // Early returns: folding them into the build loop's exit measurably
+    // slowed churn's updates.
+    if (node_eq(prev, k, comp_))  // DUPLICATE_KEY
+      return end_unlinked(InsertStatus::kDuplicate, prev, next, preds);
+    Node* root = nullptr;
+    try {
+      root = derived().make_root(Node::Kind::kInterior, k, std::move(value),
+                                 tower_height);
+    } catch (const std::bad_alloc&) {  // nothing linked, nothing leaked
+      return end_unlinked(InsertStatus::kNoMemory, prev, next, preds);
+    }
+    Node* node = root;  // the node being linked; the builder holds it
+    int curr_v = 1;     // its level, the highest level resumed so far
+    for (;;) {
+      auto [new_prev, result] = this->insert_node(node, prev, next);
+      derived().release(prev);
+      derived().release(next);
+      prev = new_prev;
+      next = nullptr;
+      if (result == Base::InsertResult::kDuplicate) {
+        if (curr_v == 1) {
+          derived().discard_root(root);  // never published
+          return end_unlinked(InsertStatus::kDuplicate, prev, nullptr, preds);
+        }
+        // A same-key tower exists at an upper level: only possible after
+        // our root was deleted and the key reinserted. Stop building.
+        derived().abandon_upper(root, node);
+        node = nullptr;
+        break;
+      }
+      // Reading root is safe: the builder holds node, and node == root or
+      // node's tower keeps root alive.
+      if (root->succ.load().mark) {
+        // Construction interrupted by a deletion of our root (Section 4).
+        // Remove the node we just linked above the (now superfluous) tower,
+        // then finish: the root WAS inserted, so we report success.
+        if (node != root) this->delete_node(prev, node);
+        break;
+      }
+      raise_top_hint(curr_v);
+      if (curr_v == tower_height) break;  // tower complete
+      LF_CHAOS_POINT(kSkipTowerBuild);
+      Node* upper = derived().grow_tower(root, node, k, curr_v + 1);
+      if (upper == nullptr) break;  // truncated tower, still valid
+      node = upper;
+      ++curr_v;
+      derived().release(prev);
+      std::tie(prev, next) = resume<true>(preds, k, curr_v);
+    }
+    derived().release(prev);
+    derived().release(next);
+    derived().release(node);
+    release_preds(preds, curr_v + 1);
+    stats::tls().op_insert.inc();
+    return InsertStatus::kInserted;
+  }
+
+  // Ends an insert that linked nothing: drops what it holds.
+  InsertStatus end_unlinked(InsertStatus status, Node* prev, Node* next,
+                            const Preds& preds) const {
+    derived().release(prev);
+    derived().release(next);
+    release_preds(preds, 2);
+    stats::tls().op_insert.inc();
+    return status;
+  }
+
+  void release_pair(std::pair<Node*, Node*> p) const {
+    derived().release(p.first);
+    derived().release(p.second);
+  }
+
+  // The descent behind both search_to_level overloads; with preds, it
+  // records the node it stepped down from on each level.
+  template <bool Closed>
+  [[gnu::always_inline]] std::pair<Node*, Node*> descend(const Key& k, int v,
+                                                         Preds* preds) const {
+    Node* curr = nullptr;
+    int curr_v = 0;
+    // Only closed searches (insert, find) enter at a finger. Erase descends
+    // from the head: its cleanup sweeps above the tower, and a descent
+    // entered low would leave those levels to a plain descent each.
+    if constexpr (Closed) std::tie(curr, curr_v) = derived().finger_start(k, v);
+    if (curr == nullptr) {
+      curr_v = descent_top(v);
+      curr = derived().acquire(derived().head(curr_v));
+    }
+    if (preds != nullptr) preds->top = curr_v;
+    while (curr_v > v) {
+      auto [pred, succ] = search_right<false, Node::kHinted>(k, curr);
+      derived().save_finger(curr_v, pred, succ);
+      // pred's down link keeps its target alive while pred is held.
+      curr = derived().acquire(pred->down());
+      if (preds != nullptr) {
+        preds->at[curr_v] = pred;
+        preds->next[curr_v] = succ;
+      } else {
+        derived().release(succ);
+        derived().release(pred);
+      }
+      --curr_v;
+    }
+    auto out = search_right<Closed>(k, curr);
+    derived().save_finger(v, out.first, out.second);
+    return out;
+  }
+
+  void raise_top_hint(int level) const noexcept {
+    int top = top_hint_.load(std::memory_order_relaxed);
+    while (top < level && !top_hint_.compare_exchange_weak(
+                              top, level, std::memory_order_relaxed)) {
+    }
+  }
+
+  // Tower heights, drawn per thread; seeded by thread ordinal so 1-thread
+  // runs build the same towers in every process (util/random.h).
+  static Xoshiro256& height_rng() {
+    return thread_ordinal_rng<Derived>(Derived::kHeightSalt);
+  }
+
+  // A top-level hint makes descents start just above the tallest live
+  // tower, which is what the paper's adaptive head bought.
+  mutable std::atomic<int> top_hint_{1};
+};
+
+}  // namespace lf::fr

@@ -51,6 +51,10 @@
 //     Figures 3-5 they are explicitly built from, which live in fr_core.h
 //     and are the ones FRList runs.
 //
+// The skip-list routines are fr::SkipCore's (fr_skip_core.h), shared with
+// FRSkipListRC. This file keeps only the tower block, the tower_alive
+// references, the successor-key hint hooks, validate, census and ranges.
+//
 // Memory layout: each tower is ONE contiguous 64-byte-aligned block from
 // the per-thread pool (mem/pool.h), with the root at slot 0 and level v at
 // slot v-1. The root's hot fields (succ, key) sit in the block's first
@@ -62,30 +66,24 @@
 // records the per-level chained and global-heap placements this replaced.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
 #include <new>
 #include <optional>
-#include <tuple>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "lf/chaos/chaos.h"
 #include "lf/core/fr_core.h"
-#include "lf/instrument/counters.h"
+#include "lf/core/fr_skip_core.h"
 #include "lf/mem/pool.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/reclaimer.h"
 #include "lf/sync/succ_field.h"
-#include "lf/util/prefetch.h"
-#include "lf/util/random.h"
 
 namespace lf {
 
@@ -192,11 +190,10 @@ static_assert(sizeof(TowerNode<std::uint64_t, std::uint64_t>) == 64);
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
           typename Reclaimer = reclaim::EpochReclaimer>
 class FRSkipList
-    : private fr::Core<FRSkipList<Key, T, Compare, Reclaimer>,
-                       fr::TowerNode<Key, T>, Key, Compare, fr::kSkipSites> {
-  // Levels, counting level 1 (the list of every key).
-  static constexpr int kMaxLevel = 24;
-
+    : private fr::SkipCore<
+          FRSkipList<Key, T, Compare, Reclaimer>,
+          fr::Core<FRSkipList<Key, T, Compare, Reclaimer>,
+                   fr::TowerNode<Key, T>, Key, Compare, fr::kSkipSites>> {
  public:
   using key_type = Key;
   using mapped_type = T;
@@ -205,30 +202,31 @@ class FRSkipList
 
  private:
   using Core = fr::Core<FRSkipList, Node, Key, Compare, fr::kSkipSites>;
+  using Skip = fr::SkipCore<FRSkipList, Core>;
   using View = typename Core::View;
-  using FlagStatus = typename Core::FlagStatus;
-  using InsertResult = typename Core::InsertResult;
   friend Core;
+  friend Skip;
 
   using Core::comp_;
-  using Core::delete_node;
-  using Core::help_flagged;
-  using Core::insert_node;
-  using Core::try_flag;
-  using Core::walk_backlinks;
+  using Skip::kMaxLevel;
 
  public:
   using typename Core::ValidationReport;
-
-  // Towers occupy levels 1..kMaxTowerHeight; the head reaches one level
-  // higher so the top level is always an empty express lane.
-  static constexpr int kMaxTowerHeight = kMaxLevel - 1;
+  using typename Skip::InsertStatus;
+  using Skip::contains;
+  using Skip::erase;
+  using Skip::find;
+  using Skip::insert;
+  using Skip::insert_checked;
+  using Skip::insert_with_height;
+  using Skip::kMaxTowerHeight;
+  using Skip::top_level_hint;
 
   FRSkipList() : FRSkipList(Compare{}, Reclaimer{}) {}
   explicit FRSkipList(Reclaimer reclaimer)
       : FRSkipList(Compare{}, std::move(reclaimer)) {}
   FRSkipList(Compare comp, Reclaimer reclaimer)
-      : Core(std::move(comp)), reclaimer_(std::move(reclaimer)) {
+      : Skip(std::move(comp)), reclaimer_(std::move(reclaimer)) {
     // The sentinels are tower blocks too: the tail one slot, the head
     // kMaxLevel slots with head(v) at slot v-1, so down() descends it like
     // any tower.
@@ -241,7 +239,6 @@ class FRSkipList
       head(v)->succ.store_unsynchronized(View{tail_, false, false});
       on_right_changed(head(v), false);
     }
-    top_hint_.store(1, std::memory_order_relaxed);
   }
 
   // Destruction requires quiescence. Each level-1 node is a tower root
@@ -259,68 +256,6 @@ class FRSkipList
 
   FRSkipList(const FRSkipList&) = delete;
   FRSkipList& operator=(const FRSkipList&) = delete;
-
-  // ---- Dictionary operations (Insert_SL / Delete_SL / Search_SL) -------
-
-  // insert_checked distinguishes "key already present" from "allocation
-  // failed". A std::bad_alloc while making the root (the block, or the
-  // root's copy of the key) is absorbed before anything is linked; one
-  // while constructing an upper node truncates the tower but the root IS
-  // in, so the insert still succeeded.
-  enum class InsertStatus { kInserted, kDuplicate, kNoMemory };
-
-  bool insert(const Key& k, T value) {
-    return insert_checked(k, std::move(value)) == InsertStatus::kInserted;
-  }
-
-  InsertStatus insert_checked(const Key& k, T value) {
-    return insert_impl(k, std::move(value),
-                       tls_rng().tower_height(kMaxTowerHeight));
-  }
-
-  // Test hook: insert with a chosen tower height instead of coin flips, so
-  // fault-injection tests can target a specific upper level.
-  InsertStatus insert_with_height(const Key& k, T value, int tower_height) {
-    assert(tower_height >= 1 && tower_height <= kMaxTowerHeight);
-    return insert_impl(k, std::move(value), tower_height);
-  }
-
-  bool erase(const Key& k) {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    // prev.key < k <= del.key on level 1.
-    Preds preds;
-    auto [prev, del] = search_to_level<false>(k, preds);
-    const bool erased = node_eq(del, k, comp_) && delete_node(prev, del);
-    if (erased) {
-      // Delete_SL: sweep the levels a second descent from the head would
-      // cover, top-down, to physically delete the rest of the now-
-      // superfluous tower. Each level resumes from the first descent's
-      // predecessor instead of from the head.
-      for (int v = descent_top(); v > 2; --v)
-        search_right<false>(k, resume(preds, v));
-      search_right<true>(k, resume(preds, 2));
-    }
-    stats::tls().op_erase.inc();
-    return erased;
-  }
-
-  std::optional<T> find(const Key& k) const {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [curr, next] = search_to_level<true>(k, 1);
-    (void)next;
-    std::optional<T> out;
-    if (node_eq(curr, k, comp_)) out.emplace(curr->value);
-    stats::tls().op_search.inc();
-    return out;
-  }
-
-  bool contains(const Key& k) const {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [curr, next] = search_to_level<true>(k, 1);
-    (void)next;
-    stats::tls().op_search.inc();
-    return node_eq(curr, k, comp_);
-  }
 
   // ---- Snapshot / diagnostics ------------------------------------------
 
@@ -355,7 +290,8 @@ class FRSkipList
   template <typename Fn>
   void for_each_range(const Key& lo, const Key& hi, Fn&& fn) const {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, curr] = search_to_level<false>(lo, 1);  // prev.key < lo
+    auto [prev, curr] =
+        this->template search_to_level<false>(lo, 1);  // prev.key < lo
     (void)prev;
     for (Node* p = curr; p->kind != Node::Kind::kTail;
          p = p->succ.load().right) {
@@ -383,42 +319,23 @@ class FRSkipList
     return std::nullopt;
   }
 
-  int top_level_hint() const noexcept {
-    return top_hint_.load(std::memory_order_relaxed);
-  }
-
   // ---- Invariant validation & census (tests / E6; quiescent only) ------
 
-  // The paper's INV 1-5 on every level (fr::Core::validate_level), plus the
-  // tower structure and, for hinted keys, every linked node's successor-key
-  // hint (head included): each successful C&S refreshes the hint until it
-  // matches, so at quiescence it equals the successor's key.
-  // node_count counts nodes across all levels.
+  // fr::SkipCore::validate_towers, plus the tower block's slots and, for
+  // hinted keys, every linked node's successor-key hint (heads included):
+  // each successful C&S refreshes it until it matches, so at quiescence it
+  // equals the successor's key.
   ValidationReport validate() const {
-    ValidationReport rep;
     for (int v = 1; v <= kMaxLevel; ++v) {
-      if (const char* error = hint_error(head(v))) {
-        rep.ok = false;
-        rep.error = error;
-        break;
-      }
-      auto tower_error = [&](const Node* n) -> const char* {
-        if (const char* error = hint_error(n)) return error;
-        if (n->level != v) return "node on wrong level";
-        if (v > n->root()->planned_height) return "node outside its block";
-        if (v == 1) return nullptr;
-        if (n->down()->level != v - 1) return "down slot broken";
-        if (!node_eq(n->down(), n->key, comp_))
-          return "tower keys differ across levels";
-        if (n->root()->succ.load().mark)
-          return "superfluous node linked at quiescence";
-        return nullptr;
-      };
-      if (!this->validate_level(head(v), rep, tower_error)) break;
+      if (const char* error = hint_error(head(v))) return {false, 0, error};
     }
-    // Every upper node's root must itself be linked at level 1; since all
-    // linked roots are unmarked here, root() unmarked was checked.
-    return rep;
+    return this->validate_towers([&](const Node* n, int v) -> const char* {
+      if (const char* error = hint_error(n)) return error;
+      if (n->level != v) return "node on wrong level";
+      if (v > n->root()->planned_height) return "node outside its block";
+      if (v > 1 && n->down()->level != v - 1) return "down slot broken";
+      return nullptr;
+    });
   }
 
   // Tower census for experiment E6: for every linked tower, its observed
@@ -456,230 +373,39 @@ class FRSkipList
   Node* tail() const noexcept { return tail_; }
 
  private:
-  // Insert_SL with an explicit tower height (public insert draws it from
-  // the coin-flip rng; tests may pin it).
-  InsertStatus insert_impl(const Key& k, T value, const int tower_height) {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    Preds preds;
-    auto [prev, next] = search_to_level<true>(k, preds);
-    if (node_eq(prev, k, comp_)) {
-      stats::tls().op_insert.inc();
-      return InsertStatus::kDuplicate;  // DUPLICATE_KEY
-    }
-    Node* root = nullptr;
+  // The hooks of the skip-list layer (fr_skip_core.h).
+  static constexpr std::uint64_t kHeightSalt = 0x9e3779b97f4a7c15ULL;
+  auto guard() const { return reclaimer_.guard(); }
+
+  // A never-published root: destroy the block in place.
+  static void discard_root(Node* root) { destroy_tower(root); }
+
+  // Announce the upcoming link BEFORE attempting it (see Node docs): while
+  // tower_alive includes the new node, nobody can retire the tower, so
+  // pre-publishing tower_top is race-free. If the tower already died
+  // (count reached zero), it must NOT be resurrected: stop building.
+  Node* grow_tower(Node* root, Node*, const Key& k, int v) const {
+    if (!acquire_tower_ref(root)) return nullptr;
+    Node* node;
     try {
-      root = make_root(Node::Kind::kInterior, k, std::move(value),
-                       tower_height);
+      node = ::new (root->slot(v)) Node(Node::Kind::kInterior, v, k, T{});
     } catch (const std::bad_alloc&) {
-      stats::tls().op_insert.inc();
-      return InsertStatus::kNoMemory;  // nothing linked, nothing leaked
+      // Out of memory above a linked root: give back the announced
+      // reference and stop with a truncated (still valid) tower.
+      release_tower_ref(root);
+      return nullptr;
     }
-    Node* node = root;
-    int curr_v = 1;
-    for (;;) {
-      auto [new_prev, result] = insert_node(node, prev, next);
-      prev = new_prev;
-      if (result == InsertResult::kDuplicate) {
-        if (curr_v == 1) {
-          // Never published; nobody else can hold it.
-          destroy_tower(root);
-          stats::tls().op_insert.inc();
-          return InsertStatus::kDuplicate;
-        }
-        // A same-key tower exists at an upper level: only possible after
-        // our root was deleted and the key reinserted. Abandon the node
-        // (never linked): roll tower_top back to the highest linked node,
-        // destroy it in place (its slot dies with the block) and release
-        // the reference taken before the attempt.
-        root->tower_top.store(node->down(), std::memory_order_release);
-        node->~Node();
-        release_tower_ref(root);
-        break;
-      }
-      if (root->succ.load().mark) {
-        // Construction interrupted by a deletion of our root (Section 4).
-        // Remove the node we just linked above the (now superfluous) tower,
-        // then finish: the root WAS inserted, so we report success.
-        if (node != root) delete_node(prev, node);
-        break;
-      }
-      raise_top_hint(curr_v);
-      if (curr_v == tower_height) break;  // tower complete
-      ++curr_v;
-      LF_CHAOS_POINT(kSkipTowerBuild);
-      // Announce the upcoming link BEFORE attempting it (see Node docs):
-      // while tower_alive includes this node, nobody can retire the tower,
-      // so pre-publishing tower_top is race-free. If the tower already died
-      // (count reached zero), it must NOT be resurrected: stop building.
-      if (!acquire_tower_ref(root)) break;
-      try {
-        node = ::new (root->slot(curr_v))
-            Node(Node::Kind::kInterior, curr_v, k, T{});
-      } catch (const std::bad_alloc&) {
-        // Out of memory above a linked root: give back the announced
-        // reference and stop with a truncated (still valid) tower.
-        release_tower_ref(root);
-        break;
-      }
-      root->tower_top.store(node, std::memory_order_release);
-      std::tie(prev, next) = search_right<true>(k, resume(preds, curr_v));
-    }
-    stats::tls().op_insert.inc();
-    return InsertStatus::kInserted;
+    root->tower_top.store(node, std::memory_order_release);
+    return node;
   }
 
-  // Seeded from the order in which threads first draw a height, not from
-  // their ids, so a single-threaded run builds the same towers in every
-  // process and its step counts repeat exactly.
-  static Xoshiro256& tls_rng() {
-    static std::atomic<std::uint64_t> next_ordinal{0};
-    thread_local Xoshiro256 rng(
-        0x9e3779b97f4a7c15ULL ^
-        next_ordinal.fetch_add(1, std::memory_order_relaxed));
-    return rng;
-  }
-
-  void raise_top_hint(int level) noexcept {
-    int top = top_hint_.load(std::memory_order_relaxed);
-    while (top < level && !top_hint_.compare_exchange_weak(
-                              top, level, std::memory_order_relaxed)) {
-    }
-  }
-
-  // The level a descent from the head starts at: just above the tallest
-  // live tower.
-  int descent_top() const noexcept {
-    return std::min(top_hint_.load(std::memory_order_relaxed) + 1, kMaxLevel);
-  }
-
-  // ---- SearchToLevel_SL --------------------------------------------------
-  //
-  // Descends from just above the tallest live tower to level v, traversing
-  // each level above v with search_upper and level v with SearchRight;
-  // returns consecutive (n1, n2) on level v with n1.key <= k < n2.key
-  // (Closed) or n1.key < k <= n2.key (!Closed).
-  //
-  // Kept out of line: with the updates on the recording overload below,
-  // only the read paths call it, and GCC would inline it into them and
-  // change the read path's code.
-  template <bool Closed>
-  [[gnu::noinline]] std::pair<Node*, Node*> search_to_level(const Key& k,
-                                                            int v) const {
-    int curr_v = descent_top();
-    if (curr_v < v) curr_v = v;
-    Node* curr = head(curr_v);
-    while (curr_v > v) {
-      curr = search_upper(k, curr)->down();
-      --curr_v;
-    }
-    return search_right<Closed>(k, curr);
-  }
-
-  // The nodes an update's first descent stepped down from (the `preds` of
-  // Herlihy and Shavit's skip-list find): at[v] is level v's last node
-  // with key < k, for v = 2..top. Levels above top were not visited. Only
-  // at[2..top] is ever read, and the descent writes exactly those, so `at`
-  // is deliberately left uninitialized: zeroing it on every update
-  // measurably slowed small_read's update p50.
-  struct Preds {
-    Node* at[kMaxLevel + 1];
-    int top = 1;
-  };
-
-  // search_to_level(k, 1) that records its path in preds. Only the update
-  // paths use it; find, contains and ranges keep the plain descent.
-  template <bool Closed>
-  std::pair<Node*, Node*> search_to_level(const Key& k, Preds& preds) const {
-    int curr_v = descent_top();
-    preds.top = curr_v;
-    Node* curr = head(curr_v);
-    for (; curr_v > 1; --curr_v) {
-      curr = search_upper(k, curr);
-      preds.at[curr_v] = curr;
-      curr = curr->down();
-    }
-    return search_right<Closed>(k, curr);
-  }
-
-  // Where an update resumes level v after its first descent: the recorded
-  // predecessor, or the head above the recorded levels, walked left off
-  // any mark. SearchRight is correct from any node of level v with key < k,
-  // and backlinks lead to such a node (DESIGN.md §2, "Deviation: updates
-  // descend once").
-  Node* resume(const Preds& preds, int v) const {
-    Node* pred = v <= preds.top ? preds.at[v] : head(v);
-    walk_backlinks(pred);
-    return pred;
-  }
-
-  // ---- SearchRight --------------------------------------------------------
-  //
-  // SearchFrom (Figure 3) on one level, with the Section 4 addition:
-  // "SearchRight deletes the superfluous nodes along its way, performing
-  // all three deletion steps if necessary, whereas SearchFrom physically
-  // deletes only those nodes that are already logically deleted."
-  //
-  // With Hinted, the search first asks each curr's successor-key hint:
-  // if k < hint, it stops at curr without loading the successor and
-  // returns (curr, nullptr). Only search_upper passes it.
-  //
-  // Forced inline: left to its heuristics GCC outlines the descent's
-  // search_right<false> from search_to_level<true>, which costs find ~10%
-  // (EXPERIMENTS.md E11).
-  template <bool Closed, bool Hinted = false>
-  [[gnu::always_inline]] std::pair<Node*, Node*> search_right(
-      const Key& k, Node* curr) const {
-    auto& c = stats::tls();
-    auto advances = [&](const Node* n) {
-      return Closed ? node_le(n, k, comp_) : node_lt(n, k, comp_);
-    };
-    auto hint_stops = [&](const Node* n) {
-      if constexpr (Hinted) {
-        return comp_(k, n->next_key.load(std::memory_order_relaxed));
-      } else {
-        return false;
-      }
-    };
-    if (hint_stops(curr)) return {curr, nullptr};
-    Node* next = curr->succ.load().right;
-    LF_PREFETCH(next);
-    for (;;) {
-      // Delete every superfluous tower node on the search path (root
-      // marked). The trigger is key <= k in BOTH search modes: a strict
-      // (k - eps) search never steps INTO a node with key == k, but the
-      // erase cleanup descends with exactly that key and must still remove
-      // the tower's upper nodes, and removal never moves curr rightward,
-      // so the postcondition of either mode is preserved.
-      while (next->kind == Node::Kind::kInterior && node_le(next, k, comp_) &&
-             next->root()->succ.load().mark) {
-        auto [new_curr, status, won] = try_flag(curr, next);
-        curr = new_curr;
-        if (status == FlagStatus::kIn) help_flagged(curr, next);
-        next = curr->succ.load().right;
-        LF_PREFETCH(next);
-        c.next_update.inc();
-      }
-      if (!advances(next)) break;
-      LF_CHAOS_POINT(kSkipSearchStep);
-      curr = next;
-      c.curr_update.inc();
-      if (hint_stops(curr)) return {curr, nullptr};
-      // The hop is a dependent-load chain; start pulling in the next node's
-      // line while this iteration finishes its key compare (util/prefetch.h).
-      next = curr->succ.load().right;
-      LF_PREFETCH(next);
-    }
-    return {curr, next};
-  }
-
-  // SearchRight on a descent's level >= 2: the node with key < k to step
-  // down from. For hinted keys it consults the successor-key hints, which
-  // only decide how early the level is left: stepping down is correct from
-  // any node with key < k, since the level below holds every key this one
-  // skips (DESIGN.md §2, "Deviation: successor-key hint"). Level 1, resume,
-  // the tower build and the erase cleanup compare real keys only.
-  [[gnu::always_inline]] Node* search_upper(const Key& k, Node* curr) const {
-    return search_right<false, Node::kHinted>(k, curr).first;
+  // Abandon a never-linked upper node: roll tower_top back to the highest
+  // linked node, destroy it in place (its slot dies with the block) and
+  // release the reference taken before the attempt.
+  void abandon_upper(Node* root, Node* node) const {
+    root->tower_top.store(node->down(), std::memory_order_release);
+    node->~Node();
+    release_tower_ref(root);
   }
 
   // The core's disposal hook: unlinking a tower node drops one reference
@@ -801,7 +527,6 @@ class FRSkipList
   mutable Reclaimer reclaimer_;
   Node* head_;  // head(1), the root of the head tower's block
   Node* tail_;
-  std::atomic<int> top_hint_;
 
   static_assert(reclaim::reclaimer_for<Reclaimer, Node>);
   // Tower retirement goes through destroy_tower, a type-erased deleter, so

@@ -10,6 +10,7 @@
 // skewed-key workloads.
 #pragma once
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -81,6 +82,18 @@ class Xoshiro256 {
   }
   std::uint64_t state_[4];
 };
+
+// The calling thread's generator for Owner's tower heights, seeded by the
+// order in which threads first draw from it (each Owner type counts its
+// own), not by thread id, so a 1-thread run builds the same towers in every
+// process. `salt`, used on a thread's first draw, tells structures apart.
+template <typename Owner>
+Xoshiro256& thread_ordinal_rng(std::uint64_t salt) {
+  static std::atomic<std::uint64_t> next_ordinal{0};
+  thread_local Xoshiro256 rng(
+      salt ^ next_ordinal.fetch_add(1, std::memory_order_relaxed));
+  return rng;
+}
 
 // Zipfian key distribution over [0, n). theta in (0,1); theta ~0.99 is the
 // YCSB default for a heavily skewed workload. Uses the classic analytic

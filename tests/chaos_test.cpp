@@ -22,12 +22,12 @@
 //     FRSkipListWhitebox.UpperKeyCopyFailureTruncatesTower.)
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <initializer_list>
+#include <latch>
 #include <new>
 #include <thread>
 #include <vector>
@@ -247,8 +247,17 @@ TEST_F(ChaosTest, SkipRCForcedFlagMarkAndUnlinkCasRetry) {
 // after release and join, counts must match exactly and every invariant
 // must hold. Returns whether the victim parked: a site its workload never
 // reaches leaves a plain churn run that proves nothing about the site.
+//
+// By default the victim runs the random workload and parks at its first
+// visit to `site`. With `pred_cas` (the structure's insert C&S site) it
+// reaches `site`, a backlink step, deterministically instead, as the
+// deterministic helping tests do: it first inserts 5 on its own, parks
+// before that insert's level-1 C&S, and is released only after the main
+// thread has erased 5's predecessor 4. The C&S then fails on the marked
+// node and the victim walks its backlink, where it parks again; only then
+// do the survivors start.
 template <typename Set>
-bool run_crash_site(Site site) {
+bool run_crash_site(Site site, Site pred_cas = Site::kNumSites) {
   SCOPED_TRACE(chaos::site_name(site));
   chaos::reset();
   Set set;
@@ -259,7 +268,8 @@ bool run_crash_site(Site site) {
 
   constexpr int kWorkers = 4;
   constexpr int kOps = 3000;
-  chaos::arm_crash(site, 1);
+  const bool via_marked_pred = pred_cas != Site::kNumSites;
+  chaos::arm_crash(via_marked_pred ? pred_cas : site, 1);
 
   lf::harness::Watchdog::Options wopts;
   wopts.stall_timeout = 60s;  // survivors stalling = lock-freedom broken
@@ -267,7 +277,7 @@ bool run_crash_site(Site site) {
   lf::harness::Watchdog dog(kWorkers, wopts);
 
   std::atomic<bool> victim_done{false};
-  std::barrier start(kWorkers);
+  std::latch go(1);  // the survivors' (and a churning victim's) start
   std::vector<std::thread> workers;
   for (int t = 0; t < kWorkers; ++t) {
     workers.emplace_back([&, t] {
@@ -275,7 +285,11 @@ bool run_crash_site(Site site) {
       chaos::set_thread_role(t == 0 ? chaos::Role::kVictim
                                     : chaos::Role::kSurvivor);
       lf::Xoshiro256 rng(0xc0ffee + static_cast<std::uint64_t>(t) * 7919);
-      start.arrive_and_wait();
+      if (t == 0 && via_marked_pred) {
+        if (set.insert(5, 5)) net.fetch_add(1);
+      } else {
+        go.wait();
+      }
       for (int i = 0; i < kOps; ++i) {
         const long k = static_cast<long>(rng.below(16));
         if (rng.below(2) == 0) {
@@ -292,6 +306,14 @@ bool run_crash_site(Site site) {
       if (t == 0) victim_done.store(true, std::memory_order_release);
     });
   }
+
+  if (via_marked_pred) {
+    EXPECT_TRUE(chaos::wait_parked(30s)) << "victim never reached its C&S";
+    if (set.erase(4)) net.fetch_sub(1);  // the main thread never parks
+    chaos::arm_crash(site, 1);
+    chaos::release_parked();
+  }
+  go.count_down();
 
   // Wait until the victim either parks at the armed site or finishes its
   // workload without ever hitting it (possible for rarely-taken sites).
@@ -335,27 +357,25 @@ bool run_crash_site(Site site) {
   return parked;
 }
 
-// A site the matrix's workload may finish without reaching, and why.
-struct MayNotPark {
-  Site site;
-  const char* why;
-};
-
 // Runs the crash scenario at every site and requires the victim to have
-// parked at each one except those listed in `may_not_park`.
+// parked at each one.
 template <typename Set>
-void run_crash_matrix(std::initializer_list<Site> sites,
-                      std::initializer_list<MayNotPark> may_not_park = {}) {
+void run_crash_matrix(std::initializer_list<Site> sites) {
   for (Site site : sites) {
-    const bool parked = run_crash_site<Set>(site);
-    const bool excused =
-        std::any_of(may_not_park.begin(), may_not_park.end(),
-                    [site](const MayNotPark& m) { return m.site == site; });
-    if (!excused) {
-      EXPECT_TRUE(parked) << chaos::site_name(site)
-                          << ": the victim never reached the site";
-    }
+    EXPECT_TRUE(run_crash_site<Set>(site))
+        << chaos::site_name(site) << ": the victim never reached the site";
   }
+}
+
+// A random workload reaches a backlink step only when a victim C&S fails
+// on a predecessor marked meanwhile (over 30 runs, FRSkipList parked there
+// in 1, FRSkipListRC in 20, FRListRC in 2), so these three matrices park
+// their backlink-step row through a marked predecessor instead.
+template <typename Set>
+void run_backlink_crash_row(Site backlink_step, Site insert_cas) {
+  EXPECT_TRUE(run_crash_site<Set>(backlink_step, insert_cas))
+      << chaos::site_name(backlink_step)
+      << ": the victim never reached the site";
 }
 
 TEST_F(ChaosTest, CrashMatrixFRList) {
@@ -368,37 +388,33 @@ TEST_F(ChaosTest, CrashMatrixFRList) {
 }
 
 TEST_F(ChaosTest, CrashMatrixFRSkipList) {
-  run_crash_matrix<lf::FRSkipList<long, long>>(
+  using Set = lf::FRSkipList<long, long>;
+  run_crash_matrix<Set>(
       {Site::kSkipSearchStep, Site::kSkipInsertCas, Site::kSkipFlagCas,
-       Site::kSkipMarkCas, Site::kSkipUnlinkCas, Site::kSkipBacklinkStep,
-       Site::kSkipHelpFlagged, Site::kSkipHelpMarked, Site::kSkipTowerBuild},
-      {{Site::kSkipBacklinkStep,
-        "needs a victim C&S to fail on a predecessor marked meanwhile: "
-        "parked in 1 of 30 runs"}});
+       Site::kSkipMarkCas, Site::kSkipUnlinkCas, Site::kSkipHelpFlagged,
+       Site::kSkipHelpMarked, Site::kSkipTowerBuild});
+  run_backlink_crash_row<Set>(Site::kSkipBacklinkStep, Site::kSkipInsertCas);
 }
 
 TEST_F(ChaosTest, CrashMatrixFRListRC) {
-  run_crash_matrix<lf::FRListRC<long, long>>(
+  using Set = lf::FRListRC<long, long>;
+  run_crash_matrix<Set>(
       {Site::kListSearchStep, Site::kListInsertCas, Site::kListFlagCas,
-       Site::kListMarkCas, Site::kListUnlinkCas, Site::kListBacklinkStep,
-       Site::kListHelpFlagged, Site::kListHelpMarked,
-       Site::kListFingerValidate, Site::kListFingerFallback,
-       Site::kListFingerReplace},
-      {{Site::kListBacklinkStep,
-        "needs a victim C&S to fail on a predecessor marked meanwhile: "
-        "parked in 2 of 30 runs"}});
+       Site::kListMarkCas, Site::kListUnlinkCas, Site::kListHelpFlagged,
+       Site::kListHelpMarked, Site::kListFingerValidate,
+       Site::kListFingerFallback, Site::kListFingerReplace});
+  run_backlink_crash_row<Set>(Site::kListBacklinkStep, Site::kListInsertCas);
 }
 
 TEST_F(ChaosTest, CrashMatrixFRSkipListRC) {
-  run_crash_matrix<lf::FRSkipListRC<long, long>>(
+  using Set = lf::FRSkipListRC<long, long>;
+  run_crash_matrix<Set>(
       {Site::kSkipSearchStep, Site::kSkipInsertCas, Site::kSkipFlagCas,
-       Site::kSkipMarkCas, Site::kSkipUnlinkCas, Site::kSkipBacklinkStep,
-       Site::kSkipHelpFlagged, Site::kSkipHelpMarked, Site::kSkipTowerBuild,
+       Site::kSkipMarkCas, Site::kSkipUnlinkCas, Site::kSkipHelpFlagged,
+       Site::kSkipHelpMarked, Site::kSkipTowerBuild,
        Site::kSkipFingerValidate, Site::kSkipFingerFallback,
-       Site::kSkipFingerReplace},
-      {{Site::kSkipBacklinkStep,
-        "needs a victim C&S to fail on a predecessor marked meanwhile: "
-        "parked in 20 of 30 runs"}});
+       Site::kSkipFingerReplace});
+  run_backlink_crash_row<Set>(Site::kSkipBacklinkStep, Site::kSkipInsertCas);
 }
 
 // Crash inside the reclaimers' entry points: survivors keep operating (the

@@ -1,4 +1,5 @@
-// Concurrent integration tests for FRSkipList.
+// Concurrent integration tests for FRSkipList (and, where a test says so,
+// FRSkipListRC).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "lf/core/fr_skiplist.h"
+#include "lf/core/fr_skiplist_rc.h"
 #include "lf/instrument/counters.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/util/random.h"
@@ -225,10 +227,13 @@ TEST(FRSkipListConcurrent, ParallelChurnBalancesStepCounters) {
 // erase them between rounds) while two threads erase and reinsert
 // the odd keys in between, which are every even key's predecessors on
 // most levels. A marked predecessor must be left through its backlinks;
-// at quiescence no superfluous node may be linked on any level and the
-// census must count every node validate() walks.
-TEST(FRSkipListConcurrent, ResumedLevelsSurviveDeletedPredecessors) {
-  IntSkip s;
+// at quiescence no superfluous node may be linked on any level. On
+// FRSkipList the census must count every node validate() walks and the
+// epoch accounting must hold; on FRSkipListRC, whose recorded predecessors
+// are counted references, no node may be leaked or released twice.
+template <typename S>
+void expect_resumed_levels_survive_deleted_predecessors() {
+  S s;
   constexpr long kKeys = 64;  // keys 0..kKeys-1; odd ones churn
   constexpr int kRounds = 128;
   auto tall = [](lf::Xoshiro256& rng) {
@@ -237,7 +242,7 @@ TEST(FRSkipListConcurrent, ResumedLevelsSurviveDeletedPredecessors) {
   lf::Xoshiro256 fill_rng(4242);
   for (long k = 1; k < kKeys; k += 2)
     ASSERT_EQ(s.insert_with_height(k, k, tall(fill_rng)),
-              IntSkip::InsertStatus::kInserted);
+              S::InsertStatus::kInserted);
 
   std::atomic<int> tower_threads_left{2};
   std::barrier start(kThreads);
@@ -251,7 +256,7 @@ TEST(FRSkipListConcurrent, ResumedLevelsSurviveDeletedPredecessors) {
         // the churners spinning.
         for (long k = 2 * t; k < kKeys; k += 4)
           EXPECT_EQ(s.insert_with_height(k, k, tall(rng)),
-                    IntSkip::InsertStatus::kInserted);
+                    S::InsertStatus::kInserted);
         // The last round keeps every other key: the towers it erases are
         // never reinserted, so only the erase cleanup removes them.
         const bool last = round + 1 == kRounds;
@@ -273,30 +278,44 @@ TEST(FRSkipListConcurrent, ResumedLevelsSurviveDeletedPredecessors) {
             4 * static_cast<long>(rng.below(kKeys / 4)) + 2 * t + 1;
         ASSERT_TRUE(s.erase(k));
         ASSERT_EQ(s.insert_with_height(k, k, tall(rng)),
-                  IntSkip::InsertStatus::kInserted);
+                  S::InsertStatus::kInserted);
       }
     });
   }
   for (auto& w : workers) w.join();
-  expect_epoch_accounting();
 
+  // validate() fails on a superfluous node linked on any level.
   const auto rep = s.validate();
   ASSERT_TRUE(rep.ok) << rep.error;
-  for (int v = 1; v <= IntSkip::kMaxTowerHeight + 1; ++v) {
-    for (auto* p = s.head(v)->succ.load().right;
-         p->kind != IntSkip::Node::Kind::kTail; p = p->succ.load().right) {
-      ASSERT_FALSE(p->root()->succ.load().mark)
-          << "superfluous node " << p->key << " linked on level " << v;
-    }
-  }
   const std::size_t live = kKeys / 2 + kKeys / 4;  // odd keys, half the even
   EXPECT_EQ(s.size(), live);
-  const auto census = s.census();
-  EXPECT_EQ(census.towers, live);
-  std::size_t nodes_from_census = 0;
-  for (const auto& [h, cnt] : census.height_counts)
-    nodes_from_census += static_cast<std::size_t>(h) * cnt;
-  EXPECT_EQ(rep.node_count, nodes_from_census);
+  if constexpr (requires { s.census(); }) {
+    expect_epoch_accounting();
+    for (int v = 1; v <= S::kMaxTowerHeight + 1; ++v) {
+      for (auto* p = s.head(v)->succ.load().right;
+           p->kind != S::Node::Kind::kTail; p = p->succ.load().right) {
+        ASSERT_FALSE(p->root()->succ.load().mark)
+            << "superfluous node " << p->key << " linked on level " << v;
+      }
+    }
+    const auto census = s.census();
+    EXPECT_EQ(census.towers, live);
+    std::size_t nodes_from_census = 0;
+    for (const auto& [h, cnt] : census.height_counts)
+      nodes_from_census += static_cast<std::size_t>(h) * cnt;
+    EXPECT_EQ(rep.node_count, nodes_from_census);
+  } else {
+    EXPECT_TRUE(s.validate_accounting());
+  }
+}
+
+TEST(FRSkipListConcurrent, ResumedLevelsSurviveDeletedPredecessors) {
+  expect_resumed_levels_survive_deleted_predecessors<IntSkip>();
+}
+
+TEST(FRSkipListRCConcurrent, ResumedLevelsSurviveDeletedPredecessors) {
+  expect_resumed_levels_survive_deleted_predecessors<
+      lf::FRSkipListRC<long, long>>();
 }
 
 // Successor-key hints under churn. Stable keys 4i sit in tall towers and

@@ -13,10 +13,12 @@
 #include <new>
 #include <set>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "lf/core/fr_skiplist.h"
+#include "lf/core/fr_skiplist_rc.h"
 #include "lf/instrument/counters.h"
 #include "lf/mem/pool.h"
 #include "lf/reclaim/epoch.h"
@@ -196,6 +198,42 @@ TEST(FRSkipListWhitebox, SearchHasNoSideEffectsOnCleanList) {
   EXPECT_EQ(delta.help_flagged, 0u);
 }
 
+// The step counters `op` moves, run on a thread of its own. FRSkipListRC's
+// finger cache is per thread, so on a fresh thread it is empty: every
+// closed search misses (finger_miss + 1) and descends from the head, as
+// FRSkipList's always do.
+template <typename Op>
+lf::stats::Snapshot steps_on_fresh_thread(Op&& op) {
+  lf::stats::Snapshot delta{};
+  std::thread([&] {
+    const auto before = lf::stats::tls().read();
+    op();
+    delta = lf::stats::tls().read() - before;
+  }).join();
+  return delta;
+}
+
+// Even keys, heights 1 + (trailing zeros of i+1), capped at 12: a
+// perfectly balanced skip list, independent of the coin flips.
+template <typename S>
+void fill_balanced(S& s) {
+  for (long i = 0; i < 2048; ++i) {
+    const int h =
+        std::min(1 + std::countr_zero(static_cast<unsigned long>(i + 1)), 12);
+    ASSERT_EQ(s.insert_with_height(2 * i, 2 * i, h),
+              S::InsertStatus::kInserted);
+  }
+}
+
+template <typename S>
+void expect_valid(const S& s) {
+  const auto rep = s.validate();
+  ASSERT_TRUE(rep.ok) << rep.error;
+  if constexpr (requires { s.validate_accounting(); }) {
+    ASSERT_TRUE(s.validate_accounting());  // no node leaked or freed twice
+  }
+}
+
 // Insert_SL and Delete_SL descend once: the tower build and the erase
 // cleanup resume each upper level from the node the first descent stepped
 // down from there, not from a new descent from the head. On a quiescent
@@ -204,40 +242,89 @@ TEST(FRSkipListWhitebox, SearchHasNoSideEffectsOnCleanList) {
 // erasing it costs that descent plus one flag, mark and unlink per level
 // and one step past each unlinked upper node: linear in h, not h·log n.
 // h = 16 builds above the levels the descent recorded (the list's towers
-// stop at 12), which start from the head.
-TEST(FRSkipListWhitebox, UpdatesDescendOnce) {
-  Skip s;
-  // Even keys, heights 1 + (trailing zeros of i+1), capped at 12: a
-  // perfectly balanced skip list, independent of the coin flips.
-  for (long i = 0; i < 2048; ++i) {
-    const int h =
-        std::min(1 + std::countr_zero(static_cast<unsigned long>(i + 1)), 12);
-    ASSERT_EQ(s.insert_with_height(2 * i, 2 * i, h),
-              Skip::InsertStatus::kInserted);
-  }
+// stop at 12), which start where a plain descent to that level would: at
+// the head of that level, which holds only the new tower.
+//
+// FRSkipListRC counts the same. Each operation runs on a fresh thread, so
+// its finger misses: contains and insert descend from the head, and erase
+// always does (its cleanup must sweep above the tower). The recorded
+// predecessors are counted references; their releases are no steps.
+template <typename S>
+void expect_updates_descend_once() {
+  S s;
+  fill_balanced(s);
   for (int h : {1, 2, 4, 8, 16}) {
     for (long k : {1L, 1001L, 2731L, 4095L}) {
       SCOPED_TRACE(testing::Message() << "h=" << h << " k=" << k);
-      auto before = lf::stats::tls().read();
-      ASSERT_FALSE(s.contains(k));
-      const auto search = lf::stats::tls().read() - before;
+      const auto search =
+          steps_on_fresh_thread([&] { ASSERT_FALSE(s.contains(k)); });
 
-      before = lf::stats::tls().read();
-      ASSERT_EQ(s.insert_with_height(k, k, h), Skip::InsertStatus::kInserted);
-      const auto insert = lf::stats::tls().read() - before;
+      const auto insert = steps_on_fresh_thread([&] {
+        ASSERT_EQ(s.insert_with_height(k, k, h), S::InsertStatus::kInserted);
+      });
       const auto height = static_cast<std::uint64_t>(h);
       EXPECT_EQ(insert.insert_cas, height);
       EXPECT_EQ(insert.cas_failures(), 0u);
       EXPECT_EQ(insert.essential_steps(), search.essential_steps() + height);
+      EXPECT_EQ(insert.finger_hit, 0u);
 
-      before = lf::stats::tls().read();
-      ASSERT_TRUE(s.erase(k));
-      const auto erase = lf::stats::tls().read() - before;
+      const auto erase =
+          steps_on_fresh_thread([&] { ASSERT_TRUE(s.erase(k)); });
       EXPECT_EQ(erase.flag_cas, height);
       EXPECT_EQ(erase.cas_failures(), 0u);
       EXPECT_EQ(erase.essential_steps(),
                 search.essential_steps() + 4 * height - 1);
-      ASSERT_TRUE(s.validate().ok);
+      EXPECT_EQ(erase.finger_hit + erase.finger_miss, 0u);
+      expect_valid(s);
+    }
+  }
+}
+
+TEST(FRSkipListWhitebox, UpdatesDescendOnce) {
+  expect_updates_descend_once<Skip>();
+}
+
+TEST(FRSkipListRCWhitebox, UpdatesDescendOnce) {
+  using RCSkip = lf::FRSkipListRC<long, long>;
+  expect_updates_descend_once<RCSkip>();
+}
+
+// Where FRSkipListRC's finger does enter an update. On one thread,
+// contains(k) descends from the head and saves each level's bracket around
+// k for levels 1..4 (its finger levels). insert(k) then enters at the
+// level-1 bracket, so its level-1 search takes no step, and its descent
+// records no level. Each upper level v therefore starts where a plain
+// descent to v would: at level v's saved bracket, again without a step
+// while v <= 4. A tower of height h <= 4 costs exactly its h insert C&Ss,
+// with h finger hits; the erase, from the head, costs as above.
+TEST(FRSkipListRCWhitebox, FingerEnteredInsertCostsItsInsertCas) {
+  using RCSkip = lf::FRSkipListRC<long, long>;
+  RCSkip s;
+  fill_balanced(s);
+  for (int h : {1, 2, 3, 4}) {
+    for (long k : {1L, 1001L, 2731L, 4095L}) {
+      SCOPED_TRACE(testing::Message() << "h=" << h << " k=" << k);
+      lf::stats::Snapshot search{}, insert{};
+      steps_on_fresh_thread([&] {
+        auto before = lf::stats::tls().read();
+        ASSERT_FALSE(s.contains(k));
+        search = lf::stats::tls().read() - before;
+        before = lf::stats::tls().read();
+        ASSERT_EQ(s.insert_with_height(k, k, h),
+                  RCSkip::InsertStatus::kInserted);
+        insert = lf::stats::tls().read() - before;
+      });
+      const auto height = static_cast<std::uint64_t>(h);
+      EXPECT_EQ(search.finger_miss, 1u);
+      EXPECT_EQ(insert.finger_hit, height);
+      EXPECT_EQ(insert.finger_miss, 0u);
+      EXPECT_EQ(insert.insert_cas, height);
+      EXPECT_EQ(insert.essential_steps(), height);
+      const auto erase =
+          steps_on_fresh_thread([&] { ASSERT_TRUE(s.erase(k)); });
+      EXPECT_EQ(erase.essential_steps(),
+                search.essential_steps() + 4 * height - 1);
+      expect_valid(s);
     }
   }
 }

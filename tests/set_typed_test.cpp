@@ -27,6 +27,21 @@ namespace {
 template <typename S>
 class SetContract : public ::testing::Test {};
 
+// The quiescent checks a structure offers, run at the end of every contract
+// test: validate() (the paper's INV 1-5 on every level, plus the structure's
+// own) and, for the counted structures, validate_accounting() (no node
+// leaked or released twice).
+template <typename S>
+void expect_quiescent_invariants(const S& s) {
+  if constexpr (requires { s.validate(); }) {
+    const auto rep = s.validate();
+    EXPECT_TRUE(rep.ok) << rep.error;
+  }
+  if constexpr (requires { s.validate_accounting(); }) {
+    EXPECT_TRUE(s.validate_accounting());
+  }
+}
+
 using Implementations = ::testing::Types<
     lf::FRList<long, long>,            // the paper's list
     lf::FRSkipList<long, long>,        // the paper's skip list
@@ -53,6 +68,7 @@ TYPED_TEST(SetContract, StartsEmpty) {
   EXPECT_FALSE(s.contains(0));
   EXPECT_FALSE(s.find(0).has_value());
   EXPECT_FALSE(s.erase(0));
+  expect_quiescent_invariants(s);
 }
 
 TYPED_TEST(SetContract, InsertMakesKeyVisible) {
@@ -62,6 +78,7 @@ TYPED_TEST(SetContract, InsertMakesKeyVisible) {
   ASSERT_TRUE(s.find(17).has_value());
   EXPECT_EQ(*s.find(17), 170);
   EXPECT_EQ(s.size(), 1u);
+  expect_quiescent_invariants(s);
 }
 
 TYPED_TEST(SetContract, DuplicateInsertFailsAndKeepsOriginal) {
@@ -70,6 +87,7 @@ TYPED_TEST(SetContract, DuplicateInsertFailsAndKeepsOriginal) {
   EXPECT_FALSE(s.insert(5, 51));
   EXPECT_EQ(*s.find(5), 50);
   EXPECT_EQ(s.size(), 1u);
+  expect_quiescent_invariants(s);
 }
 
 TYPED_TEST(SetContract, EraseRemovesExactlyOnce) {
@@ -79,6 +97,7 @@ TYPED_TEST(SetContract, EraseRemovesExactlyOnce) {
   EXPECT_FALSE(s.erase(9));
   EXPECT_FALSE(s.contains(9));
   EXPECT_EQ(s.size(), 0u);
+  expect_quiescent_invariants(s);
 }
 
 TYPED_TEST(SetContract, EraseAbsentFails) {
@@ -89,6 +108,7 @@ TYPED_TEST(SetContract, EraseAbsentFails) {
   EXPECT_FALSE(s.erase(2));
   EXPECT_FALSE(s.erase(4));
   EXPECT_EQ(s.size(), 2u);
+  expect_quiescent_invariants(s);
 }
 
 TYPED_TEST(SetContract, ReinsertionCycle) {
@@ -99,6 +119,7 @@ TYPED_TEST(SetContract, ReinsertionCycle) {
     ASSERT_TRUE(s.erase(7));
     ASSERT_FALSE(s.contains(7));
   }
+  expect_quiescent_invariants(s);
 }
 
 TYPED_TEST(SetContract, BulkInsertAllVisible) {
@@ -116,6 +137,7 @@ TYPED_TEST(SetContract, BulkInsertAllVisible) {
   }
   EXPECT_FALSE(s.contains(0));
   EXPECT_FALSE(s.contains(2));
+  expect_quiescent_invariants(s);
 }
 
 TYPED_TEST(SetContract, InterleavedInsertErase) {
@@ -128,6 +150,7 @@ TYPED_TEST(SetContract, InterleavedInsertErase) {
     ASSERT_EQ(s.contains(k), expect) << k;
   }
   EXPECT_EQ(s.size(), 150u + 150u);
+  expect_quiescent_invariants(s);
 }
 
 TYPED_TEST(SetContract, NegativeAndZeroKeys) {
@@ -140,6 +163,7 @@ TYPED_TEST(SetContract, NegativeAndZeroKeys) {
   EXPECT_TRUE(s.erase(-5));
   EXPECT_FALSE(s.contains(-5));
   EXPECT_EQ(s.size(), 2u);
+  expect_quiescent_invariants(s);
 }
 
 TYPED_TEST(SetContract, DifferentialRandomOps) {
@@ -166,6 +190,7 @@ TYPED_TEST(SetContract, DifferentialRandomOps) {
     }
   }
   EXPECT_EQ(s.size(), model.size());
+  expect_quiescent_invariants(s);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@ Usage:
   fn_diff.py OLD NEW                 # names of the functions that differ
   fn_diff.py OLD NEW --show REGEX    # ... plus a diff of each match's code
   fn_diff.py OLD NEW --objdump PATH  # a different objdump
+  fn_diff.py OLD NEW --rename FROM=TO  # compare code moved to another class
 
 Both binaries are disassembled with `objdump -d -C`. Each function's
 instructions are normalised before comparison, so that moving code around
@@ -19,6 +20,11 @@ does not count as a change:
   * the spelling of a `Sites{...}` template argument (the chaos sites a
     core is instantiated with) is reduced to `Sites{}` in every name;
   * the nop padding after a function's last instruction is dropped.
+
+A function that moved to another class (say from a structure into a base
+it now shares) has a new name. `--rename FROM=TO` (repeatable) replaces
+the literal text FROM by TO in every name and instruction of both binaries,
+so the moved function is compared with its old self.
 
 A byte compare of `.text` reports almost every function of a rebuilt
 binary as changed once one function grows or moves; this reports only the
@@ -72,18 +78,24 @@ def normalise(insn):
     return strip_sites(insn)
 
 
-def parse(text):
+def parse(text, renames=()):
     """{function name: [normalised instructions]} of `objdump -d` output.
 
     A name defined more than once (local symbols of different objects)
-    gets a `#2`, `#3`, ... suffix in order of appearance.
+    gets a `#2`, `#3`, ... suffix in order of appearance. Each (FROM, TO)
+    of renames is replaced in every normalised name and instruction.
     """
+    def rename(s):
+        for old, new in renames:
+            s = s.replace(old, new)
+        return s
+
     funcs = {}
     current = None
     for line in text.splitlines():
         m = FUNC_RE.match(line)
         if m:
-            name = strip_sites(m.group(1))
+            name = rename(strip_sites(m.group(1)))
             base, n = name, 1
             while name in funcs:
                 n += 1
@@ -92,7 +104,7 @@ def parse(text):
             continue
         m = INSN_RE.match(line)
         if m and current is not None and m.group(1):
-            current.append(normalise(m.group(1)))
+            current.append(rename(normalise(m.group(1))))
     for insns in funcs.values():
         while insns and PADDING_RE.match(insns[-1]):
             insns.pop()
@@ -117,10 +129,13 @@ def main(argv=None):
     ap.add_argument("--show", metavar="REGEX",
                     help="print a diff of every differing function matching REGEX")
     ap.add_argument("--objdump", default="objdump")
+    ap.add_argument("--rename", metavar="FROM=TO", action="append", default=[],
+                    help="replace the text FROM by TO in names and code")
     args = ap.parse_args(argv)
 
-    old = parse(disassemble(args.old, args.objdump))
-    new = parse(disassemble(args.new, args.objdump))
+    renames = [tuple(r.split("=", 1)) for r in args.rename]
+    old = parse(disassemble(args.old, args.objdump), renames)
+    new = parse(disassemble(args.new, args.objdump), renames)
     changed, only_old, only_new = compare(old, new)
     show = re.compile(args.show) if args.show else None
     print(f"fn_diff: {len(old)} / {len(new)} functions, {len(changed)} differ")

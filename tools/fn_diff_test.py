@@ -6,7 +6,8 @@ equal although their functions sit at different addresses: absolute branch
 and call targets, rip-relative displacements and their `# addr` notes, the
 `Sites{...}` template argument's spelling, and trailing nop padding. Also
 checks that a real instruction change, and a function present in only one
-binary, are still reported.
+binary, are still reported, and that --rename pairs a moved function with
+its old self.
 """
 
 import os
@@ -83,6 +84,14 @@ class FnDiffTest(unittest.TestCase):
             "mov X(%rip),%rax # <g>")
         self.assertEqual(fn_diff.normalise("mov    0x10(%rax),%rdx"),
                          "mov 0x10(%rax),%rdx")
+
+    def test_rename_matches_moved_functions(self):
+        old = "0000000000001000 <A::f()>:\n    1000:\tcall   2000 <A::g()>\n"
+        new = "0000000000001000 <B<A>::f()>:\n    1000:\tcall   2000 <B<A>::g()>\n"
+        renames = [("B<A>::", "A::")]
+        changed, only_old, only_new = fn_diff.compare(
+            fn_diff.parse(old, renames), fn_diff.parse(new, renames))
+        self.assertEqual((changed, only_old, only_new), ([], [], []))
 
     def test_duplicate_names_are_kept_apart(self):
         text = ("0000000000001000 <f>:\n    1000:\tret\n"
