@@ -19,8 +19,10 @@ namespace {
 
 // One shared, prefilled instance per (type, size): reused across benchmark
 // repetitions and shared by the Threads() variants. Deliberately leaked at
-// process exit.
-template <typename Set>
+// process exit. With kTallTowerErased, a skip list's instance also had one
+// height-23 tower inserted and erased after the fill, which took its top
+// hint to 23.
+template <typename Set, bool kTallTowerErased = false>
 Set& shared_set(long n) {
   static std::mutex mu;
   static auto* sets = new std::map<long, std::unique_ptr<Set>>;
@@ -29,13 +31,17 @@ Set& shared_set(long n) {
   if (!slot) {
     slot = std::make_unique<Set>();
     for (long k = 0; k < n; ++k) slot->insert(2 * k, k);  // evens only
+    if constexpr (kTallTowerErased) {
+      slot->insert_with_height(-1, -1, Set::kMaxTowerHeight);
+      slot->erase(-1);
+    }
   }
   return *slot;
 }
 
-template <typename Set>
+template <typename Set, bool kTallTowerErased = false>
 void BM_Contains(benchmark::State& state) {
-  Set& set = shared_set<Set>(state.range(0));
+  Set& set = shared_set<Set, kTallTowerErased>(state.range(0));
   lf::Xoshiro256 rng(1234 + static_cast<unsigned>(state.thread_index()));
   const auto span = static_cast<std::uint64_t>(2 * state.range(0));
   for (auto _ : state) {
@@ -70,6 +76,16 @@ void BM_EpochPin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
+// BM_Contains on a skip list whose tallest tower ever (23) is gone. The
+// top hint falls with the tallest live tower, so this reads as
+// BM_Contains<Skip> does; a hint stuck at 23 makes every descent walk the
+// empty levels above the live towers (about +20 % at 2048 keys,
+// EXPERIMENTS.md E11, "The top hint falls").
+template <typename Set>
+void BM_ContainsAfterTallTower(benchmark::State& state) {
+  BM_Contains<Set, true>(state);
+}
+
 using FR = lf::FRList<long, long>;
 using Skip = lf::FRSkipList<long, long>;
 using Harris = lf::HarrisList<long, long>;
@@ -78,6 +94,7 @@ using Harris = lf::HarrisList<long, long>;
 
 BENCHMARK(BM_Contains<FR>)->Arg(256)->Arg(2048);
 BENCHMARK(BM_Contains<Skip>)->Arg(2048)->Arg(65536);
+BENCHMARK(BM_ContainsAfterTallTower<Skip>)->Arg(2048);
 BENCHMARK(BM_Contains<Harris>)->Arg(256)->Arg(2048);
 BENCHMARK(BM_InsertErasePair<FR>)->Arg(256);
 BENCHMARK(BM_InsertErasePair<Skip>)->Arg(2048);

@@ -6,15 +6,17 @@
 // through derived(): under counting every node it holds is a counted
 // reference; without, acquire/release inline away.
 //
-// Derived befriends this class and supplies head(v), Node::root(),
+// Derived befriends this class and supplies head(v), tail(), Node::root(),
 // Node::down(), Node::kHinted (the successor-key hint `next_key`),
 // kHeightSalt (its height rng's salt) and the tower hooks: make_root(kind,
 // k, value, height), a never-published root held by the builder (may throw
 // std::bad_alloc); discard_root(root), freeing one; grow_tower(root, below,
 // k, v), the level-v node above `below`, held in its place (nullptr stops
 // the build, `below` stays held); abandon_upper(root, node) for a
-// never-linked upper node. It may shadow guard() (the operation's
-// reclamation guard) and finger_start() / save_finger() (RC's finger).
+// never-linked upper node; tower_levels(root), the height make_root got,
+// above which the tower never links. It may shadow guard() (the
+// operation's reclamation guard) and finger_start() / save_finger() (RC's
+// finger).
 #pragma once
 
 #include <algorithm>
@@ -41,9 +43,8 @@ class SkipCore : public Base {
   using T = decltype(Node::value);
 
   // Levels, counting level 1 (the list of every key). Towers occupy levels
-  // 1..kMaxTowerHeight; the head reaches one level higher, so the top level
-  // is always an empty express lane and erase's cleanup starts above every
-  // tower.
+  // 1..kMaxTowerHeight; the head reaches one level higher, so a descent
+  // can always start on an empty level above every tower.
   static constexpr int kMaxLevel = 24;
   static constexpr int kMaxTowerHeight = kMaxLevel - 1;
 
@@ -79,17 +80,21 @@ class SkipCore : public Base {
     Preds preds;
     auto [prev, del] = search_to_level<false>(k, preds);
     const bool erased = node_eq(del, k, comp_) && this->delete_node(prev, del);
+    const int levels = erased ? derived().tower_levels(del) : 0;
     derived().release(prev);
     derived().release(del);
     if (erased) {
-      // Delete_SL: sweep the levels a second descent from the head would
-      // cover, top-down, to physically delete the rest of the now-
-      // superfluous tower. Each level resumes from the first descent's
-      // predecessor instead of from the head. The top hint never falls, so
-      // the sweep takes over every recorded level.
-      for (int v = descent_top(2); v > 2; --v)
+      // Delete_SL: physically delete the rest of the now-superfluous tower,
+      // top-down over every level it may occupy, whatever the top hint did
+      // meanwhile. Each level resumes from the first descent's predecessor
+      // instead of from the head; the recorded levels above the tower hold
+      // none of its nodes, so they are only released.
+      release_preds(preds, levels + 1);
+      for (int v = levels; v > 2; --v)
         release_pair(resume<false>(preds, k, v));
-      release_pair(resume<true>(preds, k, 2));
+      if (levels >= 2) release_pair(resume<true>(preds, k, 2));
+      // The tower may have been the tallest: let the hint fall.
+      if (levels >= top_hint_.load()) lower_top_hint();
     } else {
       release_preds(preds, 2);
     }
@@ -122,15 +127,24 @@ class SkipCore : public Base {
     return top_hint_.load(std::memory_order_relaxed);
   }
 
+  // Test hook: overwrite the top hint, e.g. below a linked tower, so tests
+  // can check that validate() reports it. Never called by the structure.
+  void set_top_level_hint_for_testing(int level) noexcept {
+    top_hint_.store(level);
+  }
+
   // Quiescent check of INV 1-5 on every level (fr::Core::validate_level)
-  // and of the towers: no superfluous node (root marked) is linked, an upper
-  // node's down() has its key, and check(n, v) (the structure's own checks,
-  // down() one level lower among them) passes. Counts all levels' nodes.
+  // and of the towers: no superfluous node (root marked) is linked, no
+  // node sits above the top hint, an upper node's down() has its key, and
+  // check(n, v) (the structure's own checks, down() one level lower among
+  // them) passes. Counts all levels' nodes.
   template <typename Check>
   typename Base::ValidationReport validate_towers(Check&& check) const {
     typename Base::ValidationReport rep;
+    const int top = top_level_hint();
     for (int v = 1; v <= kMaxLevel; ++v) {
       auto tower_error = [&](const Node* n) -> const char* {
+        if (v > top) return "node above the top-level hint at quiescence";
         if (const char* error = check(n, v)) return error;
         if (n->root()->succ.load().mark)
           return "superfluous node linked at quiescence";
@@ -169,11 +183,12 @@ class SkipCore : public Base {
   //
   // Forced inline: left to its heuristics GCC outlines the descent's
   // search_right<false> from search_to_level<true>, which costs find ~10%
-  // (EXPERIMENTS.md E11).
+  // (EXPERIMENTS.md E11). The descent passes the counter block it fetched
+  // once, so its levels do not each check the thread-local's guard.
   template <bool Closed, bool Hinted = false>
   [[gnu::always_inline]] std::pair<Node*, Node*> search_right(
-      const Key& k, Node* curr) const {
-    auto& c = stats::tls();
+      const Key& k, Node* curr,
+      stats::StepCounters& c = stats::tls()) const {
     auto advances = [&](const Node* n) {
       return Closed ? node_le(n, k, comp_) : node_lt(n, k, comp_);
     };
@@ -292,7 +307,8 @@ class SkipCore : public Base {
   }
 
   // The level a head descent to level v starts at: just above the tallest
-  // live tower, and not below v.
+  // live tower, and not below v. The relaxed load may be stale: a start
+  // too high or too low costs hops, never a result.
   int descent_top(int v) const noexcept {
     return std::max(
         std::min(top_hint_.load(std::memory_order_relaxed) + 1, kMaxLevel), v);
@@ -340,8 +356,12 @@ class SkipCore : public Base {
       if (root->succ.load().mark) {
         // Construction interrupted by a deletion of our root (Section 4).
         // Remove the node we just linked above the (now superfluous) tower,
-        // then finish: the root WAS inserted, so we report success.
-        if (node != root) this->delete_node(prev, node);
+        // then finish: the root WAS inserted, so we report success. The
+        // node may have been the only one on its level.
+        if (node != root) {
+          this->delete_node(prev, node);
+          lower_top_hint();
+        }
         break;
       }
       raise_top_hint(curr_v);
@@ -382,11 +402,13 @@ class SkipCore : public Base {
   template <bool Closed>
   [[gnu::always_inline]] std::pair<Node*, Node*> descend(const Key& k, int v,
                                                          Preds* preds) const {
+    auto& c = stats::tls();
     Node* curr = nullptr;
     int curr_v = 0;
     // Only closed searches (insert, find) enter at a finger. Erase descends
-    // from the head: its cleanup sweeps above the tower, and a descent
-    // entered low would leave those levels to a plain descent each.
+    // from the head: its cleanup sweeps the tower's upper levels, and a
+    // descent entered low would leave those above it to a plain descent
+    // each.
     if constexpr (Closed) std::tie(curr, curr_v) = derived().finger_start(k, v);
     if (curr == nullptr) {
       curr_v = descent_top(v);
@@ -394,7 +416,7 @@ class SkipCore : public Base {
     }
     if (preds != nullptr) preds->top = curr_v;
     while (curr_v > v) {
-      auto [pred, succ] = search_right<false, Node::kHinted>(k, curr);
+      auto [pred, succ] = search_right<false, Node::kHinted>(k, curr, c);
       derived().save_finger(curr_v, pred, succ);
       // pred's down link keeps its target alive while pred is held.
       curr = derived().acquire(pred->down());
@@ -407,16 +429,39 @@ class SkipCore : public Base {
       }
       --curr_v;
     }
-    auto out = search_right<Closed>(k, curr);
+    auto out = search_right<Closed>(k, curr, c);
     derived().save_finger(v, out.first, out.second);
     return out;
   }
 
+  // Called after linking a node at `level` whose root was unmarked. The
+  // link C&S, then this seq_cst load, pairs with lower_top_hint's C&S,
+  // then its seq_cst reload: one side sees the other, so no linked node
+  // ends up above the hint (DESIGN.md §2, "Deviation: the top hint falls").
   void raise_top_hint(int level) const noexcept {
-    int top = top_hint_.load(std::memory_order_relaxed);
-    while (top < level && !top_hint_.compare_exchange_weak(
-                              top, level, std::memory_order_relaxed)) {
+    int top = top_hint_.load();
+    while (top < level && !top_hint_.compare_exchange_weak(top, level)) {
     }
+  }
+
+  // Lowers the hint one level at a time while its level is empty, after
+  // Lea's ConcurrentSkipListMap.tryReduceLevel: a node linked there after
+  // the lowering C&S is seen by the reload, which raises the hint back.
+  void lower_top_hint() const noexcept {
+    int top = top_hint_.load();
+    while (top > 1 && level_empty(top)) {
+      if (!top_hint_.compare_exchange_weak(top, top - 1)) continue;
+      if (!level_empty(top)) {
+        raise_top_hint(top);
+        return;
+      }
+      --top;
+    }
+  }
+
+  // Whether level v holds no node; compares a pointer, dereferences none.
+  bool level_empty(int v) const noexcept {
+    return derived().head(v)->succ.load().right == derived().tail();
   }
 
   // Tower heights, drawn per thread; seeded by thread ordinal so 1-thread
@@ -426,7 +471,10 @@ class SkipCore : public Base {
   }
 
   // A top-level hint makes descents start just above the tallest live
-  // tower, which is what the paper's adaptive head bought.
+  // tower, which is what the paper's adaptive head bought. It rises with a
+  // tower build and falls after an erase of the tallest tower, so at
+  // quiescence no node sits above it (DESIGN.md §2, "Deviation: the top
+  // hint falls").
   mutable std::atomic<int> top_hint_{1};
 };
 

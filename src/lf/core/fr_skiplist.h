@@ -31,7 +31,8 @@
 //   * The head tower is preallocated at full height (kMaxLevel), as one
 //     block like any tower, so the paper's `up` pointers for growing the
 //     head are unnecessary. A top-level hint makes searches start just
-//     above the tallest live tower, which is what the adaptive head bought.
+//     above the tallest live tower, which is what the adaptive head bought;
+//     it rises with tower builds and falls after the tallest tower's erase.
 //   * One shared tail sentinel serves every level (its succ is never
 //     modified, so per-level tail nodes would be indistinguishable).
 //   * Insert_SL and Delete_SL descend once. The paper re-runs
@@ -220,6 +221,7 @@ class FRSkipList
   using Skip::insert_checked;
   using Skip::insert_with_height;
   using Skip::kMaxTowerHeight;
+  using Skip::set_top_level_hint_for_testing;
   using Skip::top_level_hint;
 
   FRSkipList() : FRSkipList(Compare{}, Reclaimer{}) {}
@@ -379,6 +381,9 @@ class FRSkipList
 
   // A never-published root: destroy the block in place.
   static void discard_root(Node* root) { destroy_tower(root); }
+
+  // The block's slot count; the builder never links above it.
+  static int tower_levels(const Node* root) { return root->planned_height; }
 
   // Announce the upcoming link BEFORE attempting it (see Node docs): while
   // tower_alive includes the new node, nobody can retire the tower, so

@@ -55,6 +55,7 @@ struct TowerNode : NodeBase<TowerNode<Key, T>, Key, T> {
   static constexpr bool kHinted = false;  // no successor-key hint
   TowerNode* below = nullptr;
   TowerNode* tower_root = nullptr;
+  int height = 0;  // roots: the drawn tower height; immutable
 
   TowerNode* down() const { return below; }
   TowerNode* root() const { return tower_root; }
@@ -77,7 +78,8 @@ struct TowerNode : NodeBase<TowerNode<Key, T>, Key, T> {
 // search pays at most one counted hold per level it tries. A marked pred
 // can recover through backlinks at ANY level (every node is individually
 // counted, so safe reads need no retired-address argument). Erase descends
-// from the head (fr_skip_core.h), so its cleanup sweeps above the tower.
+// from the head (fr_skip_core.h), so its cleanup resumes every level of
+// the tower from a recorded predecessor.
 template <typename Key, typename T = Key, typename Compare = std::less<Key>>
 class FRSkipListRC
     : private fr::SkipCore<FRSkipListRC<Key, T, Compare>,
@@ -118,6 +120,7 @@ class FRSkipListRC
   using Skip::insert_checked;
   using Skip::insert_with_height;
   using Skip::kMaxTowerHeight;
+  using Skip::set_top_level_hint_for_testing;
   using Skip::top_level_hint;
 
   FRSkipListRC() {
@@ -150,18 +153,20 @@ class FRSkipListRC
   // The hooks of the skip-list layer (fr_skip_core.h), with the finger's.
   static constexpr std::uint64_t kHeightSalt = 0xa0761d6478bd642fULL;
   Node* head(int v) const { return head_[v]; }
+  Node* tail() const { return tail_; }
 
   std::span<Node* const> level_heads() const {
     return std::span<Node* const>(head_).subspan(1);
   }
 
   // A node with its immutable below and tower_root links (null root: the
-  // node is its own root), each counted at creation.
+  // node is its own root), each counted at creation, and its height.
   Node* allocate_node(typename Node::Kind kind, Key k, T v, Node* below,
-                      Node* root) const {
+                      Node* root, int height = 0) const {
     Node* n = allocate(kind, std::move(k), std::move(v), [&](Node* fresh) {
       fresh->below = below;
       fresh->tower_root = root == nullptr ? fresh : root;
+      fresh->height = height;
     });
     if (below != nullptr) acquire(below);
     if (root != nullptr) acquire(root);
@@ -170,9 +175,10 @@ class FRSkipListRC
 
   // A root holding its creator reference; counted nodes need no block.
   Node* make_root(typename Node::Kind kind, const Key& k, T value,
-                  int /*height*/) const {
-    return allocate_node(kind, k, std::move(value), nullptr, nullptr);
+                  int height) const {
+    return allocate_node(kind, k, std::move(value), nullptr, nullptr, height);
   }
+  static int tower_levels(const Node* root) { return root->height; }
 
   // A root or upper node that was never linked: nobody else holds it.
   void discard_root(Node* root) const { this->abandon(root); }

@@ -37,11 +37,6 @@ StepCounters::~StepCounters() {
   reg.live.erase(this);
 }
 
-StepCounters& tls() {
-  thread_local StepCounters block;
-  return block;
-}
-
 Snapshot aggregate() {
   auto& reg = Registry::instance();
   std::lock_guard lock(reg.mu);

@@ -194,8 +194,13 @@ struct alignas(kCacheLineSize) StepCounters {
 // The calling thread's counter block. First use registers the block in the
 // global registry; thread exit folds its totals (and its chain histogram)
 // into the drained accumulators so aggregate() and aggregate_chain_hist()
-// never lose counts.
-StepCounters& tls();
+// never lose counts. Inline, so a search's per-level counter fetch is a
+// TLS access rather than a call; the constructor and destructor that do
+// the registering stay in counters.cpp.
+inline StepCounters& tls() {
+  thread_local StepCounters block;
+  return block;
+}
 
 // Sum over all live threads plus everything drained from exited threads.
 // Exact when no counted code is executing concurrently (the normal benchmark

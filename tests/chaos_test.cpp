@@ -417,6 +417,77 @@ TEST_F(ChaosTest, CrashMatrixFRSkipListRC) {
   run_backlink_crash_row<Set>(Site::kSkipBacklinkStep, Site::kSkipInsertCas);
 }
 
+// ---- The top hint falls below a parked tower build ------------------------
+//
+// A victim builds key 15 as a height-6 tower and parks at kSkipTowerBuild
+// after linking level 3. The main thread then erases the two taller towers,
+// so the hint falls to the parked build's level 3 (DESIGN.md §2, "Deviation:
+// the top hint falls"). Released, the build links levels 4-6 and raises
+// the hint again. Erased while parked, the tower's erase sweeps all six
+// levels whatever the hint says, and the released builder finds its root
+// marked: FRSkipList's cannot grow its retired tower, FRSkipListRC's links
+// level 4 and deletes it again. Either way no superfluous node stays
+// linked and no node sits above the hint.
+template <typename Set>
+void run_parked_build_under_falling_hint(bool erase_while_parked) {
+  chaos::reset();
+  Set s;
+  for (long k = 1; k <= 5; ++k)
+    ASSERT_EQ(s.insert_with_height(k, k, 2), Set::InsertStatus::kInserted);
+  ASSERT_EQ(s.insert_with_height(10, 10, 12), Set::InsertStatus::kInserted);
+  ASSERT_EQ(s.insert_with_height(20, 20, 9), Set::InsertStatus::kInserted);
+  ASSERT_EQ(s.top_level_hint(), 12);
+
+  chaos::arm_crash(Site::kSkipTowerBuild, 3);  // after linking level 3
+  std::uint64_t linked = 0;  // the victim's insert C&Ss
+  std::thread victim([&] {
+    chaos::set_thread_role(chaos::Role::kVictim);
+    const auto before = lf::stats::tls().read();
+    EXPECT_EQ(s.insert_with_height(15, 15, 6), Set::InsertStatus::kInserted);
+    linked = (lf::stats::tls().read() - before).insert_cas;
+    chaos::set_thread_role(chaos::Role::kDefault);
+  });
+  ASSERT_TRUE(chaos::wait_parked(30s));
+  ASSERT_TRUE(s.erase(10));
+  EXPECT_EQ(s.top_level_hint(), 9);
+  ASSERT_TRUE(s.erase(20));
+  EXPECT_EQ(s.top_level_hint(), 3);  // the parked build's top level
+  if (erase_while_parked) {
+    ASSERT_TRUE(s.erase(15));
+    EXPECT_EQ(s.top_level_hint(), 2);
+  }
+  chaos::release_parked();
+  victim.join();
+
+  constexpr bool kCounted = requires { s.validate_accounting(); };
+  EXPECT_EQ(linked, !erase_while_parked ? 6u : kCounted ? 4u : 3u);
+  EXPECT_EQ(s.top_level_hint(), erase_while_parked ? 2 : 6);
+  EXPECT_EQ(s.contains(15), !erase_while_parked);
+  EXPECT_EQ(s.size(), erase_while_parked ? 5u : 6u);
+  const auto rep = s.validate();  // no superfluous node, none above the hint
+  EXPECT_TRUE(rep.ok) << rep.error;
+  if constexpr (kCounted) {
+    EXPECT_TRUE(s.validate_accounting());
+  }
+  EXPECT_TRUE(lf::reclaim::EpochDomain::global().validate_accounting());
+}
+
+TEST_F(ChaosTest, TopHintFallsBelowParkedBuildReleased) {
+  run_parked_build_under_falling_hint<lf::FRSkipList<long, long>>(false);
+}
+
+TEST_F(ChaosTest, TopHintFallsBelowParkedBuildErasedWhileParked) {
+  run_parked_build_under_falling_hint<lf::FRSkipList<long, long>>(true);
+}
+
+TEST_F(ChaosTest, TopHintFallsBelowParkedBuildReleasedRC) {
+  run_parked_build_under_falling_hint<lf::FRSkipListRC<long, long>>(false);
+}
+
+TEST_F(ChaosTest, TopHintFallsBelowParkedBuildErasedWhileParkedRC) {
+  run_parked_build_under_falling_hint<lf::FRSkipListRC<long, long>>(true);
+}
+
 // Crash inside the reclaimers' entry points: survivors keep operating (the
 // epoch stops advancing, which defers reclamation but never blocks).
 TEST_F(ChaosTest, CrashInEpochRetireDoesNotBlockSurvivors) {

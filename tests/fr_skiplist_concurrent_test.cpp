@@ -376,6 +376,72 @@ TEST(FRSkipListConcurrent, StaleHintsNeverChangeResults) {
   for (long k = 0; k < kKeys; k += 4) EXPECT_TRUE(s.contains(k)) << k;
 }
 
+// The top hint rises and falls under races (DESIGN.md §2, "Deviation: the
+// top hint falls"). Two writers insert and erase towers of every height
+// 1..23 on their own keys, so the tallest tower, and with it the hint,
+// moves up and down all the time; two readers meanwhile look up a fixed
+// set of never-erased keys, and keys never inserted, starting wherever
+// the hint says. At quiescence validate() checks that no node sits above
+// the hint and no superfluous node is linked.
+template <typename S>
+class SkipTopHintStress : public ::testing::Test {};
+using SkipTypes =
+    ::testing::Types<lf::FRSkipList<long, long>, lf::FRSkipListRC<long, long>>;
+TYPED_TEST_SUITE(SkipTopHintStress, SkipTypes);
+
+TYPED_TEST(SkipTopHintStress, TallTowersChurnUnderReaders) {
+  using S = TypeParam;
+  S s;
+  constexpr long kKeys = 512;  // fixed keys 4i; writer t owns 4i + t + 1
+  constexpr int kWriters = 2;
+  constexpr int kOpsPerWriter = 20000;
+  for (long k = 0; k < kKeys; k += 4)
+    ASSERT_EQ(s.insert_with_height(k, k, 2), S::InsertStatus::kInserted);
+
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<long> wrong{0};
+  std::barrier start(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kWriters; ++t) {
+    workers.emplace_back([&, t] {
+      lf::Xoshiro256 rng(5100 + t);
+      start.arrive_and_wait();
+      for (int i = 0; i < kOpsPerWriter; ++i) {
+        const long k = 4 * static_cast<long>(rng.below(kKeys / 4)) + t + 1;
+        if (rng.below(2) == 0) {
+          const int h = 1 + static_cast<int>(rng.below(S::kMaxTowerHeight));
+          s.insert_with_height(k, k, h);
+        } else {
+          s.erase(k);
+        }
+      }
+      writers_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (int t = kWriters; t < kThreads; ++t) {
+    workers.emplace_back([&] {
+      start.arrive_and_wait();
+      while (writers_left.load(std::memory_order_acquire) > 0) {
+        for (long k = 0; k < kKeys; k += 4) {
+          if (!s.contains(k)) wrong.fetch_add(1, std::memory_order_relaxed);
+          if (s.contains(k + 3)) wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  const auto rep = s.validate();
+  EXPECT_TRUE(rep.ok) << rep.error;
+  if constexpr (requires { s.validate_accounting(); }) {
+    EXPECT_TRUE(s.validate_accounting());
+  } else {
+    expect_epoch_accounting();
+  }
+  for (long k = 0; k < kKeys; k += 4) EXPECT_TRUE(s.contains(k)) << k;
+}
+
 TEST(FRSkipListConcurrent, EpochReclamationFreesTowers) {
   lf::reclaim::EpochDomain domain;
   {

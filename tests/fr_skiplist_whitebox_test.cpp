@@ -10,6 +10,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <new>
 #include <set>
 #include <string>
@@ -160,6 +161,102 @@ TEST(FRSkipListWhitebox, TopHintNeverExceedsTallestTower) {
   EXPECT_GE(s.top_level_hint(), tallest);
 }
 
+template <typename S>
+void expect_valid(const S& s) {
+  const auto rep = s.validate();
+  ASSERT_TRUE(rep.ok) << rep.error;
+  if constexpr (requires { s.validate_accounting(); }) {
+    ASSERT_TRUE(s.validate_accounting());  // no node leaked or freed twice
+  }
+}
+
+// The top hint follows the tallest live tower in both skip lists (DESIGN.md
+// §2, "Deviation: the top hint falls").
+template <typename S>
+class SkipTopHint : public ::testing::Test {};
+using SkipTypes =
+    ::testing::Types<lf::FRSkipList<long, long>, lf::FRSkipListRC<long, long>>;
+TYPED_TEST_SUITE(SkipTopHint, SkipTypes);
+
+// Coin-flip towers, drawn by the test so it knows the tallest live one,
+// then one height-23 tower that is erased again. On one thread the hint is
+// exact: it falls back to the tallest remaining tower after the tall
+// erase and after every erase of a tallest tower, and to 1 once the list
+// is empty.
+TYPED_TEST(SkipTopHint, TopHintFallsWhenTallestTowerErased) {
+  using S = TypeParam;
+  S s;
+  lf::Xoshiro256 rng(2026);
+  std::map<long, int> height_of;
+  std::multiset<int> heights;
+  for (long k = 0; k < 3000; ++k) {
+    const int h = rng.tower_height(S::kMaxTowerHeight);
+    ASSERT_EQ(s.insert_with_height(k, k, h), S::InsertStatus::kInserted);
+    height_of[k] = h;
+    heights.insert(h);
+  }
+  ASSERT_EQ(s.top_level_hint(), *heights.rbegin());
+  ASSERT_LT(*heights.rbegin(), S::kMaxTowerHeight);
+
+  ASSERT_EQ(s.insert_with_height(-1, -1, S::kMaxTowerHeight),
+            S::InsertStatus::kInserted);
+  EXPECT_EQ(s.top_level_hint(), S::kMaxTowerHeight);
+  ASSERT_TRUE(s.erase(-1));
+  EXPECT_EQ(s.top_level_hint(), *heights.rbegin());
+  expect_valid(s);
+
+  std::vector<long> order;
+  for (const auto& [k, h] : height_of) order.push_back(k);
+  for (std::size_t i = order.size(); i > 1; --i)
+    std::swap(order[i - 1], order[rng.below(i)]);
+  for (long k : order) {
+    ASSERT_TRUE(s.erase(k));
+    heights.erase(heights.find(height_of[k]));
+    const int tallest = heights.empty() ? 1 : *heights.rbegin();
+    ASSERT_EQ(s.top_level_hint(), tallest) << "after erasing " << k;
+  }
+  EXPECT_EQ(s.top_level_hint(), 1);
+  expect_valid(s);
+}
+
+// An erase removes every level of its tower even when the hint has fallen
+// below them, as it may while a build races the hint down: with the hint
+// forced to 1, the descent records only level 2, and the sweep still
+// reaches levels 3-6 from their heads.
+TYPED_TEST(SkipTopHint, EraseCoversItsTowerAboveTheHint) {
+  using S = TypeParam;
+  S s;
+  for (long k = 1; k <= 9; ++k)
+    ASSERT_EQ(s.insert_with_height(k, k, k == 5 ? 6 : 1),
+              S::InsertStatus::kInserted);
+  s.set_top_level_hint_for_testing(1);
+  ASSERT_TRUE(s.erase(5));
+  EXPECT_EQ(s.top_level_hint(), 1);
+  expect_valid(s);  // no superfluous node left, none above the hint
+  EXPECT_EQ(s.size(), 8u);
+}
+
+// validate() reports a node above the top hint, which no quiescent list
+// may hold; a hint above the tallest tower is only slow, and passes.
+TYPED_TEST(SkipTopHint, ValidateReportsNodeAboveTopHint) {
+  using S = TypeParam;
+  S s;
+  ASSERT_EQ(s.insert_with_height(1, 1, 5), S::InsertStatus::kInserted);
+  ASSERT_EQ(s.insert_with_height(2, 2, 3), S::InsertStatus::kInserted);
+  ASSERT_EQ(s.top_level_hint(), 5);
+  expect_valid(s);
+
+  s.set_top_level_hint_for_testing(4);
+  const auto rep = s.validate();
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.error, "node above the top-level hint at quiescence");
+
+  s.set_top_level_hint_for_testing(S::kMaxTowerHeight);
+  expect_valid(s);
+  s.set_top_level_hint_for_testing(5);
+  expect_valid(s);
+}
+
 TEST(FRSkipListWhitebox, RangeQueriesVisitExactInterval) {
   Skip s;
   for (long k = 0; k < 100; ++k) s.insert(k * 2, k);  // evens 0..198
@@ -222,15 +319,6 @@ void fill_balanced(S& s) {
         std::min(1 + std::countr_zero(static_cast<unsigned long>(i + 1)), 12);
     ASSERT_EQ(s.insert_with_height(2 * i, 2 * i, h),
               S::InsertStatus::kInserted);
-  }
-}
-
-template <typename S>
-void expect_valid(const S& s) {
-  const auto rep = s.validate();
-  ASSERT_TRUE(rep.ok) << rep.error;
-  if constexpr (requires { s.validate_accounting(); }) {
-    ASSERT_TRUE(s.validate_accounting());  // no node leaked or freed twice
   }
 }
 
