@@ -39,16 +39,36 @@ Set& shared_set(long n) {
   return *slot;
 }
 
-template <typename Set, bool kTallTowerErased = false>
+// Which keys a BM_Contains row looks up in [0, 2n): any, only the even
+// ones the fill inserted (hits), or only the odd ones it did not (misses).
+enum class Lookup { kAny, kHit, kMiss };
+
+template <typename Set, bool kTallTowerErased = false,
+          Lookup kLookup = Lookup::kAny>
 void BM_Contains(benchmark::State& state) {
   Set& set = shared_set<Set, kTallTowerErased>(state.range(0));
   lf::Xoshiro256 rng(1234 + static_cast<unsigned>(state.thread_index()));
   const auto span = static_cast<std::uint64_t>(2 * state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        set.contains(static_cast<long>(rng.below(span))));
+    auto k = static_cast<long>(rng.below(span));
+    if constexpr (kLookup == Lookup::kHit) k &= ~1L;
+    if constexpr (kLookup == Lookup::kMiss) k |= 1L;
+    benchmark::DoNotOptimize(set.contains(k));
   }
   state.SetItemsProcessed(state.iterations());
+}
+
+// BM_Contains split by outcome. A search stops at the first level where
+// it meets its key's tower (DESIGN.md §2, "Deviation: searches stop at
+// their key's tower"), so only hits skip levels; a miss still descends to
+// level 1.
+template <typename Set>
+void BM_ContainsHit(benchmark::State& state) {
+  BM_Contains<Set, false, Lookup::kHit>(state);
+}
+template <typename Set>
+void BM_ContainsMiss(benchmark::State& state) {
+  BM_Contains<Set, false, Lookup::kMiss>(state);
 }
 
 template <typename Set>
@@ -94,6 +114,8 @@ using Harris = lf::HarrisList<long, long>;
 
 BENCHMARK(BM_Contains<FR>)->Arg(256)->Arg(2048);
 BENCHMARK(BM_Contains<Skip>)->Arg(2048)->Arg(65536);
+BENCHMARK(BM_ContainsHit<Skip>)->Arg(2048);
+BENCHMARK(BM_ContainsMiss<Skip>)->Arg(2048);
 BENCHMARK(BM_ContainsAfterTallTower<Skip>)->Arg(2048);
 BENCHMARK(BM_Contains<Harris>)->Arg(256)->Arg(2048);
 BENCHMARK(BM_InsertErasePair<FR>)->Arg(256);

@@ -45,9 +45,9 @@
 #if LF_CHAOS
 #include <chrono>
 #include <vector>
+#endif
 
 #include "lf/instrument/counters.h"
-#endif
 
 namespace lf::chaos {
 
@@ -208,15 +208,16 @@ inline constexpr bool kCompiledIn = false;
 template <typename Field>
 typename Field::View cas([[maybe_unused]] Site site, Field& field,
                          typename Field::View expected,
-                         typename Field::View desired) {
+                         typename Field::View desired,
+                         stats::StepCounters& c = stats::tls()) {
 #if LF_CHAOS
   point(site);
   if (force_cas_fail(site)) {
-    stats::tls().cas_attempt.inc();  // a failed attempt is still a step
+    c.cas_attempt.inc();  // a failed attempt is still a step
     return typename Field::View{nullptr, true, false};
   }
 #endif
-  return field.cas(expected, desired);
+  return field.cas(expected, desired, c);
 }
 
 // ---- Yield injection for schedule-fuzz tests (both build modes) ---------

@@ -75,7 +75,8 @@ inline constexpr Sites kSkipSites{
 // a member of the same name.
 //
 //   template <bool Closed>
-//   std::pair<Node*, Node*> search_right(const Key& k, Node* curr) const;
+//   std::pair<Node*, Node*> search_right(const Key& k, Node* curr,
+//                                        stats::StepCounters& c) const;
 //     the level-local search from curr: consecutive (n1, n2) on curr's
 //     level with n1.key <= k < n2.key (Closed) or n1.key < k <= n2.key
 //     (!Closed). try_flag and the insert step relocate through it. The
@@ -104,6 +105,9 @@ inline constexpr Sites kSkipSites{
 // return held nodes, walk_backlinks swaps a held node for a held one, and
 // the other steps borrow their arguments.
 //
+// Every step counts into the calling thread's counter block c, which the
+// operation fetches once and hands down (stats::tls() is a TLS guard test,
+// or a call where GCC declines to inline it); the entry points default it.
 // Every method is const: searches are const and help deletions.
 template <typename Derived, typename Node, typename Key, typename Compare,
           Sites kSites>
@@ -165,8 +169,8 @@ class Core {
   // the paper's SearchFrom(k - eps)). Physically deletes the logically
   // deleted nodes it meets by helping (line 5).
   template <bool Closed>
-  std::pair<Node*, Node*> search_right(const Key& k, Node* curr) const {
-    auto& c = stats::tls();
+  std::pair<Node*, Node*> search_right(
+      const Key& k, Node* curr, stats::StepCounters& c = stats::tls()) const {
     auto advances = [&](const Node* n) {
       return Closed ? node_le(n, k, comp_) : node_lt(n, k, comp_);
     };
@@ -180,7 +184,7 @@ class Core {
         if (!next_succ.mark) break;
         const View curr_succ = curr->succ.load();
         if (curr_succ.mark && curr_succ.right == next) break;
-        if (curr_succ.right == next) help_marked(curr, next);
+        if (curr_succ.right == next) help_marked(curr, next, c);
         derived().release(next);
         next = derived().safe_read_succ(curr);
         LF_PREFETCH(next);
@@ -204,16 +208,16 @@ class Core {
   // HELPMARKED (Figure 3): physically deletes the marked node del (the
   // successor of the flagged node prev) and removes prev's flag, in one
   // C&S. The thread whose C&S performs the unlink owns del's disposal.
-  void help_marked(Node* prev, Node* del) const {
+  void help_marked(Node* prev, Node* del, stats::StepCounters& c) const {
     chaos_point(kSites.help_marked);
-    stats::tls().help_marked.inc();
+    c.help_marked.inc();
     Node* next = derived().safe_read_succ(del);
     derived().count_link(next);
     const View result = chaos::cas(kSites.unlink_cas, prev->succ,
                                    View{del, false, true},
-                                   View{next, false, false});
+                                   View{next, false, false}, c);
     if (result == View{del, false, true}) {
-      stats::tls().pdelete_cas.inc();
+      c.pdelete_cas.inc();
       derived().on_right_changed(prev, true);
       derived().on_unlinked(del);
     } else {
@@ -225,27 +229,28 @@ class Core {
   // HELPFLAGGED (Figure 4): prev is flagged and del is its successor: set
   // del's backlink, mark del, then physically delete it. Callable by any
   // thread (helping); all callers compute the same backlink value.
-  void help_flagged(Node* prev, Node* del) const {
+  void help_flagged(Node* prev, Node* del,
+                    stats::StepCounters& c = stats::tls()) const {
     chaos_point(kSites.help_flagged);
-    stats::tls().help_flagged.inc();
+    c.help_flagged.inc();
     derived().set_backlink(del, prev);
-    if (!del->succ.load().mark) try_mark(del);
-    help_marked(prev, del);
+    if (!del->succ.load().mark) try_mark(del, c);
+    help_marked(prev, del, c);
   }
 
   // TRYMARK (Figure 4).
-  void try_mark(Node* del) const {
+  void try_mark(Node* del, stats::StepCounters& c) const {
     do {
       Node* next = derived().safe_read_succ(del);
       const View result = chaos::cas(kSites.mark_cas, del->succ,
                                      View{next, false, false},
-                                     View{next, true, false});
+                                     View{next, true, false}, c);
       if (result == View{next, false, false}) {
-        stats::tls().mark_cas.inc();
+        c.mark_cas.inc();
       } else if (result.flag && !result.mark) {
         // Failure because del itself got flagged: a deletion of del's
         // successor is underway; help it finish, then retry.
-        derived().help_flagged_seen(del, result);
+        derived().help_flagged_seen(del, result, c);
       }
       // Failure because del.right changed: loop re-reads and retries.
       derived().release(next);
@@ -257,8 +262,8 @@ class Core {
   // its predecessor is flagged, the chain only ever leads left; and every
   // marker sets the backlink before its mark C&S, so a marked node's
   // backlink is never null.
-  void walk_backlinks(Node*& prev) const {
-    auto& c = stats::tls();
+  void walk_backlinks(Node*& prev,
+                      stats::StepCounters& c = stats::tls()) const {
     std::uint64_t chain = 0;
     while (prev->succ.load().mark) {
       chaos_point(kSites.backlink_step);
@@ -269,16 +274,15 @@ class Core {
       derived().release(prev);
       prev = back;
     }
-    if (chain > 0) stats::chain_hist_tls().record(chain);
+    if (chain > 0) c.chain_hist.record(chain);
   }
 
   // TRYFLAG (Figure 5): flags target's predecessor. Returns the updated
   // predecessor, whether target is still in the level (kIn: prev' is
   // flagged for target; kDeleted: target left first), and whether THIS
   // call's C&S placed the flag (that operation reports the deletion).
-  std::tuple<Node*, FlagStatus, bool> try_flag(Node* prev,
-                                               Node* target) const {
-    auto& c = stats::tls();
+  std::tuple<Node*, FlagStatus, bool> try_flag(
+      Node* prev, Node* target, stats::StepCounters& c = stats::tls()) const {
     sync::Backoff backoff;
     for (;;) {
       if (prev->succ.load() == View{target, false, true}) {
@@ -286,7 +290,7 @@ class Core {
       }
       const View result = chaos::cas(kSites.flag_cas, prev->succ,
                                      View{target, false, false},
-                                     View{target, false, true});
+                                     View{target, false, true}, c);
       if (result == View{target, false, false}) {
         c.flag_cas.inc();
         return {prev, FlagStatus::kIn, true};
@@ -301,9 +305,9 @@ class Core {
       backoff.pause();
       // Possibly a failure due to marking: recover through the backlink
       // chain, then relocate target's predecessor (line 11; k - eps).
-      walk_backlinks(prev);
+      walk_backlinks(prev, c);
       auto [new_prev, del] =
-          derived().template search_right<false>(target->key, prev);
+          derived().template search_right<false>(target->key, prev, c);
       derived().release(del);
       if (del != target) return {new_prev, FlagStatus::kDeleted, false};
       prev = new_prev;
@@ -312,9 +316,10 @@ class Core {
 
   // The three-step deletion of del on its level. Returns whether THIS
   // call's flag initiated the deletion.
-  bool delete_node(Node* prev, Node* del) const {
-    auto [flag_prev, status, won] = try_flag(derived().acquire(prev), del);
-    if (status == FlagStatus::kIn) help_flagged(flag_prev, del);
+  bool delete_node(Node* prev, Node* del,
+                   stats::StepCounters& c = stats::tls()) const {
+    auto [flag_prev, status, won] = try_flag(derived().acquire(prev), del, c);
+    if (status == FlagStatus::kIn) help_flagged(flag_prev, del, c);
     derived().release(flag_prev);
     return won;
   }
@@ -326,10 +331,11 @@ class Core {
   // successful insert); otherwise (prev, next) is the re-search result.
   // prev and next are held by the caller and replaced by held results.
   bool insert_step(Node* node, Node*& prev, Node*& next,
-                   sync::Backoff& backoff) const {
+                   sync::Backoff& backoff,
+                   stats::StepCounters& c = stats::tls()) const {
     const View prev_succ = prev->succ.load();
     if (prev_succ.flag) {
-      derived().help_flagged_seen(prev, prev_succ);
+      derived().help_flagged_seen(prev, prev_succ, c);
     } else {
       node->succ.store_unsynchronized(View{next, false, false});
       derived().on_right_changed(node, false);
@@ -340,36 +346,37 @@ class Core {
       derived().count_link(node);
       const View result = chaos::cas(kSites.insert_cas, prev->succ,
                                      View{next, false, false},
-                                     View{node, false, false});
+                                     View{node, false, false}, c);
       if (result == View{next, false, false}) {
-        stats::tls().insert_cas.inc();
+        c.insert_cas.inc();
         derived().on_right_changed(prev, true);
         return true;
       }
       derived().uncount_link(node);
       if (result.flag && !result.mark)
-        derived().help_flagged_seen(prev, result);
+        derived().help_flagged_seen(prev, result, c);
       // Failed insertion C&S under contention: back off before the
       // recovery walk + re-search (no counted steps; see try_flag).
       backoff.pause();
-      walk_backlinks(prev);
+      walk_backlinks(prev, c);
     }
     derived().release(next);
     std::tie(prev, next) =
-        derived().template search_right<true>(node->key, prev);
+        derived().template search_right<true>(node->key, prev, c);
     return false;
   }
 
   // The INSERT retry loop: links node between (prev, next), a search
   // result for node's key, unless a node with that key is found first.
   // Returns the final prev. node is never published on kDuplicate.
-  std::pair<Node*, InsertResult> insert_node(Node* node, Node* prev,
-                                             Node* next) const {
+  std::pair<Node*, InsertResult> insert_node(
+      Node* node, Node* prev, Node* next,
+      stats::StepCounters& c = stats::tls()) const {
     prev = derived().acquire(prev);
     next = derived().acquire(next);
     sync::Backoff backoff;
     while (!node_eq(prev, node->key, comp_)) {
-      if (insert_step(node, prev, next, backoff)) {
+      if (insert_step(node, prev, next, backoff, c)) {
         derived().release(next);
         return {prev, InsertResult::kInserted};
       }
@@ -394,8 +401,9 @@ class Core {
   void uncount_link(Node*) const {}
   // Forced inline: else this call level in the help_flagged -> try_mark
   // recursion changes the uncounted code (tools/fn_diff.py).
-  [[gnu::always_inline]] void help_flagged_seen(Node* prev, View seen) const {
-    help_flagged(prev, seen.right);
+  [[gnu::always_inline]] void help_flagged_seen(
+      Node* prev, View seen, stats::StepCounters& c) const {
+    help_flagged(prev, seen.right, c);
   }
   void on_right_changed(Node*, bool) const {}
 

@@ -259,7 +259,10 @@ class Core : public fr::Core<Derived, Node, Key, Compare, kSites> {
 
   // Valois SafeRead on a successor field: returns a counted reference to
   // the field's current target.
-  Node* safe_read_succ(Node* source) const {
+  // Forced inline: it is every counted hop's read. Left to GCC it was
+  // outlined from FRSkipListRC's descent, erase, insert and try_flag, so
+  // each hop paid a call (tools/fn_diff.py on bench_reclamation).
+  [[gnu::always_inline]] Node* safe_read_succ(Node* source) const {
     for (;;) {
       Node* p = source->succ.load().right;
       p->refct.fetch_add(1, std::memory_order_acq_rel);
@@ -366,11 +369,11 @@ class Core : public fr::Core<Derived, Node, Key, Compare, kSites> {
   // A C&S saw prev's successor word flagged, but the View's right pointer
   // is not a counted reference: re-read it safely, and help only if the
   // flag still stands for that successor.
-  void help_flagged_seen(Node* prev, View) const {
+  void help_flagged_seen(Node* prev, View, stats::StepCounters& c) const {
     if (!prev->succ.load().flag) return;
     Node* del = safe_read_succ(prev);
     if (prev->succ.load() == View{del, false, true})
-      this->help_flagged(prev, del);
+      this->help_flagged(prev, del, c);
     release(del);
   }
 

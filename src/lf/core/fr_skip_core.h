@@ -15,8 +15,12 @@
 // the build, `below` stays held); abandon_upper(root, node) for a
 // never-linked upper node; tower_levels(root), the height make_root got,
 // above which the tower never links. It may shadow guard() (the
-// operation's reclamation guard) and finger_start() / save_finger() (RC's
-// finger).
+// operation's reclamation guard) and finger_start(k, v, c) / save_finger()
+// (RC's finger).
+//
+// Every descent but erase's stops at the first level where it meets k's
+// tower (search_right's StopAtKey): find and contains return there, and a
+// duplicate insert returns kDuplicate.
 #pragma once
 
 #include <algorithm>
@@ -76,10 +80,13 @@ class SkipCore : public Base {
 
   bool erase(const Key& k) {
     [[maybe_unused]] auto guard = derived().guard();
-    // prev.key < k <= del.key on level 1.
+    auto& c = stats::tls();
+    // prev.key < k <= del.key on level 1. Erase never stops at k's tower:
+    // it deletes the root, on level 1.
     Preds preds;
-    auto [prev, del] = search_to_level<false>(k, preds);
-    const bool erased = node_eq(del, k, comp_) && this->delete_node(prev, del);
+    auto [prev, del] = search_to_level<false>(k, preds, c);
+    const bool erased =
+        node_eq(del, k, comp_) && this->delete_node(prev, del, c);
     const int levels = erased ? derived().tower_levels(del) : 0;
     derived().release(prev);
     derived().release(del);
@@ -91,36 +98,34 @@ class SkipCore : public Base {
       // none of its nodes, so they are only released.
       release_preds(preds, levels + 1);
       for (int v = levels; v > 2; --v)
-        release_pair(resume<false>(preds, k, v));
-      if (levels >= 2) release_pair(resume<true>(preds, k, 2));
+        release_pair(resume<false>(preds, k, v, c));
+      if (levels >= 2) release_pair(resume<true>(preds, k, 2, c));
       // The tower may have been the tallest: let the hint fall.
       if (levels >= top_hint_.load()) lower_top_hint();
     } else {
       release_preds(preds, 2);
     }
-    stats::tls().op_erase.inc();
+    c.op_erase.inc();
     return erased;
   }
 
+  // Search_SL, returning at the first level whose search meets k's tower
+  // (search_node). The value lives in the tower's root.
   std::optional<T> find(const Key& k) const {
     [[maybe_unused]] auto guard = derived().guard();
-    auto [curr, next] = search_to_level<true>(k, 1);
     std::optional<T> out;
-    if (node_eq(curr, k, comp_)) out.emplace(curr->value);
-    derived().release(curr);
-    derived().release(next);
-    stats::tls().op_search.inc();
+    if (Node* n = search_node(k)) {
+      out.emplace(n->root()->value);
+      derived().release(n);
+    }
     return out;
   }
 
   bool contains(const Key& k) const {
     [[maybe_unused]] auto guard = derived().guard();
-    auto [curr, next] = search_to_level<true>(k, 1);
-    const bool found = node_eq(curr, k, comp_);
-    derived().release(curr);
-    derived().release(next);
-    stats::tls().op_search.inc();
-    return found;
+    Node* n = search_node(k);
+    derived().release(n);
+    return n != nullptr;
   }
 
   int top_level_hint() const noexcept {
@@ -163,7 +168,8 @@ class SkipCore : public Base {
 
   // No finger: every descent starts at the head. A finger returns a held
   // node with key < k (or <= k on level 1) on a level >= v, and that level.
-  std::pair<Node*, int> finger_start(const Key&, int) const {
+  std::pair<Node*, int> finger_start(const Key&, int,
+                                     stats::StepCounters&) const {
     return {nullptr, 0};
   }
   void save_finger(int, Node*, Node*) const {}
@@ -181,16 +187,28 @@ class SkipCore : public Base {
   // if k < hint, it stops at curr without loading the successor and
   // returns (curr, nullptr). Only the descent above level 1 passes it.
   //
+  // With StopAtKey, a search that meets a node n with key k, whose root the
+  // superfluous-node check just read unmarked, returns (nullptr, n) with n
+  // held: k is in the set at that read (DESIGN.md §2, "Deviation: searches
+  // stop at their key's tower"). It does not load n's successor. A closed
+  // search counts its step into n, as it would have taken it; a strict one
+  // takes none. The equality is the superfluous-node check's n <= k,
+  // repeated once n < k has failed; holding the check's result in a local
+  // instead slowed misses ~4% (EXPERIMENTS.md E11).
+  //
   // Forced inline: left to its heuristics GCC outlines the descent's
   // search_right<false> from search_to_level<true>, which costs find ~10%
   // (EXPERIMENTS.md E11). The descent passes the counter block it fetched
   // once, so its levels do not each check the thread-local's guard.
-  template <bool Closed, bool Hinted = false>
+  template <bool Closed, bool Hinted = false, bool StopAtKey = false>
   [[gnu::always_inline]] std::pair<Node*, Node*> search_right(
       const Key& k, Node* curr,
       stats::StepCounters& c = stats::tls()) const {
+    // A search that stops at k never steps into a node with key k but the
+    // one it stops at, so it advances strictly.
     auto advances = [&](const Node* n) {
-      return Closed ? node_le(n, k, comp_) : node_lt(n, k, comp_);
+      return Closed && !StopAtKey ? node_le(n, k, comp_)
+                                  : node_lt(n, k, comp_);
     };
     auto hint_stops = [&](const Node* n) {
       if constexpr (Hinted) {
@@ -211,15 +229,25 @@ class SkipCore : public Base {
       // so the postcondition of either mode is preserved.
       while (next->kind == Node::Kind::kInterior && node_le(next, k, comp_) &&
              next->root()->succ.load().mark) {
-        auto [new_curr, status, won] = this->try_flag(curr, next);
+        auto [new_curr, status, won] = this->try_flag(curr, next, c);
         curr = new_curr;
-        if (status == Base::FlagStatus::kIn) this->help_flagged(curr, next);
+        if (status == Base::FlagStatus::kIn) this->help_flagged(curr, next, c);
         derived().release(next);
         next = derived().safe_read_succ(curr);
         LF_PREFETCH(next);
         c.next_update.inc();
       }
-      if (!advances(next)) break;
+      if (!advances(next)) {
+        if (StopAtKey && node_le(next, k, comp_)) {  // next.key == k
+          if constexpr (Closed) {
+            LF_CHAOS_POINT(kSkipSearchStep);
+            c.curr_update.inc();
+          }
+          derived().release(curr);
+          return {nullptr, next};
+        }
+        break;
+      }
       LF_CHAOS_POINT(kSkipSearchStep);
       derived().release(curr);
       curr = next;  // the reference moves with it
@@ -245,7 +273,8 @@ class SkipCore : public Base {
   // exactly those, so the arrays are deliberately left uninitialized:
   // zeroing them on every update measurably slowed small_read's update
   // p50. Under counting each recorded node is held until resume takes it
-  // or release_preds drops it.
+  // or release_preds drops it. A descent that stopped at k's tower drops
+  // what it recorded and leaves top = 1.
   struct Preds {
     Node* at[kMaxLevel + 1];
     Node* next[kMaxLevel + 1];
@@ -258,23 +287,40 @@ class SkipCore : public Base {
   // SearchRight and level v with the plain one; returns held consecutive
   // (n1, n2) on level v with n1.key <= k < n2.key (Closed) or
   // n1.key < k <= n2.key (!Closed). It starts at the finger when one
-  // holds, else at the head just above the tallest live tower.
+  // holds, else at the head just above the tallest live tower. It never
+  // stops at k's tower: ranges and the upper levels of a tower build need
+  // level v's pair.
   //
-  // Kept out of line: with the updates on the recording overload below,
-  // only the read paths call it, and GCC would inline it into them and
-  // change the read path's code.
+  // Kept out of line: it serves the range scan and the update levels above
+  // the recorded ones, which need not carry a copy of the descent.
   template <bool Closed>
   [[gnu::noinline]] std::pair<Node*, Node*> search_to_level(const Key& k,
                                                             int v) const {
-    return descend<Closed>(k, v, nullptr);
+    return descend<Closed, false>(k, v, nullptr, stats::tls());
   }
 
-  // search_to_level(k, 1) that records its path in preds. Only the update
-  // paths use it; find, contains and ranges keep the plain descent.
+  // search_to_level(k, 1) that records its path in preds, for the updates.
+  // Insert's (Closed) stops at k's tower like search_node, returning
+  // (nullptr, n); erase's descends to level 1.
   template <bool Closed>
   [[gnu::always_inline]] std::pair<Node*, Node*> search_to_level(
-      const Key& k, Preds& preds) const {
-    return descend<Closed>(k, 1, &preds);
+      const Key& k, Preds& preds, stats::StepCounters& c) const {
+    return descend<Closed, Closed>(k, 1, &preds, c);
+  }
+
+  // Search_SL's descent for find and contains: a held node of k's tower,
+  // met on the first level whose search reaches one with its root
+  // unmarked, or nullptr when k is absent. A hit therefore skips the
+  // levels below that one, and on level 1 the load of the node's
+  // successor. Counts the operation (op_search) in the counter block the
+  // descent fetched. Kept out of line so find and contains share one copy.
+  [[gnu::noinline]] Node* search_node(const Key& k) const {
+    auto& c = stats::tls();
+    auto [prev, next] = descend<true, true>(k, 1, nullptr, c);
+    c.op_search.inc();
+    if (prev == nullptr) return next;
+    release_pair({prev, next});
+    return nullptr;
   }
 
   // Level v's search result after a recording descent: the recorded pair
@@ -286,9 +332,8 @@ class SkipCore : public Base {
   // descend once"). Takes over the references preds held on level v; under
   // counting the kept pair saves a SafeRead and its release.
   template <bool Closed>
-  [[gnu::always_inline]] std::pair<Node*, Node*> resume(Preds& preds,
-                                                        const Key& k,
-                                                        int v) const {
+  [[gnu::always_inline]] std::pair<Node*, Node*> resume(
+      Preds& preds, const Key& k, int v, stats::StepCounters& c) const {
     if (v > preds.top) return search_to_level<Closed>(k, v);
     Node* pred = preds.at[v];
     Node* succ = preds.next[v];
@@ -296,8 +341,8 @@ class SkipCore : public Base {
         pred->succ.load() == typename Base::View{succ, false, false})
       return {pred, succ};
     derived().release(succ);
-    this->walk_backlinks(pred);
-    return search_right<Closed>(k, pred);
+    this->walk_backlinks(pred, c);
+    return search_right<Closed>(k, pred, c);
   }
 
   // Drops the references preds still holds, on levels lo..top.
@@ -316,26 +361,28 @@ class SkipCore : public Base {
 
  private:
   // Insert_SL with an explicit tower height (public insert draws it from
-  // the coin-flip rng; tests may pin it).
+  // the coin-flip rng; tests may pin it). Its descent stops at k's tower,
+  // so a duplicate returns from the first level holding it, with no C&S.
   InsertStatus insert_impl(const Key& k, T value, const int tower_height) {
     [[maybe_unused]] auto guard = derived().guard();
+    auto& c = stats::tls();
     Preds preds;
-    auto [prev, next] = search_to_level<true>(k, preds);
+    auto [prev, next] = search_to_level<true>(k, preds, c);
     // Early returns: folding them into the build loop's exit measurably
     // slowed churn's updates.
-    if (node_eq(prev, k, comp_))  // DUPLICATE_KEY
-      return end_unlinked(InsertStatus::kDuplicate, prev, next, preds);
+    if (prev == nullptr)  // DUPLICATE_KEY: the descent met k's tower
+      return end_unlinked(InsertStatus::kDuplicate, nullptr, next, preds, c);
     Node* root = nullptr;
     try {
       root = derived().make_root(Node::Kind::kInterior, k, std::move(value),
                                  tower_height);
     } catch (const std::bad_alloc&) {  // nothing linked, nothing leaked
-      return end_unlinked(InsertStatus::kNoMemory, prev, next, preds);
+      return end_unlinked(InsertStatus::kNoMemory, prev, next, preds, c);
     }
     Node* node = root;  // the node being linked; the builder holds it
     int curr_v = 1;     // its level, the highest level resumed so far
     for (;;) {
-      auto [new_prev, result] = this->insert_node(node, prev, next);
+      auto [new_prev, result] = this->insert_node(node, prev, next, c);
       derived().release(prev);
       derived().release(next);
       prev = new_prev;
@@ -343,7 +390,8 @@ class SkipCore : public Base {
       if (result == Base::InsertResult::kDuplicate) {
         if (curr_v == 1) {
           derived().discard_root(root);  // never published
-          return end_unlinked(InsertStatus::kDuplicate, prev, nullptr, preds);
+          return end_unlinked(InsertStatus::kDuplicate, prev, nullptr, preds,
+                              c);
         }
         // A same-key tower exists at an upper level: only possible after
         // our root was deleted and the key reinserted. Stop building.
@@ -359,7 +407,7 @@ class SkipCore : public Base {
         // then finish: the root WAS inserted, so we report success. The
         // node may have been the only one on its level.
         if (node != root) {
-          this->delete_node(prev, node);
+          this->delete_node(prev, node, c);
           lower_top_hint();
         }
         break;
@@ -372,23 +420,24 @@ class SkipCore : public Base {
       node = upper;
       ++curr_v;
       derived().release(prev);
-      std::tie(prev, next) = resume<true>(preds, k, curr_v);
+      std::tie(prev, next) = resume<true>(preds, k, curr_v, c);
     }
     derived().release(prev);
     derived().release(next);
     derived().release(node);
     release_preds(preds, curr_v + 1);
-    stats::tls().op_insert.inc();
+    c.op_insert.inc();
     return InsertStatus::kInserted;
   }
 
   // Ends an insert that linked nothing: drops what it holds.
   InsertStatus end_unlinked(InsertStatus status, Node* prev, Node* next,
-                            const Preds& preds) const {
+                            const Preds& preds,
+                            stats::StepCounters& c) const {
     derived().release(prev);
     derived().release(next);
     release_preds(preds, 2);
-    stats::tls().op_insert.inc();
+    c.op_insert.inc();
     return status;
   }
 
@@ -397,26 +446,45 @@ class SkipCore : public Base {
     derived().release(p.second);
   }
 
-  // The descent behind both search_to_level overloads; with preds, it
-  // records the node it stepped down from on each level.
-  template <bool Closed>
-  [[gnu::always_inline]] std::pair<Node*, Node*> descend(const Key& k, int v,
-                                                         Preds* preds) const {
-    auto& c = stats::tls();
+  // The descent behind search_node and both search_to_level overloads;
+  // with preds, it records the node it stepped down from on each level.
+  // With StopAtKey, it returns (nullptr, n) as soon as a level's search
+  // meets n, a node of k's tower whose root it read unmarked (see
+  // search_right); a finger that validated on k's own node is such a
+  // meeting too. n is held, and preds drops the levels it recorded.
+  template <bool Closed, bool StopAtKey>
+  [[gnu::always_inline]] std::pair<Node*, Node*> descend(
+      const Key& k, int v, Preds* preds, stats::StepCounters& c) const {
     Node* curr = nullptr;
     int curr_v = 0;
     // Only closed searches (insert, find) enter at a finger. Erase descends
     // from the head: its cleanup sweeps the tower's upper levels, and a
     // descent entered low would leave those above it to a plain descent
     // each.
-    if constexpr (Closed) std::tie(curr, curr_v) = derived().finger_start(k, v);
+    if constexpr (Closed) {
+      std::tie(curr, curr_v) = derived().finger_start(k, v, c);
+      // A level-1 finger may sit on k's root, which finger_start read
+      // unmarked (FRSkipListRC).
+      if (StopAtKey && curr != nullptr && node_eq(curr, k, comp_)) {
+        if (preds != nullptr) preds->top = 1;
+        return {nullptr, curr};
+      }
+    }
     if (curr == nullptr) {
       curr_v = descent_top(v);
       curr = derived().acquire(derived().head(curr_v));
     }
     if (preds != nullptr) preds->top = curr_v;
     while (curr_v > v) {
-      auto [pred, succ] = search_right<false, Node::kHinted>(k, curr, c);
+      auto [pred, succ] =
+          search_right<false, Node::kHinted, StopAtKey>(k, curr, c);
+      if (StopAtKey && pred == nullptr) {  // met k's tower on level curr_v
+        if (preds != nullptr) {
+          release_preds(*preds, curr_v + 1);
+          preds->top = 1;
+        }
+        return {nullptr, succ};
+      }
       derived().save_finger(curr_v, pred, succ);
       // pred's down link keeps its target alive while pred is held.
       curr = derived().acquire(pred->down());
@@ -429,8 +497,9 @@ class SkipCore : public Base {
       }
       --curr_v;
     }
-    auto out = search_right<Closed>(k, curr, c);
-    derived().save_finger(v, out.first, out.second);
+    auto out = search_right<Closed, false, StopAtKey>(k, curr, c);
+    if (!StopAtKey || out.first != nullptr)
+      derived().save_finger(v, out.first, out.second);
     return out;
   }
 

@@ -40,6 +40,12 @@
 //     build and for the erase cleanup; here the first descent records the
 //     node it stepped down from on each level, and each later level's
 //     SearchRight starts there, walking backlinks first if it was marked.
+//   * Searches stop at their key's tower. The paper's Search_SL descends to
+//     level 1 and loads the successor of the node it lands on; here find,
+//     contains and the insert's descent return at the first level whose
+//     search meets k's node with its root unmarked (k is in the set at that
+//     read), and on level 1 without loading that node's successor. Erase
+//     still descends to level 1.
 //   * Successor-key hint (after "Skiplists with Foresight"): for trivially
 //     copyable keys of at most 8 bytes each node keeps a relaxed copy of
 //     its successor's key, refreshed after every insert and unlink C&S.

@@ -211,8 +211,8 @@ class FRSkipListRC
   // finger_try_hold only for the probe winner; a hold/stamp failure kills
   // the way and falls through to the next level. Hit/miss accounting
   // covers exactly the finger-eligible searches (v <= kFingerLevels).
-  std::pair<Node*, int> finger_start(const Key& k, int v) const {
-    auto& c = stats::tls();
+  std::pair<Node*, int> finger_start(const Key& k, int v,
+                                     stats::StepCounters& c) const {
     if (v > kFingerLevels) return {nullptr, 0};  // never eligible
     auto& cache = FingerCache::of(finger_id_);
     for (int lvl = v; lvl <= kFingerLevels; ++lvl) {
@@ -239,7 +239,7 @@ class FRSkipListRC
       // Marked pred: recover leftward. Sound at ANY level here — every
       // node is individually counted, so the walk's safe reads need no
       // retired-address argument.
-      this->walk_backlinks(start);
+      this->walk_backlinks(start, c);
       if (start->succ.load().mark) {
         release(start);
         continue;  // try the next level up

@@ -77,9 +77,10 @@ class SuccField {
   // The paper's C&S(address, old, new): one attempt, returning the value the
   // field held at the linearization point of the primitive (so callers can
   // branch on the failure reason exactly like the pseudocode does).
-  // Counts one cas_attempt and, when it succeeds, one cas_success.
-  View cas(View expected, View desired) noexcept {
-    auto& c = stats::tls();
+  // Counts one cas_attempt and, when it succeeds, one cas_success, in the
+  // calling thread's counter block c.
+  View cas(View expected, View desired,
+           stats::StepCounters& c = stats::tls()) noexcept {
     c.cas_attempt.inc();
     std::uintptr_t exp = pack(expected);
     const std::uintptr_t des = pack(desired);

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <barrier>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -440,6 +441,72 @@ TYPED_TEST(SkipTopHintStress, TallTowersChurnUnderReaders) {
     expect_epoch_accounting();
   }
   for (long k = 0; k < kKeys; k += 4) EXPECT_TRUE(s.contains(k)) << k;
+}
+
+// A find that stops on an upper node returns the value of that node's
+// root, which must be an incarnation of the key that was in the set at
+// some point during the find (DESIGN.md §2, "Deviation: searches stop at
+// their key's tower"). One writer erases and reinserts key 301 with a
+// tall tower and a fresh value per incarnation; incarnation i is inserted
+// only after `begun` reaches i and erased before `ended` reaches i. So a
+// find that read ended = e before it started and begun = b after it
+// returned may only see an incarnation in (e, b]. Three readers check
+// every find they make.
+template <typename S>
+class SkipStopAtKeyStress : public ::testing::Test {};
+TYPED_TEST_SUITE(SkipStopAtKeyStress, SkipTypes);
+
+TYPED_TEST(SkipStopAtKeyStress, FindSeesOnlyALiveIncarnation) {
+  using S = TypeParam;
+  S s;
+  constexpr long kKey = 301;
+  constexpr long kIncarnations = 10000;
+  for (long k = 0; k < 600; k += 2)
+    ASSERT_EQ(s.insert_with_height(k, k, 1 + static_cast<int>(k % 7)),
+              S::InsertStatus::kInserted);
+
+  std::atomic<long> begun{0}, ended{0};
+  std::atomic<bool> done{false};
+  std::atomic<long> wrong{0}, hits{0};
+  std::barrier start(kThreads);
+  std::vector<std::thread> workers;
+  workers.emplace_back([&] {
+    start.arrive_and_wait();
+    for (long i = 1; i <= kIncarnations; ++i) {
+      begun.store(i);
+      const int h = 8 + static_cast<int>(i % 16);  // tall: 8..23
+      if (s.insert_with_height(kKey, i, h) != S::InsertStatus::kInserted)
+        wrong.fetch_add(1, std::memory_order_relaxed);
+      if (!s.erase(kKey)) wrong.fetch_add(1, std::memory_order_relaxed);
+      ended.store(i);
+    }
+    done.store(true);
+  });
+  for (int t = 1; t < kThreads; ++t) {
+    workers.emplace_back([&] {
+      start.arrive_and_wait();
+      while (!done.load()) {
+        const long e = ended.load();
+        const std::optional<long> v = s.find(kKey);
+        const long b = begun.load();
+        if (!v) continue;
+        hits.fetch_add(1, std::memory_order_relaxed);
+        if (*v <= e || *v > b) wrong.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(hits.load(), 0);
+  EXPECT_FALSE(s.contains(kKey));
+  const auto rep = s.validate();
+  EXPECT_TRUE(rep.ok) << rep.error;
+  if constexpr (requires { s.validate_accounting(); }) {
+    EXPECT_TRUE(s.validate_accounting());
+  } else {
+    expect_epoch_accounting();
+  }
 }
 
 TEST(FRSkipListConcurrent, EpochReclamationFreesTowers) {

@@ -10,6 +10,7 @@
 #include "lf/core/fr_list.h"
 #include "lf/core/fr_list_noflag.h"
 #include "lf/core/fr_skiplist.h"
+#include "lf/core/fr_skiplist_rc.h"
 #include "lf/util/random.h"
 
 namespace {
@@ -195,6 +196,13 @@ TEST(LiveLinearizability, FRSkipList) {
     record_and_check<lf::FRSkipList<long, long>>(seed);
   for (std::uint64_t seed : {5u, 66u, 24680u})
     record_and_check<lf::FRSkipList<std::uint64_t, std::uint64_t>>(seed);
+}
+
+// The counted skip list shares the descent, and its stop at a key's
+// tower, with FRSkipList; its finger may also enter on the key's root.
+TEST(LiveLinearizability, FRSkipListRC) {
+  for (std::uint64_t seed : {4u, 55u, 13579u})
+    record_and_check<lf::FRSkipListRC<long, long>>(seed);
 }
 
 TEST(LiveLinearizability, FRListNoFlag) {
