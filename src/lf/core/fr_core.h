@@ -23,6 +23,7 @@
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "lf/chaos/chaos.h"
 #include "lf/core/key_order.h"
@@ -87,6 +88,11 @@ inline constexpr Sites kSkipSites{
 //     called once, by the thread whose C&S physically deleted del (FRList
 //     retires del; FRSkipList drops one reference on del's tower; rc::Core
 //     releases the removed link's count).
+//   bool finger_hold(Way& way) const;
+//     makes a probed finger way's node safe to dereference (finger_enter).
+//     The default trusts the caller's probe filter (FRList's epoch or
+//     leaky token); rc::Core shadows it with the counted hold and reuse
+//     stamp check.
 //   void on_right_changed(Node* n, bool published) const;
 //     called by the thread that just changed n's right pointer: after its
 //     successful insert or unlink C&S on n (published), and on a new node
@@ -107,8 +113,8 @@ inline constexpr Sites kSkipSites{
 //
 // Every step counts into the calling thread's counter block c, which the
 // operation fetches once and hands down (stats::tls() is a TLS guard test,
-// or a call where GCC declines to inline it); the entry points default it.
-// Every method is const: searches are const and help deletions.
+// or a call where GCC declines to inline it). Every method is const:
+// searches are const and help deletions.
 template <typename Derived, typename Node, typename Key, typename Compare,
           Sites kSites>
 class Core {
@@ -120,6 +126,25 @@ class Core {
   enum class InsertResult { kInserted, kDuplicate };
 
   explicit Core(Compare comp) : comp_(std::move(comp)) {}
+
+  // ---- snapshot helpers over Derived::for_each -----------------------------
+
+  // Number of unmarked (regular) interior nodes. O(n); a linearizable size
+  // is impossible to maintain cheaply on a lock-free list, so under
+  // concurrency this is a point-in-traversal approximation.
+  std::size_t size() const {
+    std::size_t n = 0;
+    derived().for_each([&](const Key&, const auto&) { ++n; });
+    return n;
+  }
+
+  bool empty() const { return size() == 0; }
+
+  std::vector<Key> keys() const {
+    std::vector<Key> out;
+    derived().for_each([&](const Key& k, const auto&) { out.push_back(k); });
+    return out;
+  }
 
   // ---- quiescent validation -------------------------------------------------
 
@@ -169,8 +194,8 @@ class Core {
   // the paper's SearchFrom(k - eps)). Physically deletes the logically
   // deleted nodes it meets by helping (line 5).
   template <bool Closed>
-  std::pair<Node*, Node*> search_right(
-      const Key& k, Node* curr, stats::StepCounters& c = stats::tls()) const {
+  std::pair<Node*, Node*> search_right(const Key& k, Node* curr,
+                                       stats::StepCounters& c) const {
     auto advances = [&](const Node* n) {
       return Closed ? node_le(n, k, comp_) : node_lt(n, k, comp_);
     };
@@ -229,8 +254,7 @@ class Core {
   // HELPFLAGGED (Figure 4): prev is flagged and del is its successor: set
   // del's backlink, mark del, then physically delete it. Callable by any
   // thread (helping); all callers compute the same backlink value.
-  void help_flagged(Node* prev, Node* del,
-                    stats::StepCounters& c = stats::tls()) const {
+  void help_flagged(Node* prev, Node* del, stats::StepCounters& c) const {
     chaos_point(kSites.help_flagged);
     c.help_flagged.inc();
     derived().set_backlink(del, prev);
@@ -262,8 +286,7 @@ class Core {
   // its predecessor is flagged, the chain only ever leads left; and every
   // marker sets the backlink before its mark C&S, so a marked node's
   // backlink is never null.
-  void walk_backlinks(Node*& prev,
-                      stats::StepCounters& c = stats::tls()) const {
+  void walk_backlinks(Node*& prev, stats::StepCounters& c) const {
     std::uint64_t chain = 0;
     while (prev->succ.load().mark) {
       chaos_point(kSites.backlink_step);
@@ -281,8 +304,8 @@ class Core {
   // predecessor, whether target is still in the level (kIn: prev' is
   // flagged for target; kDeleted: target left first), and whether THIS
   // call's C&S placed the flag (that operation reports the deletion).
-  std::tuple<Node*, FlagStatus, bool> try_flag(
-      Node* prev, Node* target, stats::StepCounters& c = stats::tls()) const {
+  std::tuple<Node*, FlagStatus, bool> try_flag(Node* prev, Node* target,
+                                               stats::StepCounters& c) const {
     sync::Backoff backoff;
     for (;;) {
       if (prev->succ.load() == View{target, false, true}) {
@@ -316,8 +339,7 @@ class Core {
 
   // The three-step deletion of del on its level. Returns whether THIS
   // call's flag initiated the deletion.
-  bool delete_node(Node* prev, Node* del,
-                   stats::StepCounters& c = stats::tls()) const {
+  bool delete_node(Node* prev, Node* del, stats::StepCounters& c) const {
     auto [flag_prev, status, won] = try_flag(derived().acquire(prev), del, c);
     if (status == FlagStatus::kIn) help_flagged(flag_prev, del, c);
     derived().release(flag_prev);
@@ -331,8 +353,7 @@ class Core {
   // successful insert); otherwise (prev, next) is the re-search result.
   // prev and next are held by the caller and replaced by held results.
   bool insert_step(Node* node, Node*& prev, Node*& next,
-                   sync::Backoff& backoff,
-                   stats::StepCounters& c = stats::tls()) const {
+                   sync::Backoff& backoff, stats::StepCounters& c) const {
     const View prev_succ = prev->succ.load();
     if (prev_succ.flag) {
       derived().help_flagged_seen(prev, prev_succ, c);
@@ -369,9 +390,9 @@ class Core {
   // The INSERT retry loop: links node between (prev, next), a search
   // result for node's key, unless a node with that key is found first.
   // Returns the final prev. node is never published on kDuplicate.
-  std::pair<Node*, InsertResult> insert_node(
-      Node* node, Node* prev, Node* next,
-      stats::StepCounters& c = stats::tls()) const {
+  std::pair<Node*, InsertResult> insert_node(Node* node, Node* prev,
+                                             Node* next,
+                                             stats::StepCounters& c) const {
     prev = derived().acquire(prev);
     next = derived().acquire(next);
     sync::Backoff backoff;
@@ -384,6 +405,46 @@ class Core {
     derived().release(next);
     return {prev, InsertResult::kDuplicate};
   }
+
+  // ---- the finger entry (sync/finger.h, DESIGN.md §10) ----------------------
+
+  // Enters a search toward k at one way set's probe winners (the bracket
+  // way, then with use_fallback the fallback; FingerCache::Set::probe,
+  // filtered by proof.usable). Each candidate is held (a failed
+  // finger_hold kills the way), fires validate_site and walks backlinks:
+  // unmarked, it is a hit; else it is released. Returns the held start and
+  // the bracket way's index if that way served, or (nullptr, -1); the
+  // caller counts a miss.
+  template <typename Set, typename Proof>
+  std::pair<Node*, int> finger_enter(Set& set, const Key& k, bool closed,
+                                     bool use_fallback,
+                                     chaos::Site validate_site,
+                                     const Proof& proof,
+                                     stats::StepCounters& c) const {
+    const auto probe = set.probe(
+        k, closed, comp_, [&](const auto& way) { return proof.usable(way); });
+    for (const int i : {probe.bracket, use_fallback ? probe.fallback : -1}) {
+      if (i < 0) continue;
+      auto& way = set.way[i];
+      if (!derived().finger_hold(way)) {
+        way.node = nullptr;  // recycled since the save: a dead way
+        continue;
+      }
+      Node* start = way.node;
+      chaos_point(validate_site);
+      walk_backlinks(start, c);  // a marked finger recovers leftward
+      if (!start->succ.load().mark) {
+        set.hit(i);
+        c.finger_hit.inc();
+        return {start, i == probe.bracket ? i : -1};
+      }
+      derived().release(start);
+    }
+    return {nullptr, -1};
+  }
+
+  template <typename Way>
+  bool finger_hold(Way&) const { return true; }
 
   // ---- reference points: the uncounted defaults -----------------------------
 

@@ -33,8 +33,10 @@
 //
 // The steps of Figures 3-5 (SearchFrom, HelpMarked, HelpFlagged, TryMark,
 // TryFlag, the Insert retry loop) live in fr_core.h, shared with the skip
-// list and the counted variants; this file keeps the node, the
-// reclaimer's disposal hook and the finger layer.
+// list and the counted variants, and so does the finger entry; the list
+// operations and the finger save live in fr_list_core.h, shared with
+// FRListRC. This file keeps the node, the sentinels, the reclaimer's
+// disposal hook, the finger's token proof and the adversary hooks.
 //
 // Linearization points (Section 3.3): successful insert at its successful
 // C&S; successful delete when the node becomes marked; searches at the
@@ -62,14 +64,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <new>
-#include <optional>
 #include <utility>
-#include <vector>
 
-#include "lf/chaos/chaos.h"
 #include "lf/core/fr_core.h"
+#include "lf/core/fr_list_core.h"
 #include "lf/instrument/counters.h"
 #include "lf/mem/pool.h"
 #include "lf/reclaim/epoch.h"
@@ -115,8 +115,10 @@ struct alignas(8) ListNode {
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
           typename Reclaimer = reclaim::EpochReclaimer>
 class FRList
-    : private fr::Core<FRList<Key, T, Compare, Reclaimer>,
-                       fr::ListNode<Key, T>, Key, Compare, fr::kListSites> {
+    : private fr::ListCore<
+          FRList<Key, T, Compare, Reclaimer>,
+          fr::Core<FRList<Key, T, Compare, Reclaimer>, fr::ListNode<Key, T>,
+                   Key, Compare, fr::kListSites>> {
  public:
   using key_type = Key;
   using mapped_type = T;
@@ -125,25 +127,35 @@ class FRList
 
  private:
   using Core = fr::Core<FRList, Node, Key, Compare, fr::kListSites>;
+  using ListCore = fr::ListCore<FRList, Core>;
   using View = typename Core::View;
   using FlagStatus = typename Core::FlagStatus;
-  using InsertResult = typename Core::InsertResult;
   friend Core;
+  friend ListCore;
 
   using Core::comp_;
-  using Core::delete_node;
   using Core::help_flagged;
-  using Core::insert_node;
   using Core::insert_step;
   using Core::try_flag;
+  using ListCore::link_node;
 
  public:
   using typename Core::ValidationReport;
+  using typename ListCore::InsertStatus;
+  using Core::empty;
+  using Core::keys;
+  using Core::size;
+  using ListCore::contains;
+  using ListCore::erase;
+  using ListCore::find;
+  using ListCore::insert;
+  using ListCore::insert_checked;
+  using ListCore::validate;
 
   FRList() : FRList(Compare{}, Reclaimer{}) {}
   explicit FRList(Reclaimer reclaimer) : FRList(Compare{}, std::move(reclaimer)) {}
   FRList(Compare comp, Reclaimer reclaimer)
-      : Core(std::move(comp)), reclaimer_(std::move(reclaimer)) {
+      : ListCore(std::move(comp)), reclaimer_(std::move(reclaimer)) {
     head_ = new Node(Node::Kind::kHead, Key{}, T{});
     tail_ = new Node(Node::Kind::kTail, Key{}, T{});
     head_->succ.store_unsynchronized(View{tail_, false, false});
@@ -165,80 +177,6 @@ class FRList
   FRList(const FRList&) = delete;
   FRList& operator=(const FRList&) = delete;
 
-  // ---- Dictionary operations (paper Figures 3-5) ----------------------
-
-  // insert_checked distinguishes "key already present" from "allocation
-  // failed": a node allocation that throws std::bad_alloc is absorbed
-  // before anything is linked, so the structure is untouched.
-  enum class InsertStatus { kInserted, kDuplicate, kNoMemory };
-
-  // INSERT(k, e): true on success, false if the key is already present.
-  bool insert(const Key& k, T value) {
-    return insert_checked(k, std::move(value)) == InsertStatus::kInserted;
-  }
-
-  InsertStatus insert_checked(const Key& k, T value) {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, next] = search_entry<true>(k);
-    if (node_eq(prev, k, comp_)) {
-      stats::tls().op_insert.inc();
-      return InsertStatus::kDuplicate;  // DUPLICATE_KEY
-    }
-    Node* node = nullptr;
-    try {
-      node = new Node(Node::Kind::kInterior, k, std::move(value));
-    } catch (const std::bad_alloc&) {
-      stats::tls().op_insert.inc();
-      return InsertStatus::kNoMemory;  // nothing linked, nothing leaked
-    }
-    const bool inserted = link_or_free(node, prev, next);
-    stats::tls().op_insert.inc();
-    return inserted ? InsertStatus::kInserted : InsertStatus::kDuplicate;
-  }
-
-  // DELETE(k): true if this operation deleted the key, false otherwise
-  // (absent, or a concurrent deletion of the same node wins).
-  bool erase(const Key& k) {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    // SearchFrom(k - eps): prev.key < k <= del.key, per Delete line 1.
-    auto [prev, del] = search_entry<false>(k);
-    const bool erased = node_eq(del, k, comp_) && delete_node(prev, del);
-    stats::tls().op_erase.inc();
-    return erased;
-  }
-
-  // SEARCH(k): copy of the mapped value, or nullopt.
-  std::optional<T> find(const Key& k) const {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [curr, next] = search_entry<true>(k);
-    (void)next;
-    std::optional<T> out;
-    if (node_eq(curr, k, comp_)) out.emplace(curr->value);
-    stats::tls().op_search.inc();
-    return out;
-  }
-
-  bool contains(const Key& k) const {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [curr, next] = search_entry<true>(k);
-    (void)next;
-    stats::tls().op_search.inc();
-    return node_eq(curr, k, comp_);
-  }
-
-  // ---- Snapshot / diagnostic helpers -----------------------------------
-
-  // Number of unmarked (regular) interior nodes. O(n); a linearizable size
-  // is impossible to maintain cheaply on a lock-free list, so under
-  // concurrency this is a point-in-traversal approximation.
-  std::size_t size() const {
-    std::size_t n = 0;
-    for_each([&](const Key&, const T&) { ++n; });
-    return n;
-  }
-
-  bool empty() const { return size() == 0; }
-
   // Visits (key, value) of every regular node in key order. Weakly
   // consistent under concurrency (like every lock-free iteration).
   template <typename Fn>
@@ -248,22 +186,6 @@ class FRList
          p = p->succ.load().right) {
       if (!p->succ.load().mark) fn(p->key, p->value);
     }
-  }
-
-  std::vector<Key> keys() const {
-    std::vector<Key> out;
-    for_each([&](const Key& k, const T&) { out.push_back(k); });
-    return out;
-  }
-
-  // ---- Invariant validation (tests; requires quiescence) ---------------
-
-  // The paper's INV 1-5 at a quiescent point (fr::Core::validate_level).
-  ValidationReport validate() const {
-    ValidationReport rep;
-    this->validate_level(head_, rep,
-                         [](const Node*) -> const char* { return nullptr; });
-    return rep;
   }
 
   // ---- Two-phase insertion hooks (benchmark adversary; Section 3.1) ----
@@ -285,12 +207,13 @@ class FRList
   // (Insert lines 1-4). Returns false (and allocates nothing) on duplicate.
   bool insert_locate(const Key& k, T value, InsertCursor& cur) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, next] = this->template search_right<true>(k, head_);
+    auto [prev, next] =
+        this->template search_right<true>(k, head_, stats::tls());
     if (node_eq(prev, k, comp_)) return false;
     cur.key = k;
     cur.prev = prev;
     cur.next = next;
-    cur.node = new Node(Node::Kind::kInterior, k, std::move(value));
+    cur.node = make_node(k, std::move(value));
     return true;
   }
 
@@ -298,8 +221,9 @@ class FRList
   // backlinks when the located predecessor got marked in between.
   bool insert_complete(InsertCursor& cur) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    const bool inserted = link_or_free(cur.node, cur.prev, cur.next);
-    stats::tls().op_insert.inc();
+    auto& c = stats::tls();
+    const bool inserted = link_node(cur.node, cur.prev, cur.next, c);
+    c.op_insert.inc();
     cur.node = nullptr;
     return inserted;
   }
@@ -312,16 +236,17 @@ class FRList
 
   TryResult insert_try_once(InsertCursor& cur) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
+    auto& c = stats::tls();
     sync::Backoff backoff;
-    if (insert_step(cur.node, cur.prev, cur.next, backoff)) {
+    if (insert_step(cur.node, cur.prev, cur.next, backoff, c)) {
       cur.node = nullptr;
-      stats::tls().op_insert.inc();
+      c.op_insert.inc();
       return TryResult::kInserted;
     }
     if (!node_eq(cur.prev, cur.key, comp_)) return TryResult::kRetry;
-    delete cur.node;  // never published; plain delete is safe
+    discard_node(cur.node);
     cur.node = nullptr;
-    stats::tls().op_insert.inc();
+    c.op_insert.inc();
     return TryResult::kDuplicate;
   }
 
@@ -343,9 +268,10 @@ class FRList
 
   bool erase_begin(const Key& k, StalledErase& out) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, del] = this->template search_right<false>(k, head_);
+    auto& c = stats::tls();
+    auto [prev, del] = this->template search_right<false>(k, head_, c);
     if (!node_eq(del, k, comp_)) return false;
-    auto [flag_prev, status, won] = try_flag(prev, del);
+    auto [flag_prev, status, won] = try_flag(prev, del, c);
     const bool in = status == FlagStatus::kIn;
     out.prev = in ? flag_prev : nullptr;
     out.del = del;
@@ -357,8 +283,9 @@ class FRList
   // reports success (it placed the flag, so the deletion is "its").
   bool erase_finish(StalledErase& st) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    if (st.prev != nullptr) help_flagged(st.prev, st.del);
-    stats::tls().op_erase.inc();
+    auto& c = stats::tls();
+    if (st.prev != nullptr) help_flagged(st.prev, st.del, c);
+    c.op_erase.inc();
     return st.flagged;
   }
 
@@ -368,99 +295,35 @@ class FRList
   Reclaimer& reclaimer() noexcept { return reclaimer_; }
 
  private:
-  // ---- Finger (search hint) layer — see sync/finger.h and DESIGN.md §10 --
-  //
-  // Each thread remembers, per list instance, a small set-associative cache
-  // of recent search results: sync::kFingerCacheWays ways, each holding the
-  // n1 node a search returned together with the bracket of keys it serves
-  // ([n1.key, n2.key]) and the reclaimer's validity token. The next
-  // top-level search probes for the way whose bracket contains the new key
-  // — a hot-set repeat lands in its own way even when the hot keys are
-  // positionally scattered — falling back to the way with the closest key
-  // still left of k (any unmarked node with key < k is a valid start), and
-  // to the head when no way validates. A finger that was marked in the
-  // meantime is recovered through its backlink chain — the exact recovery a
-  // failed C&S performs (fr::Core::walk_backlinks). Replacement is
-  // least-frequently-hit with aging (sync::finger_victim_pick); a bracket
-  // hit refreshes its own way in place and bumps its frequency counter. The
-  // cache itself is the shared sync::FingerCache; this class adds the token
-  // filter and the recovery. Only the public entry points use fingers; the
-  // two-phase adversary hooks (insert_locate / insert_try_once /
-  // erase_begin) keep their head starts so the paper's lower-bound
-  // schedules stay reproducible.
+  // ---- the hooks of the list layer (fr_list_core.h) ------------------------
 
+  auto guard() const { return reclaimer_.guard(); }
+
+  Node* make_node(const Key& k, T value) const {
+    return new Node(Node::Kind::kInterior, k, std::move(value));
+  }
+  // Never published: plain delete is safe.
+  void discard_node(Node* node) const { delete node; }
+
+  // The finger's validity proof is the reclaimer's token for the current
+  // pin (sync::FingerPolicy): everything reachable in this operation stays
+  // dereferenceable while that token revalidates, so a save stores it and
+  // the probe skips every way saved under another.
   using FingerPol = sync::FingerPolicy<Reclaimer>;
-  using FingerCache =
-      sync::FingerCache<Node, Key, chaos::Site::kListFingerReplace>;
-  using FingerSet = typename FingerCache::Set;
-
-  // The head-or-finger search every public operation starts with. The
-  // result is saved under the token of the CURRENT pin (everything
-  // reachable in this operation stays dereferenceable while that token
-  // revalidates); the bracket way that served this search is refreshed in
-  // place unless a way already caches the same node (FingerCache::Set::save).
-  template <bool Closed>
-  std::pair<Node*, Node*> search_entry(const Key& k) const {
-    auto& cache = FingerCache::of(finger_id_);
-    const std::uint64_t token = FingerPol::token(reclaimer_);
-    const auto [start, bracket] =
-        finger_start<Closed>(k, cache.find(finger_id_), token);
-    auto out = this->template search_right<Closed>(
-        k, start != nullptr ? start : head_);
-    cache.claim(finger_id_).save(out.first, out.second, token, bracket);
-    return out;
-  }
-
-  // Returns {start, way}: a validated start node with key < k (Closed:
-  // key <= k) or nullptr for a head start, plus the index of the bracket
-  // way that served it (-1 when the start came from the key-side fallback
-  // or the head). `set` is null when this thread's slot holds another
-  // instance. Only ways whose token matches the current one are probed.
-  // Counts one hit or miss per search; backlink hops taken here are
-  // charged as regular recovery steps.
-  template <bool Closed>
-  std::pair<Node*, int> finger_start(const Key& k, FingerSet* set,
-                                     std::uint64_t token) const {
-    auto& c = stats::tls();
-    if (set != nullptr) {
-      const auto probe =
-          set->probe(k, Closed, comp_,
-                     [token](const auto& e) { return e.proof == token; });
-      for (const int i : {probe.bracket, probe.fallback}) {
-        if (i < 0) continue;
-        LF_CHAOS_POINT(kListFingerValidate);
-        Node* start = set->way[i].node;
-        this->walk_backlinks(start);
-        if (!start->succ.load().mark) {
-          set->hit(i);
-          c.finger_hit.inc();
-          return {start, i == probe.bracket ? i : -1};
-        }
-      }
-    }
-    LF_CHAOS_POINT(kListFingerFallback);
-    c.finger_miss.inc();
-    return {nullptr, -1};
-  }
+  struct TokenProof {
+    std::uint64_t token;
+    template <typename Way>
+    bool usable(const Way& way) const { return way.proof == token; }
+    std::uint64_t of(const Node*) const { return token; }
+  };
+  TokenProof finger_proof() const { return {FingerPol::token(reclaimer_)}; }
 
   // The core's disposal hook: the unlinking thread retires del.
   void on_unlinked(Node* del) const { reclaimer_.retire(del); }
 
-  // The Insert retry loop for a node allocated by this operation; a
-  // duplicate frees it (never published, so plain delete is safe).
-  bool link_or_free(Node* node, Node* prev, Node* next) {
-    if (insert_node(node, prev, next).second == InsertResult::kInserted) {
-      return true;
-    }
-    delete node;
-    return false;
-  }
-
   mutable Reclaimer reclaimer_;
   Node* head_;
   Node* tail_;
-  // Never-reused id keying this instance's thread-local finger slots.
-  const std::uint64_t finger_id_ = sync::next_finger_instance();
 
   static_assert(reclaim::reclaimer_for<Reclaimer, Node>);
 };

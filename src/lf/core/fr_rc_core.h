@@ -150,12 +150,6 @@ class Core : public fr::Core<Derived, Node, Key, Compare, kSites> {
     release(next);
   }
 
-  std::size_t size() const {
-    std::size_t n = 0;
-    for_each([&](const Key&, const T&) { ++n; });
-    return n;
-  }
-
   // ---- diagnostics --------------------------------------------------------
 
   // Nodes currently waiting in the free list (recycled, reusable).
@@ -342,6 +336,29 @@ class Core : public fr::Core<Derived, Node, Key, Compare, kSites> {
       return false;
     }
     return true;
+  }
+
+  // Counted nodes need no reclamation guard.
+  struct NoGuard {};
+  NoGuard guard() const { return {}; }
+
+  // ---- the finger's validity proof (sync/finger.h) -------------------------
+
+  // A way's proof is its node's reuse stamp at save time. Every way may be
+  // probed: fr::Core::finger_enter holds the winner through finger_hold,
+  // whose equal stamp proves the cached keys retroactively.
+  struct StampProof {
+    template <typename Way>
+    bool usable(const Way&) const { return true; }
+    std::uint64_t of(const Node* n) const {
+      return n->stamp.load(std::memory_order_acquire);
+    }
+  };
+  StampProof finger_proof() const { return {}; }
+
+  template <typename Way>
+  bool finger_hold(Way& way) const {
+    return finger_try_hold(way.node, way.proof);
   }
 
   // ---- fr::Core's reference points, counted --------------------------------

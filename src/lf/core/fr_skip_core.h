@@ -14,9 +14,9 @@
 // k, v), the level-v node above `below`, held in its place (nullptr stops
 // the build, `below` stays held); abandon_upper(root, node) for a
 // never-linked upper node; tower_levels(root), the height make_root got,
-// above which the tower never links. It may shadow guard() (the
-// operation's reclamation guard) and finger_start(k, v, c) / save_finger()
-// (RC's finger).
+// above which the tower never links, and guard(), the operation's
+// reclamation guard (rc::Core's is empty). It may shadow finger_start(k,
+// v, c) / save_finger() (RC's finger).
 //
 // Every descent but erase's stops at the first level where it meets k's
 // tower (search_right's StopAtKey): find and contains return there, and a
@@ -162,11 +162,7 @@ class SkipCore : public Base {
     return rep;
   }
 
-  // Hook defaults. No reclamation guard (counted nodes need none).
-  struct NoGuard {};
-  NoGuard guard() const { return {}; }
-
-  // No finger: every descent starts at the head. A finger returns a held
+  // Hook defaults. No finger: every descent starts at the head. A finger returns a held
   // node with key < k (or <= k on level 1) on a level >= v, and that level.
   std::pair<Node*, int> finger_start(const Key&, int,
                                      stats::StepCounters&) const {
@@ -202,8 +198,7 @@ class SkipCore : public Base {
   // once, so its levels do not each check the thread-local's guard.
   template <bool Closed, bool Hinted = false, bool StopAtKey = false>
   [[gnu::always_inline]] std::pair<Node*, Node*> search_right(
-      const Key& k, Node* curr,
-      stats::StepCounters& c = stats::tls()) const {
+      const Key& k, Node* curr, stats::StepCounters& c) const {
     // A search that stops at k never steps into a node with key k but the
     // one it stops at, so it advances strictly.
     auto advances = [&](const Node* n) {

@@ -8,8 +8,9 @@
 // fr::Core's (fr_core.h), shared with the other three FR structures; the
 // counting protocol and the type-stable arena are rc::Core's
 // (fr_rc_core.h), shared with FRListRC; the skip-list routines are
-// fr::SkipCore's (fr_skip_core.h), shared with FRSkipList. This file keeps
-// only the counted below/tower_root links, the per-level finger, the
+// fr::SkipCore's (fr_skip_core.h), shared with FRSkipList; the finger
+// entry is fr::Core's, shared with both lists. This file keeps only the
+// counted below/tower_root links, the per-level finger loop, the
 // constructor and validate. The counted-pointer invariant:
 //
 //   count(N) = level-list links to N (succ fields)      [carry-over rules]
@@ -205,12 +206,11 @@ class FRSkipListRC
                                         kFingerLevels>;
 
   // The skip-list layer's finger entry for a closed search to level v: a
-  // validated, COUNTED (start node, level), or (nullptr, 0) for a head
-  // descent. Scans cached levels from v upward, probing each level's ways
-  // deref-free for the tightest bracket containing k and paying a counted
-  // finger_try_hold only for the probe winner; a hold/stamp failure kills
-  // the way and falls through to the next level. Hit/miss accounting
-  // covers exactly the finger-eligible searches (v <= kFingerLevels).
+  // COUNTED (start node, level), or (nullptr, 0) for a head descent. Tries
+  // each cached level from v upward through fr::Core::finger_enter, with
+  // its bracket way only (a pred left of k's bracket would mean an
+  // unbounded rightward walk). Hit/miss accounting covers exactly the
+  // finger-eligible searches (v <= kFingerLevels).
   std::pair<Node*, int> finger_start(const Key& k, int v,
                                      stats::StepCounters& c) const {
     if (v > kFingerLevels) return {nullptr, 0};  // never eligible
@@ -223,29 +223,15 @@ class FRSkipListRC
       // "unmarked" below directly implies it is not superfluous. At upper
       // levels an equal-key start could sit ON a superfluous node and
       // search_right — which only examines successors — would never
-      // physically delete it. Only the bracket way is used: a pred whose
-      // successor lies left of k would mean an unbounded rightward walk,
-      // worse than descending from above.
-      const bool allow_eq = lvl == 1;
-      const int w = set->probe(k, allow_eq, comp_).bracket;
-      if (w < 0) continue;
-      auto& e = set->way[w];
-      if (!this->finger_try_hold(e.node, e.proof)) {
-        e.node = nullptr;  // recycled since the save: dead way
-        continue;
-      }
-      Node* start = e.node;
-      LF_CHAOS_POINT(kSkipFingerValidate);
-      // Marked pred: recover leftward. Sound at ANY level here — every
-      // node is individually counted, so the walk's safe reads need no
-      // retired-address argument.
-      this->walk_backlinks(start, c);
-      if (start->succ.load().mark) {
-        release(start);
-        continue;  // try the next level up
-      }
-      set->hit(w);
-      c.finger_hit.inc();
+      // physically delete it. A marked pred recovers through backlinks at
+      // ANY level: every node is individually counted, so the walk's safe
+      // reads need no retired-address argument.
+      Node* start =
+          this->finger_enter(*set, k, lvl == 1, false,
+                             chaos::Site::kSkipFingerValidate,
+                             this->finger_proof(), c)
+              .first;
+      if (start == nullptr) continue;  // try the next level up
       const int head_v = this->descent_top(v);
       if (head_v > lvl)
         c.finger_skip.inc(static_cast<std::uint64_t>(head_v - lvl));
@@ -262,7 +248,7 @@ class FRSkipListRC
   void save_finger(int lvl, Node* pred, Node* succ) const {
     if (lvl > kFingerLevels) return;
     FingerCache::of(finger_id_).claim(finger_id_, lvl - 1).save(
-        pred, succ, pred->stamp.load(std::memory_order_acquire));
+        pred, succ, this->finger_proof().of(pred));
   }
 
   std::array<Node*, kMaxLevel + 1> head_{};

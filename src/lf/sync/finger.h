@@ -57,8 +57,10 @@
 //
 // The way cache itself — way layout, slot claiming, the deref-free probe
 // and LFU replacement — is written once, as FingerCache below. FRList,
-// FRListRC and FRSkipListRC (one way set per fingered level) all use it and
-// keep only their own validation and backlink recovery.
+// FRListRC and FRSkipListRC (one way set per fingered level) all use it,
+// and all enter a way set through one routine, fr::Core::finger_enter
+// (hold, validate, backlink walk, hit or release); each keeps only its
+// validity proof.
 //
 // Storage: caches live in thread_local direct-mapped slot arrays, keyed by
 // a monotonically increasing per-structure instance id. Ids are never
@@ -170,9 +172,9 @@ inline constexpr std::size_t kFingerTlsSlots = 8;
 // cached so probing never touches a node) and the structure's validity
 // proof. Nothing here dereferences a cached node: validating a probed way
 // (token, or count + stamp) and recovering a marked one through
-// its backlinks is the structure's job. Node must have `kind` (Kind::kHead
-// / kTail sentinels) and `key`; the save reads them from nodes the caller
-// holds.
+// its backlinks is fr::Core::finger_enter's job. Node must have `kind`
+// (Kind::kHead / kTail sentinels) and `key`; the save reads them from
+// nodes the caller holds.
 //
 // kReplaceSite is the chaos injection point that fires before a
 // replacement picks its victim.

@@ -13,6 +13,7 @@
 
 #include "lf/core/fr_list_rc.h"
 #include "lf/util/random.h"
+#include "throwing_key.h"
 
 namespace {
 
@@ -203,6 +204,31 @@ TEST(FRListRC, ReadersSeeOnlySaneValuesDuringChurn) {
   reader.join();
   writer.join();
   EXPECT_TRUE(list.validate_counts());
+}
+
+// The new node's key copy throws std::bad_alloc while the insert holds
+// counted references on its search result (1, 3): insert_checked reports
+// kNoMemory and drops them, so counts stay exact, the erased neighbours are
+// recycled, and the key inserts afterwards.
+TEST(FRListRC, KeyCopyFailureKeepsCounts) {
+  using lf_test::ThrowingKey;
+  using ThrowList = lf::FRListRC<ThrowingKey, long>;
+  ThrowList list;
+  ASSERT_TRUE(list.insert(1, 1));
+  ASSERT_TRUE(list.insert(3, 3));
+  ThrowingKey::copies_until_throw = 1;  // the new node's copy of the key
+  EXPECT_EQ(list.insert_checked(2, 2), ThrowList::InsertStatus::kNoMemory);
+  EXPECT_EQ(ThrowingKey::copies_until_throw, 0);  // it did throw
+  EXPECT_FALSE(list.contains(2));
+  EXPECT_TRUE(list.validate_counts());
+  ASSERT_TRUE(list.erase(1));
+  ASSERT_TRUE(list.erase(3));
+  EXPECT_EQ(list.free_count(), 2u);
+  EXPECT_TRUE(list.validate_accounting());
+  EXPECT_EQ(list.insert_checked(2, 2), ThrowList::InsertStatus::kInserted);
+  EXPECT_EQ(list.size(), 1u);
+  EXPECT_TRUE(list.validate_counts());
+  EXPECT_TRUE(list.validate_accounting());
 }
 
 }  // namespace

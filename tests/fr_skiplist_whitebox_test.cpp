@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <new>
 #include <optional>
 #include <set>
 #include <string>
@@ -29,6 +28,7 @@
 #include "lf/mem/pool.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/util/random.h"
+#include "throwing_key.h"
 
 namespace {
 
@@ -675,26 +675,7 @@ TEST(FlatTowerLayout, HeadTowerIsOneBlock) {
   EXPECT_EQ(delta.freed_blocks, 2u);
 }
 
-// A key whose copy constructor throws std::bad_alloc on the Nth copy after
-// arming — the way a std::string key fails when the heap is exhausted.
-// Moves never throw, so only the copies insert makes from `const Key&` into
-// tower nodes count.
-struct ThrowingKey {
-  static inline int copies_until_throw = 0;  // 0: disarmed
-
-  long v = 0;
-
-  ThrowingKey() = default;
-  ThrowingKey(long x) : v(x) {}  // NOLINT: implicit, for terse tests
-  ThrowingKey(const ThrowingKey& o) : v(o.v) {
-    if (copies_until_throw > 0 && --copies_until_throw == 0)
-      throw std::bad_alloc();
-  }
-  ThrowingKey(ThrowingKey&& o) noexcept : v(o.v) {}
-  ThrowingKey& operator=(const ThrowingKey&) = default;
-  ThrowingKey& operator=(ThrowingKey&&) noexcept = default;
-  bool operator<(const ThrowingKey& o) const { return v < o.v; }
-};
+using lf_test::ThrowingKey;
 
 using ThrowSkip = lf::FRSkipList<ThrowingKey, long>;
 

@@ -85,6 +85,14 @@ TYPED_TEST(SetContract, DuplicateInsertFailsAndKeepsOriginal) {
   TypeParam s;
   EXPECT_TRUE(s.insert(5, 50));
   EXPECT_FALSE(s.insert(5, 51));
+  // The FR structures also report why an insert failed.
+  if constexpr (requires { s.insert_checked(5, 52); }) {
+    using Status = typename TypeParam::InsertStatus;
+    EXPECT_EQ(s.insert_checked(7, 70), Status::kInserted);
+    EXPECT_EQ(s.insert_checked(7, 71), Status::kDuplicate);
+    EXPECT_EQ(s.insert_checked(5, 52), Status::kDuplicate);
+    EXPECT_TRUE(s.erase(7));
+  }
   EXPECT_EQ(*s.find(5), 50);
   EXPECT_EQ(s.size(), 1u);
   expect_quiescent_invariants(s);
