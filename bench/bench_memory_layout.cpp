@@ -223,8 +223,9 @@ int main() {
   table.print();
 
   std::cout << "Expected shape: build blocks/op = 1.000 (one block per\n"
-               "tower, whatever its height); global hits/op ~0 (the pool\n"
-               "goes to the global allocator once per 256 KiB segment).\n\n";
+               "tower, whatever its height); global hits/op ~0 (one per\n"
+               "256 KiB segment carved; the pool goes to the global\n"
+               "allocator once per 2 MiB chunk of eight segments).\n\n";
 
   emit_json(c);
   return 0;

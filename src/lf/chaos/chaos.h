@@ -106,7 +106,7 @@ enum class Site : int {
   kHazardScan,    // HazardDomain::scan_record entry
   // Segment pool (mem/pool.*)
   kPoolAlloc,    // pool_allocate entry
-  kPoolSegment,  // segment carve from the global allocator
+  kPoolSegment,  // segment carve from a huge-page chunk (spares tried first)
   kPoolFree,     // pool_deallocate entry
   // Test harness: between dictionary operations (YieldInjector)
   kOpBoundary,
@@ -163,7 +163,8 @@ void release_parked();
 
 // Mode 4: allocation failure. The nth_request-th pooled allocation request
 // (1-based, counted from arming) throws std::bad_alloc; nth_segment counts
-// only segment carves from the global allocator.
+// only segments carved from a huge-page chunk (a refill that takes a spare
+// region carves none).
 void arm_alloc_failure(std::uint64_t nth_request);
 void arm_segment_failure(std::uint64_t nth_segment);
 

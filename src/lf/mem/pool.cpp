@@ -9,6 +9,10 @@
 #include "lf/chaos/chaos.h"
 #include "lf/instrument/counters.h"
 
+#ifdef __linux__
+#include <sys/mman.h>
+#endif
+
 namespace lf::mem {
 namespace {
 
@@ -34,11 +38,34 @@ constexpr std::size_t fitting_class(std::size_t bytes) {
   return (granules > kNumClasses ? kNumClasses : granules) - 1;
 }
 
-// Shared side of the pool: segment ownership plus per-class overflow
-// freelists that exiting threads donate to and running threads adopt from.
-// Heap-allocated and never destroyed so blocks freed during late static
-// teardown (e.g. the global epoch domain draining after main()) still have
-// live segments under them.
+// Chops [bump, end) into the largest classes that fit, pushing each block
+// onto `lists`. Returns the number of blocks.
+std::uint64_t chop(char*& bump, char* end, FreeBlock** lists) {
+  std::uint64_t n = 0;
+  while (static_cast<std::size_t>(end - bump) >= kGranule) {
+    const std::size_t cls = fitting_class(static_cast<std::size_t>(end - bump));
+    auto* b = reinterpret_cast<FreeBlock*>(bump);
+    bump += class_bytes(cls);
+    b->next = lists[cls];
+    lists[cls] = b;
+    ++n;
+  }
+  return n;
+}
+
+// An unfinished bump region handed over by an exited (or adopted) thread,
+// linked through its own first bytes: [this, end) is free.
+struct SpareRegion {
+  SpareRegion* next;
+  char* end;
+};
+
+// Shared side of the pool: chunk ownership, the current chunk that refills
+// carve segments from, spare regions, and per-class overflow freelists that
+// exiting threads donate to and running threads adopt from. Heap-allocated
+// and never destroyed so blocks freed during late static teardown (e.g. the
+// global epoch domain draining after main()) still have live chunks under
+// them.
 struct ThreadCache;
 
 // Live thread caches by owner, for stalled-thread adoption. Guarded by
@@ -55,7 +82,10 @@ struct CacheRef {
 struct SharedPool {
   std::mutex mu;
   FreeBlock* freelists[kNumClasses] = {};
-  std::vector<void*> segments;  // owned; never returned to the OS
+  std::vector<void*> chunks;  // owned; never returned to the OS
+  char* chunk = nullptr;      // uncarved rest of the newest chunk
+  char* chunk_end = nullptr;
+  SpareRegion* spares = nullptr;
   std::vector<CacheRef> caches;
 
   std::atomic<std::uint64_t> requests{0};
@@ -92,38 +122,53 @@ struct ThreadCache {
   char* bump_end = nullptr;
   LocalCount requests, fresh, recycled, freed;
 
-  ~ThreadCache() {
-    SharedPool& s = shared();
-    // Chop the unfinished bump region into the largest classes that fit so
-    // no carved memory is stranded with the exiting thread.
-    while (bump != nullptr &&
-           static_cast<std::size_t>(bump_end - bump) >= kGranule) {
-      const std::size_t cls =
-          fitting_class(static_cast<std::size_t>(bump_end - bump));
-      auto* b = reinterpret_cast<FreeBlock*>(bump);
-      bump += class_bytes(cls);
-      b->next = freelists[cls];
-      freelists[cls] = b;
-    }
-    std::lock_guard lock(s.mu);
-    std::erase_if(s.caches,
-                  [this](const CacheRef& r) { return r.cache == this; });
-    // Fold the counts in under the lock that pool_totals() sums under, so
-    // totals never miss or double-count them.
-    s.requests.fetch_add(requests.get(), std::memory_order_relaxed);
-    s.fresh.fetch_add(fresh.get(), std::memory_order_relaxed);
-    s.recycled.fetch_add(recycled.get(), std::memory_order_relaxed);
-    s.freed.fetch_add(freed.get(), std::memory_order_relaxed);
-    for (std::size_t cls = 0; cls < kNumClasses; ++cls) {
-      if (freelists[cls] == nullptr) continue;
-      FreeBlock* tail = freelists[cls];
-      while (tail->next != nullptr) tail = tail->next;
-      tail->next = s.freelists[cls];
-      s.freelists[cls] = freelists[cls];
-      freelists[cls] = nullptr;
-    }
-  }
+  ~ThreadCache();
 };
+
+// Moves a cache's freelists and unfinished bump region to the shared pool,
+// so nothing is stranded with its thread. A region that can serve every
+// pooled class goes on the spare list whole; a smaller remainder is chopped
+// into blocks. Caller holds s.mu. Returns the number of blocks moved.
+std::uint64_t donate_cache(SharedPool& s, ThreadCache& c) {
+  std::uint64_t n = 0;
+  if (static_cast<std::size_t>(c.bump_end - c.bump) >= kMaxPooledBytes) {
+    auto* r = reinterpret_cast<SpareRegion*>(c.bump);
+    r->end = c.bump_end;
+    r->next = s.spares;
+    s.spares = r;
+  } else {
+    n += chop(c.bump, c.bump_end, s.freelists);
+  }
+  c.bump = nullptr;
+  c.bump_end = nullptr;
+  for (std::size_t cls = 0; cls < kNumClasses; ++cls) {
+    if (c.freelists[cls] == nullptr) continue;
+    FreeBlock* tail = c.freelists[cls];
+    ++n;
+    while (tail->next != nullptr) {
+      tail = tail->next;
+      ++n;
+    }
+    tail->next = s.freelists[cls];
+    s.freelists[cls] = c.freelists[cls];
+    c.freelists[cls] = nullptr;
+  }
+  return n;
+}
+
+ThreadCache::~ThreadCache() {
+  SharedPool& s = shared();
+  std::lock_guard lock(s.mu);
+  std::erase_if(s.caches,
+                [this](const CacheRef& r) { return r.cache == this; });
+  // Fold the counts in under the lock that pool_totals() sums under, so
+  // totals never miss or double-count them.
+  s.requests.fetch_add(requests.get(), std::memory_order_relaxed);
+  s.fresh.fetch_add(fresh.get(), std::memory_order_relaxed);
+  s.recycled.fetch_add(recycled.get(), std::memory_order_relaxed);
+  s.freed.fetch_add(freed.get(), std::memory_order_relaxed);
+  donate_cache(s, *this);
+}
 
 // The cache is reached through a trivially-destructible pointer that the
 // owner nulls on destruction. Main-thread thread_locals die BEFORE static
@@ -148,6 +193,49 @@ struct TlsCacheOwner {
 ThreadCache* tls_cache() {
   thread_local TlsCacheOwner owner;  // constructed on first touch
   return tls_ptr;
+}
+
+// Gives the cache a new bump region: a spare if there is one, else the next
+// segment of the current chunk, allocating and advising a fresh chunk when
+// that one is used up. Throws std::bad_alloc with the cache unchanged. Out
+// of line: it runs about once per 256 KiB handed out.
+[[gnu::noinline]] void refill(SharedPool& s, ThreadCache& c) {
+  {
+    std::lock_guard lock(s.mu);
+    if (SpareRegion* r = s.spares) {
+      s.spares = r->next;
+      c.bump = reinterpret_cast<char*>(r);
+      c.bump_end = r->end;
+      return;
+    }
+  }
+  LF_CHAOS_POINT(kPoolSegment);
+#if LF_CHAOS
+  if (chaos::should_fail_alloc(/*segment=*/true)) throw std::bad_alloc{};
+#endif
+  std::lock_guard lock(s.mu);
+  if (static_cast<std::size_t>(s.chunk_end - s.chunk) < kSegmentBytes) {
+    void* chunk = ::operator new(kChunkBytes, std::align_val_t{kChunkBytes});
+    try {
+      s.chunks.push_back(chunk);
+    } catch (...) {
+      // push_back threw (allocation of the registry's backing array): the
+      // chunk is not yet owned by anyone — release it or it leaks.
+      ::operator delete(chunk, std::align_val_t{kChunkBytes});
+      throw;
+    }
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+    // Advice only: without transparent huge pages the chunk stays on 4 KiB
+    // pages and works the same.
+    (void)madvise(chunk, kChunkBytes, MADV_HUGEPAGE);
+#endif
+    s.chunk = static_cast<char*>(chunk);
+    s.chunk_end = s.chunk + kChunkBytes;
+  }
+  c.bump = s.chunk;
+  c.bump_end = s.chunk + kSegmentBytes;
+  s.chunk = c.bump_end;
+  s.segment_count.fetch_add(1, std::memory_order_relaxed);
 }
 
 // Post-teardown fallback: push straight onto the shared freelist.
@@ -223,37 +311,11 @@ void* pool_allocate(std::size_t bytes) {
 
   const std::size_t sz = class_bytes(cls);
   if (static_cast<std::size_t>(c.bump_end - c.bump) < sz) {
-    // Salvage the remainder (a smaller class may still fit), then carve a
-    // fresh segment from the global allocator.
-    while (static_cast<std::size_t>(c.bump_end - c.bump) >= kGranule) {
-      const std::size_t fit =
-          fitting_class(static_cast<std::size_t>(c.bump_end - c.bump));
-      auto* b = reinterpret_cast<FreeBlock*>(c.bump);
-      c.bump += class_bytes(fit);
-      b->next = c.freelists[fit];
-      c.freelists[fit] = b;
-    }
-    // From here to the end of the refill, every failure path must leave the
-    // thread cache fully consistent: the old bump region has already been
-    // chopped onto the freelists and bump/bump_end still describe an empty
-    // (exhausted) region, so throwing at any point below strands nothing.
-    LF_CHAOS_POINT(kPoolSegment);
-#if LF_CHAOS
-    if (chaos::should_fail_alloc(/*segment=*/true)) throw std::bad_alloc{};
-#endif
-    void* seg = ::operator new(kSegmentBytes, std::align_val_t{kGranule});
-    try {
-      std::lock_guard lock(s.mu);
-      s.segments.push_back(seg);
-    } catch (...) {
-      // push_back threw (allocation of the registry's backing array): the
-      // segment is not yet owned by anyone — release it or it leaks.
-      ::operator delete(seg, std::align_val_t{kGranule});
-      throw;
-    }
-    s.segment_count.fetch_add(1, std::memory_order_relaxed);
-    c.bump = static_cast<char*>(seg);
-    c.bump_end = c.bump + kSegmentBytes;
+    // Salvage the remainder (a smaller class may still fit), then refill.
+    // The old region is then on the freelists and bump/bump_end describe
+    // an exhausted one, so a refill that throws strands nothing.
+    chop(c.bump, c.bump_end, c.freelists);
+    refill(s, c);
   }
   void* p = c.bump;
   c.bump += sz;
@@ -292,31 +354,7 @@ std::uint64_t pool_adopt_stalled(std::thread::id tid) {
     std::lock_guard lock(s.mu);
     for (const CacheRef& ref : s.caches) {
       if (ref.owner != tid) continue;
-      ThreadCache& c = *ref.cache;
-      while (c.bump != nullptr &&
-             static_cast<std::size_t>(c.bump_end - c.bump) >= kGranule) {
-        const std::size_t cls =
-            fitting_class(static_cast<std::size_t>(c.bump_end - c.bump));
-        auto* b = reinterpret_cast<FreeBlock*>(c.bump);
-        c.bump += class_bytes(cls);
-        b->next = s.freelists[cls];
-        s.freelists[cls] = b;
-        ++adopted;
-      }
-      c.bump = nullptr;
-      c.bump_end = nullptr;
-      for (std::size_t cls = 0; cls < kNumClasses; ++cls) {
-        if (c.freelists[cls] == nullptr) continue;
-        FreeBlock* tail = c.freelists[cls];
-        ++adopted;
-        while (tail->next != nullptr) {
-          tail = tail->next;
-          ++adopted;
-        }
-        tail->next = s.freelists[cls];
-        s.freelists[cls] = c.freelists[cls];
-        c.freelists[cls] = nullptr;
-      }
+      adopted = donate_cache(s, *ref.cache);
       break;
     }
   }

@@ -19,11 +19,18 @@
 //     two pool blocks ever share a cache line — adjacent nodes cannot
 //     false-share, and the tag bits of SuccField always have room.
 //   * Each thread owns a cache: one freelist per class, a bump region
-//     carved from 256 KiB segments, and its own counts. allocate() and
-//     deallocate() write no shared cache line, counters included, unless
-//     the local freelist AND bump region are empty, in which case
-//     allocate() adopts a batch from the shared pool or carves a fresh
-//     segment.
+//     (a 256 KiB segment) and its own counts. allocate() and deallocate()
+//     write no shared cache line, counters included, unless the local
+//     freelist AND bump region are empty, in which case allocate() adopts
+//     a batch from the shared pool or refills its bump region.
+//   * A refill takes, under the pool lock, an exited thread's spare region
+//     if there is one, else carves the next segment from the shared 2 MiB
+//     chunk. Chunks are 2 MiB-aligned and advised MADV_HUGEPAGE (Linux), so
+//     with transparent huge pages in `madvise` or `always` mode one TLB
+//     entry covers eight segments: at 1M keys every descent hop is a cache
+//     miss, and on 4 KiB pages it was a TLB miss as well. The process pays
+//     for at most one partly used chunk; a thread pins no more than the
+//     segment it bumps through, so there is no per-thread 2 MiB floor.
 //   * deallocate() pushes onto the CALLING thread's freelist: the freeing
 //     thread becomes the block's new owner. Under epoch-integrated
 //     reclamation frees happen on whichever thread advances the epoch, so
@@ -31,12 +38,14 @@
 //     period has passed and the block is safe to hand out again (see
 //     DESIGN.md "Memory layout & reclamation-integrated pooling" for the
 //     ABA argument).
-//   * Segments are owned by an immortal process-wide registry and never
+//   * Chunks are owned by an immortal process-wide registry and never
 //     returned to the OS: a block freed during late static teardown (the
 //     global epoch domain drains after main()) must still have a live
-//     segment under it. Exiting threads donate their freelists to the
-//     shared pool; the unfinished bump region is chopped into blocks and
-//     donated too, so nothing is stranded.
+//     chunk under it. Exiting threads donate their freelists to the shared
+//     pool and hand their unfinished bump region over whole, as a spare
+//     for the next refill; a remainder too small to serve every class
+//     (< kMaxPooledBytes) is chopped into blocks instead. Nothing is
+//     stranded, and a run of short-lived threads reuses one region.
 //
 // Accounting (PoolTotals) is process-wide and monotone; benchmarks diff
 // snapshots around a measured region, and the pool unit tests assert the
@@ -64,6 +73,9 @@ inline constexpr std::size_t kGranule = kCacheLineSize;
 inline constexpr std::size_t kNumClasses = 64;
 inline constexpr std::size_t kMaxPooledBytes = kGranule * kNumClasses;
 inline constexpr std::size_t kSegmentBytes = 256 * 1024;
+// Segments are carved from shared chunks of one 2 MiB huge page each.
+inline constexpr std::size_t kChunkBytes = 2 * 1024 * 1024;
+static_assert(kChunkBytes % kSegmentBytes == 0);
 // Blocks adopted from the shared pool per refill (amortizes the lock).
 inline constexpr std::size_t kAdoptBatch = 32;
 
@@ -75,11 +87,14 @@ struct PoolTotals {
   std::uint64_t fresh_blocks = 0;    // served by carving a bump region
   std::uint64_t recycled_blocks = 0; // served from a freelist
   std::uint64_t freed_blocks = 0;    // pool_deallocate calls (pooled sizes)
-  std::uint64_t segments = 0;        // 256 KiB segments from ::operator new
+  std::uint64_t segments = 0;        // 256 KiB segments carved from chunks
   std::uint64_t oversize = 0;        // requests > kMaxPooledBytes (global)
   std::uint64_t adopted_blocks = 0;  // blocks scavenged by pool_adopt_stalled
 
-  // Global-allocator hits attributable to pooled allocation.
+  // Refills that took fresh memory, plus requests the global allocator
+  // served. A bound on global-allocator hits: a chunk is allocated once per
+  // kChunkBytes / kSegmentBytes segments, and a spare region reused at a
+  // refill counts in neither term.
   std::uint64_t global_hits() const noexcept { return segments + oversize; }
 
   PoolTotals operator-(const PoolTotals& rhs) const noexcept {
@@ -105,12 +120,13 @@ PoolTotals pool_totals();
 // Stalled-thread adoption (DESIGN.md §11): donate the thread cache of a
 // thread the CALLER VOUCHES cannot run concurrently with this call (parked
 // with a happens-before edge, or verifiably dead) to the shared pool — its
-// per-class freelists are spliced in and its unfinished bump region is
-// chopped into blocks, exactly as clean thread exit would have done. The
-// cache itself stays registered: if the thread resumes it simply finds
-// empty freelists and refills through the normal shared-pool/segment path.
-// Returns the number of blocks scavenged (also surfaced as
-// PoolTotals::adopted_blocks).
+// per-class freelists are spliced in and its unfinished bump region becomes
+// a spare, exactly as clean thread exit would have done. The cache itself
+// stays registered: if the thread resumes it simply finds empty freelists
+// and refills through the normal shared-pool/segment path. Returns the
+// number of blocks scavenged (also surfaced as PoolTotals::adopted_blocks);
+// a region handed over whole counts as none, a small chopped one as its
+// blocks.
 std::uint64_t pool_adopt_stalled(std::thread::id tid);
 
 }  // namespace lf::mem

@@ -1,6 +1,7 @@
 // Unit tests for the per-thread segment pool (lf/mem/pool.h): size-class
 // arithmetic via the public interface, grow/recycle accounting, oversize
-// fallthrough, alignment, and cross-thread donation at thread exit.
+// fallthrough, alignment, huge-page chunks, and cross-thread donation at
+// thread exit.
 //
 // PoolTotals counters are process-wide and monotone, so every test works on
 // diffs of snapshots taken around its own traffic (gtest runs the tests in
@@ -9,14 +10,21 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
+#include <fstream>
 #include <mutex>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "lf/harness/bench_env.h"
 #include "lf/mem/pool.h"
 
 namespace {
 
+using lf::mem::kChunkBytes;
 using lf::mem::kGranule;
 using lf::mem::kMaxPooledBytes;
 using lf::mem::kSegmentBytes;
@@ -86,6 +94,94 @@ TEST(Pool, SegmentsGrowWithDemand) {
   EXPECT_GE(d.segments, 2u);
   EXPECT_GE(d.fresh_blocks, count - d.recycled_blocks);
   for (void* p : blocks) pool_deallocate(p, block);
+}
+
+// The AnonHugePages field (kB) of the /proc/self/smaps mapping that
+// contains `addr`; -1 if no mapping or field is found.
+long anon_huge_kb(const void* addr) {
+  const auto a = reinterpret_cast<std::uintptr_t>(addr);
+  std::ifstream in("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  while (std::getline(in, line)) {
+    std::uintptr_t lo = 0, hi = 0;
+    char dash = 0;
+    std::istringstream head(line);
+    if (head >> std::hex >> lo >> dash >> hi && dash == '-') {
+      inside = lo <= a && a < hi;
+      continue;
+    }
+    if (inside && line.rfind("AnonHugePages:", 0) == 0)
+      return std::stol(line.substr(14));
+  }
+  return -1;
+}
+
+TEST(Pool, SegmentsComeFromHugePageChunks) {
+  // A fresh thread allocates max-class blocks until it has carved more
+  // segments than one chunk holds. Each carve hands out the first block of
+  // a new segment, which must sit on a segment boundary of a 2 MiB-aligned
+  // chunk: segments are carved from chunks, never allocated on their own.
+  constexpr std::size_t kBytes = kMaxPooledBytes;
+  constexpr std::uint64_t kCarves = kChunkBytes / kSegmentBytes + 2;
+  std::vector<void*> blocks;
+  std::set<std::uintptr_t> chunks;
+  std::uintptr_t last_chunk = 0;
+  std::thread worker([&] {
+    std::uint64_t carved = 0;
+    while (carved < kCarves) {
+      const std::uint64_t before = pool_totals().segments;
+      void* p = pool_allocate(kBytes);
+      blocks.push_back(p);
+      if (pool_totals().segments == before) continue;  // recycled or bumped
+      ++carved;
+      const auto a = reinterpret_cast<std::uintptr_t>(p);
+      EXPECT_EQ(a % kSegmentBytes, 0u) << "segment " << carved;
+      last_chunk = a - a % kChunkBytes;
+      chunks.insert(last_chunk);
+    }
+  });
+  worker.join();
+  EXPECT_GE(chunks.size(), 2u);
+
+  const std::string mode = lf::harness::thp_mode();
+  if (mode != "always" && mode != "madvise") {
+    for (void* p : blocks) pool_deallocate(p, kBytes);
+    GTEST_SKIP() << "transparent huge pages are '" << mode
+                 << "': the pool's chunks stay on 4 KiB pages";
+  }
+#if defined(__SANITIZE_ADDRESS__)
+  for (void* p : blocks) pool_deallocate(p, kBytes);
+  GTEST_SKIP() << "AddressSanitizer fills the first 4 KiB of every new "
+                  "allocation, so a chunk's first page faults in before the "
+                  "pool advises it";
+#endif
+  // Write every block handed out. The pool never writes a fresh block, so
+  // this is the newest chunk's first fault, and the kernel serves the
+  // first fault in an advised, aligned 2 MiB range with a huge page.
+  for (void* p : blocks) std::memset(p, 1, kBytes);
+  EXPECT_GT(anon_huge_kb(reinterpret_cast<const void*>(last_chunk)), 0)
+      << "no huge page under a touched chunk in THP mode '" << mode << "'";
+  for (void* p : blocks) pool_deallocate(p, kBytes);
+}
+
+TEST(Pool, ExitedThreadRegionsAreReused) {
+  // Short-lived threads each allocate one tower block (of a class no other
+  // test in this binary uses) and exit. Each hands its unfinished bump
+  // region over whole and the next thread's refill takes it, so the run
+  // carves at most two segments. Chopping the region at exit would strand
+  // it in max-class blocks and carve one segment per thread.
+  constexpr std::size_t kBytes = 5 * kGranule;
+  constexpr int kThreads = 200;
+  const PoolTotals before = pool_totals();
+  std::vector<void*> blocks(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([&blocks, i] { blocks[i] = pool_allocate(kBytes); }).join();
+  }
+  const PoolTotals d = pool_totals() - before;
+  EXPECT_EQ(d.requests, static_cast<std::uint64_t>(kThreads));
+  EXPECT_LE(d.segments, 2u);
+  for (void* p : blocks) pool_deallocate(p, kBytes);
 }
 
 TEST(Pool, OversizeFallsThroughToGlobalAllocator) {
