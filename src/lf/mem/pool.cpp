@@ -195,10 +195,42 @@ ThreadCache* tls_cache() {
   return tls_ptr;
 }
 
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+// glibc's <sys/mman.h> may lack MADV_COLLAPSE (Linux 6.1); the value is
+// the kernel's.
+#ifdef MADV_COLLAPSE
+constexpr int kMadvCollapse = MADV_COLLAPSE;
+#else
+constexpr int kMadvCollapse = 25;
+#endif
+
+// A new chunk stays on 4 KiB pages while segments are carved from it, so
+// the process is resident only in the pages it has written. As one huge
+// page, its first write would make all 2 MiB resident, and resident memory
+// would step by whole chunks: a load ending just past a chunk boundary
+// would read 2 MiB more than one ending just short of it.
+void advise_open(void* chunk) {
+  (void)madvise(chunk, kChunkBytes, MADV_NOHUGEPAGE);
+}
+
+// A used-up chunk becomes one huge page: the advice, then a synchronous
+// collapse (Linux 6.1+). Where the collapse fails, or the kernel lacks it,
+// khugepaged collapses the advised chunk later; without transparent huge
+// pages the chunk stays on 4 KiB pages and works the same.
+void advise_filled(void* chunk) {
+  (void)madvise(chunk, kChunkBytes, MADV_HUGEPAGE);
+  (void)madvise(chunk, kChunkBytes, kMadvCollapse);
+}
+#else
+void advise_open(void*) {}
+void advise_filled(void*) {}
+#endif
+
 // Gives the cache a new bump region: a spare if there is one, else the next
-// segment of the current chunk, allocating and advising a fresh chunk when
-// that one is used up. Throws std::bad_alloc with the cache unchanged. Out
-// of line: it runs about once per 256 KiB handed out.
+// segment of the current chunk, allocating a fresh chunk when that one is
+// used up and turning the used-up one into a huge page. Throws
+// std::bad_alloc with the cache unchanged. Out of line: it runs about once
+// per 256 KiB handed out.
 [[gnu::noinline]] void refill(SharedPool& s, ThreadCache& c) {
   {
     std::lock_guard lock(s.mu);
@@ -213,29 +245,33 @@ ThreadCache* tls_cache() {
 #if LF_CHAOS
   if (chaos::should_fail_alloc(/*segment=*/true)) throw std::bad_alloc{};
 #endif
-  std::lock_guard lock(s.mu);
-  if (static_cast<std::size_t>(s.chunk_end - s.chunk) < kSegmentBytes) {
-    void* chunk = ::operator new(kChunkBytes, std::align_val_t{kChunkBytes});
-    try {
-      s.chunks.push_back(chunk);
-    } catch (...) {
-      // push_back threw (allocation of the registry's backing array): the
-      // chunk is not yet owned by anyone — release it or it leaks.
-      ::operator delete(chunk, std::align_val_t{kChunkBytes});
-      throw;
+  char* filled = nullptr;
+  {
+    std::lock_guard lock(s.mu);
+    if (static_cast<std::size_t>(s.chunk_end - s.chunk) < kSegmentBytes) {
+      void* chunk = ::operator new(kChunkBytes, std::align_val_t{kChunkBytes});
+      try {
+        s.chunks.push_back(chunk);
+      } catch (...) {
+        // push_back threw (allocation of the registry's backing array): the
+        // chunk is not yet owned by anyone — release it or it leaks.
+        ::operator delete(chunk, std::align_val_t{kChunkBytes});
+        throw;
+      }
+      advise_open(chunk);
+      if (s.chunk_end != nullptr) filled = s.chunk_end - kChunkBytes;
+      s.chunk = static_cast<char*>(chunk);
+      s.chunk_end = s.chunk + kChunkBytes;
     }
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-    // Advice only: without transparent huge pages the chunk stays on 4 KiB
-    // pages and works the same.
-    (void)madvise(chunk, kChunkBytes, MADV_HUGEPAGE);
-#endif
-    s.chunk = static_cast<char*>(chunk);
-    s.chunk_end = s.chunk + kChunkBytes;
+    c.bump = s.chunk;
+    c.bump_end = s.chunk + kSegmentBytes;
+    s.chunk = c.bump_end;
+    s.segment_count.fetch_add(1, std::memory_order_relaxed);
   }
-  c.bump = s.chunk;
-  c.bump_end = s.chunk + kSegmentBytes;
-  s.chunk = c.bump_end;
-  s.segment_count.fetch_add(1, std::memory_order_relaxed);
+  // Outside the lock: the collapse copies 2 MiB. Threads still bumping
+  // through the chunk's last segments may write it meanwhile; the kernel
+  // orders their faults against the collapse.
+  if (filled != nullptr) advise_filled(filled);
 }
 
 // Post-teardown fallback: push straight onto the shared freelist.

@@ -25,11 +25,13 @@
 //     a batch from the shared pool or refills its bump region.
 //   * A refill takes, under the pool lock, an exited thread's spare region
 //     if there is one, else carves the next segment from the shared 2 MiB
-//     chunk. Chunks are 2 MiB-aligned and advised MADV_HUGEPAGE (Linux), so
-//     with transparent huge pages in `madvise` or `always` mode one TLB
-//     entry covers eight segments: at 1M keys every descent hop is a cache
-//     miss, and on 4 KiB pages it was a TLB miss as well. The process pays
-//     for at most one partly used chunk; a thread pins no more than the
+//     chunk. Chunks are 2 MiB-aligned. The chunk being carved stays on
+//     4 KiB pages, so resident memory counts written pages, not 2 MiB
+//     steps; when the next chunk opens, the used-up one is advised
+//     MADV_HUGEPAGE and collapsed (Linux), so with transparent huge pages
+//     in `madvise` or `always` mode one TLB entry covers eight of its
+//     segments: at 1M keys every descent hop is a cache miss, and on 4 KiB
+//     pages it was a TLB miss as well. A thread pins no more than the
 //     segment it bumps through, so there is no per-thread 2 MiB floor.
 //   * deallocate() pushes onto the CALLING thread's freelist: the freeing
 //     thread becomes the block's new owner. Under epoch-integrated
@@ -73,7 +75,8 @@ inline constexpr std::size_t kGranule = kCacheLineSize;
 inline constexpr std::size_t kNumClasses = 64;
 inline constexpr std::size_t kMaxPooledBytes = kGranule * kNumClasses;
 inline constexpr std::size_t kSegmentBytes = 256 * 1024;
-// Segments are carved from shared chunks of one 2 MiB huge page each.
+// Segments are carved from shared chunks of one 2 MiB huge page each
+// (once used up).
 inline constexpr std::size_t kChunkBytes = 2 * 1024 * 1024;
 static_assert(kChunkBytes % kSegmentBytes == 0);
 // Blocks adopted from the shared pool per refill (amortizes the lock).

@@ -8,6 +8,7 @@
 // this binary sequentially on one thread unless a test spawns its own).
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
@@ -18,6 +19,10 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sys/mman.h>
+#endif
 
 #include "lf/harness/bench_env.h"
 #include "lf/mem/pool.h"
@@ -118,27 +123,30 @@ long anon_huge_kb(const void* addr) {
 }
 
 TEST(Pool, SegmentsComeFromHugePageChunks) {
-  // A fresh thread allocates max-class blocks until it has carved more
-  // segments than one chunk holds. Each carve hands out the first block of
-  // a new segment, which must sit on a segment boundary of a 2 MiB-aligned
-  // chunk: segments are carved from chunks, never allocated on their own.
+  // A fresh thread allocates and writes max-class blocks until it has
+  // carved more segments than one chunk holds. Each carve hands out the
+  // first block of a new segment, which must sit on a segment boundary of a
+  // 2 MiB-aligned chunk: segments are carved from chunks, never allocated
+  // on their own. The chunk of the first carve is used up by the time the
+  // thread opens the next one, and the pool then makes it a huge page.
   constexpr std::size_t kBytes = kMaxPooledBytes;
   constexpr std::uint64_t kCarves = kChunkBytes / kSegmentBytes + 2;
   std::vector<void*> blocks;
   std::set<std::uintptr_t> chunks;
-  std::uintptr_t last_chunk = 0;
+  std::uintptr_t first_chunk = 0;
   std::thread worker([&] {
     std::uint64_t carved = 0;
     while (carved < kCarves) {
       const std::uint64_t before = pool_totals().segments;
       void* p = pool_allocate(kBytes);
+      std::memset(p, 1, kBytes);
       blocks.push_back(p);
       if (pool_totals().segments == before) continue;  // recycled or bumped
       ++carved;
       const auto a = reinterpret_cast<std::uintptr_t>(p);
       EXPECT_EQ(a % kSegmentBytes, 0u) << "segment " << carved;
-      last_chunk = a - a % kChunkBytes;
-      chunks.insert(last_chunk);
+      if (first_chunk == 0) first_chunk = a - a % kChunkBytes;
+      chunks.insert(a - a % kChunkBytes);
     }
   });
   worker.join();
@@ -150,20 +158,40 @@ TEST(Pool, SegmentsComeFromHugePageChunks) {
     GTEST_SKIP() << "transparent huge pages are '" << mode
                  << "': the pool's chunks stay on 4 KiB pages";
   }
-#if defined(__SANITIZE_ADDRESS__)
-  for (void* p : blocks) pool_deallocate(p, kBytes);
-  GTEST_SKIP() << "AddressSanitizer fills the first 4 KiB of every new "
-                  "allocation, so a chunk's first page faults in before the "
-                  "pool advises it";
-#endif
-  // Write every block handed out. The pool never writes a fresh block, so
-  // this is the newest chunk's first fault, and the kernel serves the
-  // first fault in an advised, aligned 2 MiB range with a huge page.
-  for (void* p : blocks) std::memset(p, 1, kBytes);
-  EXPECT_GT(anon_huge_kb(reinterpret_cast<const void*>(last_chunk)), 0)
-      << "no huge page under a touched chunk in THP mode '" << mode << "'";
+  EXPECT_GT(anon_huge_kb(reinterpret_cast<const void*>(first_chunk)), 0)
+      << "no huge page under a used-up chunk in THP mode '" << mode << "'";
   for (void* p : blocks) pool_deallocate(p, kBytes);
 }
+
+#ifdef __linux__
+TEST(Pool, OpenChunkIsResidentOnlyWhereWritten) {
+  // The chunk segments are being carved from stays on 4 KiB pages, so the
+  // process is resident only in what it has written, in every THP mode,
+  // and resident memory does not step by 2 MiB. A fresh thread takes
+  // max-class blocks until one starts a new chunk and writes that block
+  // only. It reads the residency before it exits: its exit writes the
+  // spare-region link into the chunk.
+  constexpr std::size_t kBytes = kMaxPooledBytes;
+  constexpr std::size_t kPage = 4096;
+  std::vector<void*> blocks;
+  std::vector<unsigned char> pages(kChunkBytes / kPage);
+  std::thread([&] {
+    for (std::size_t i = 0; i < 2 * kChunkBytes / kBytes; ++i) {
+      blocks.push_back(pool_allocate(kBytes));
+      const auto a = reinterpret_cast<std::uintptr_t>(blocks.back());
+      if (a % kChunkBytes != 0) continue;
+      std::memset(blocks.back(), 1, kBytes);
+      ASSERT_EQ(mincore(blocks.back(), kChunkBytes, pages.data()), 0) << errno;
+      return;
+    }
+    FAIL() << "no block started a chunk";
+  }).join();
+  std::size_t resident = 0;
+  for (unsigned char v : pages) resident += v & 1u;
+  EXPECT_EQ(resident, kBytes / kPage);
+  for (void* p : blocks) pool_deallocate(p, kBytes);
+}
+#endif
 
 TEST(Pool, ExitedThreadRegionsAreReused) {
   // Short-lived threads each allocate one tower block (of a class no other
